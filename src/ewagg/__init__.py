@@ -41,7 +41,6 @@ from .bounds import (
 )
 from .montecarlo import (
     ComparisonRow,
-    EstimatorKind,
     MEpsilonReport,
     RiskEstimate,
     ScenarioConfig,
@@ -85,7 +84,6 @@ __all__ = [
     "lemma4_bound",
     "psi",
     "theorem_bounds",
-    "EstimatorKind",
     "ScenarioConfig",
     "RiskEstimate",
     "ComparisonRow",

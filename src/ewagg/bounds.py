@@ -32,11 +32,12 @@ __all__ = [
     "PSI_EPSILON_HI",
 ]
 
-# Search domain for the Psi minimizer.  Below the lower edge the exponential
-# term exp(2/(e*eps)) overflows float64 for every representable r, so no
-# admissible minimizer is lost; the upper edge is the domain boundary 1/7.
+# Search domain for the Psi minimizer.  At the lower edge the objective falls
+# for every positive float r (there log(r exp(c/eps)) >= -745 + 7.4e5), so no
+# minimizer is lost below it; the upper edge is the domain boundary 1/7.
 PSI_EPSILON_LO = 1e-6
 PSI_EPSILON_HI = 1.0 / 7.0
+_PSI_C = 2.0 / math.e
 
 
 def u_alpha(alpha: float) -> float:
@@ -153,17 +154,22 @@ class PsiEvaluation:
     objective_at_star: float
 
 
-def _psi_objective(eps: np.ndarray | float, r: float):
-    with np.errstate(over="ignore"):
-        return 49.0 * eps + r * (105.0 / eps + np.exp(2.0 / (math.e * eps)))
+def _psi_log_descent(eps: float, log_r: float) -> float:
+    # log of r (105 + c exp(c/eps)) / eps^2, the falling part of the objective's
+    # derivative 49 - r (105 + c exp(c/eps)) / eps^2; decreasing in eps.
+    a, b = math.log(105.0), math.log(_PSI_C) + _PSI_C / eps
+    log_sum = max(a, b) + math.log1p(math.exp(-abs(a - b)))
+    return log_r + log_sum - 2.0 * math.log(eps)
 
 
-def psi(r: float, grid_points: int = 20_000) -> PsiEvaluation:
-    """Minimize 49 eps + r (105/eps + exp(2/(e eps))) over eps in (0, 1/7].
+def psi(r: float) -> PsiEvaluation:
+    """Minimize 49 eps + r (105/eps + exp(c/eps)), c = 2/e, over eps in (0, 1/7].
 
-    The objective has extreme curvature near zero, so no unimodality is
-    assumed: a dense logarithmic grid locates the basin and a ternary search
-    refines it.  psi(0) is the infimum 0, reported at the grid's lower edge.
+    Both 105/eps and exp(c/eps) are strictly convex, so the objective is, and
+    its minimizer is the root of the increasing derivative, found by bisection
+    on the derivative's sign to adjacent floats; when the derivative is still
+    negative at 1/7 the minimizer is that boundary.  psi(0) is the infimum 0,
+    reported at PSI_EPSILON_LO.
 
     As r -> 0, Psi(r) ~ 98 / (e log(49/r)): the product
     P = Psi(r) (e/98) L, L = log(49/r), falls to 1 from above, slowly (1.548
@@ -175,32 +181,20 @@ def psi(r: float, grid_points: int = 20_000) -> PsiEvaluation:
     r = float(r)
     if not 0.0 <= r <= 1.0:
         raise ValueError(f"psi needs r in [0, 1], got {r}")
-    if grid_points < 10_000:
-        raise ValueError("grid_points must be at least 10000")
     if r == 0.0:
         return PsiEvaluation(r=0.0, psi=0.0, epsilon_star=PSI_EPSILON_LO, objective_at_star=0.0)
 
-    grid = np.geomspace(PSI_EPSILON_LO, PSI_EPSILON_HI, grid_points)
-    values = _psi_objective(grid, r)
-    best = int(np.argmin(values))
-
-    lo = grid[max(best - 1, 0)]
-    hi = grid[min(best + 1, grid_points - 1)]
-    for _ in range(200):
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        if not lo < m1 < m2 < hi:
-            break
-        if _psi_objective(m1, r) <= _psi_objective(m2, r):
-            hi = m2
-        else:
-            lo = m1
-    eps_star = 0.5 * (lo + hi)
-    refined = float(_psi_objective(eps_star, r))
-    if refined > values[best]:
-        eps_star = float(grid[best])
-        refined = float(values[best])
-    return PsiEvaluation(r=r, psi=refined, epsilon_star=float(eps_star), objective_at_star=refined)
+    log_r = math.log(r)
+    target = math.log(49.0)
+    if _psi_log_descent(PSI_EPSILON_HI, log_r) > target:
+        eps_star = PSI_EPSILON_HI
+    else:
+        eps_star = _bisect_increasing(
+            lambda eps: -_psi_log_descent(eps, log_r), PSI_EPSILON_LO, PSI_EPSILON_HI, -target
+        )
+    # r exp(c/eps) is formed in the log domain, where it cannot overflow.
+    value = 49.0 * eps_star + 105.0 * r / eps_star + math.exp(log_r + _PSI_C / eps_star)
+    return PsiEvaluation(r=r, psi=value, epsilon_star=eps_star, objective_at_star=value)
 
 
 def theorem_bounds(oracle: OracleReport, sigma: NoiseLevel, M: ModelIndexSet) -> OracleReport:

@@ -31,7 +31,6 @@ from .bounds import psi, theorem_bounds
 from .montecarlo import (
     LEMMA2_VARIANTS,
     PASS_TOLERANCE_SE,
-    EstimatorKind,
     ScenarioConfig,
     lemma2_empirical,
     verify_oracle_inequalities,
@@ -129,7 +128,7 @@ def _scenario_from_section(name: str, options: dict[str, str]) -> ScenarioConfig
             raise ConfigError(
                 f"scenario [{name}] has no base_seed and {SEED_ENV} is not set"
             )
-    known = required | {"replicates", "base_seed", "estimator"}
+    known = required | {"replicates", "base_seed"}
     unknown = sorted(options.keys() - known)
     if unknown:
         raise ConfigError(f"scenario [{name}] has unknown keys: {', '.join(unknown)}")
@@ -141,7 +140,6 @@ def _scenario_from_section(name: str, options: dict[str, str]) -> ScenarioConfig
             models=parse_model_set_text(options["models"]),
             replicates=int(options["replicates"]),
             base_seed=base_seed,
-            estimator=EstimatorKind(options.get("estimator", "BOTH").upper()),
         )
     except (ValueError, KeyError) as exc:
         raise ConfigError(f"scenario [{name}]: {exc}") from exc
@@ -168,7 +166,6 @@ def config_digest(scenarios: list[ScenarioConfig]) -> str:
     for cfg in scenarios:
         lines.append(f"[{cfg.scenario_id}]")
         lines.append(f"base_seed = {cfg.base_seed}")
-        lines.append(f"estimator = {cfg.estimator.value}")
         lines.append(f"models = {','.join(str(m) for m in cfg.models)}")
         lines.append(f"mu = {cfg.mu_spec}")
         lines.append(f"replicates = {cfg.replicates}")
@@ -246,8 +243,8 @@ def cmd_simulate(config_path: str, out_dir: str) -> int:
 
 
 def cmd_bounds(r_over_sigma2: float, count_m: int) -> int:
-    if not r_over_sigma2 >= 1.0:
-        raise ConfigError(f"--r must be >= 1 (oracle risk is at least sigma^2), got {r_over_sigma2}")
+    if not 1.0 <= r_over_sigma2 < float("inf"):
+        raise ConfigError(f"--r must be finite and >= 1 (oracle risk >= sigma^2), got {r_over_sigma2}")
     if count_m < 1:
         raise ConfigError(f"--m must be >= 1, got {count_m}")
     sigma = NoiseLevel(1.0)

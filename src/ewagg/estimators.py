@@ -5,6 +5,11 @@ The unbiased risk estimate of the projection keeping m coordinates is
 an unbiased estimate of the true risk up to one additive constant shared by
 all m, so every consumer here (argmin selection, softmax weighting,
 profile differences) is shift invariant.
+
+Each formula has one implementation over the last axis, so a block of
+observations (B, N) and a single one (N,) get the same bits per row.  The
+validated objects hold either one row or a block of rows, so one call per
+block runs the whole pipeline over it.
 """
 
 from __future__ import annotations
@@ -13,9 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sequence_model import ModelIndexSet, NoiseLevel, Observation
+from .sequence_model import ModelIndexSet, NoiseLevel, Observation, _frozen_array
 
 __all__ = [
+    "profile_values",
+    "softmax_weights",
+    "suffix_weights",
     "RiskProfile",
     "WeightVector",
     "projection_estimate",
@@ -28,11 +36,43 @@ __all__ = [
 ]
 
 
+def profile_values(values: np.ndarray, variance: float, indices: np.ndarray) -> np.ndarray:
+    """Risk estimates 2 sigma^2 m - sum_{i<=m} Y_i^2 for each m in indices, per row."""
+    cum2 = np.cumsum(values * values, axis=-1)
+    return 2.0 * variance * indices - cum2[..., indices - 1]
+
+
+def softmax_weights(profile: np.ndarray, variance: float) -> np.ndarray:
+    """Weights proportional to exp(-rbar / (4 sigma^2)) over each profile row."""
+    # Max-shift before exponentiating: the largest exponent is exactly 0, so the
+    # sum is >= 1 and can neither overflow nor vanish.  Extreme spreads underflow
+    # to exact zeros, which is the intended saturation.  Normalization runs in
+    # extended precision before casting back.
+    exponents = -(profile - profile.min(axis=-1, keepdims=True)) / (4.0 * variance)
+    expd = np.exp(exponents.astype(np.longdouble))
+    return np.asarray(expd / expd.sum(axis=-1, keepdims=True), dtype=float)
+
+
+def suffix_weights(indices: np.ndarray, weights: np.ndarray, length: int) -> np.ndarray:
+    """Per-coordinate scale of the aggregate: total weight of the models with m >= i."""
+    # A reversed cumulative sum gives every suffix in O(#M + N) per row.
+    suffix = np.cumsum(weights[..., ::-1], axis=-1)[..., ::-1]
+    suffix = np.concatenate([suffix, np.zeros(suffix.shape[:-1] + (1,))], axis=-1)
+    positions = np.searchsorted(indices, np.arange(1, length + 1), side="left")
+    return suffix[..., positions]
+
+
+def _row_minima(models: ModelIndexSet, values: np.ndarray):
+    """Per row, the minimum and the smallest model index attaining it."""
+    return values.min(axis=-1), models.indices[np.argmin(values, axis=-1)]
+
+
 @dataclass(frozen=True)
 class RiskProfile:
-    """Unbiased risk estimates aligned with a model index set.
+    """Unbiased risk estimates aligned with a model index set (one row, or rows of a block).
 
-    argmin_index is the smallest model index attaining the minimum value.
+    argmin_index is the smallest model index attaining the minimum value; for
+    a block, min_value and argmin_index are arrays with one entry per row.
     """
 
     models: ModelIndexSet
@@ -42,36 +82,26 @@ class RiskProfile:
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
-        if values.shape != self.models.indices.shape:
+        if values.shape[-1:] != self.models.indices.shape:
             raise ValueError("profile values must align with the model index set")
-        pos = int(np.argmin(values))
-        if self.min_value != values[pos] or self.argmin_index != self.models.indices[pos]:
+        expected = _row_minima(self.models, values)
+        if not all(map(np.array_equal, (self.min_value, self.argmin_index), expected)):
             raise ValueError("min_value/argmin_index are inconsistent with the values")
-        values = values.copy()
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", _frozen_array(values, float))
 
     @classmethod
     def from_values(cls, models: ModelIndexSet, values) -> "RiskProfile":
         """Build a profile from raw values; ties in the argmin go to the smallest m."""
         vals = np.asarray(values, dtype=float)
-        pos = int(np.argmin(vals))  # first occurrence breaks ties toward smaller m
-        return cls(
-            models=models,
-            values=vals,
-            min_value=float(vals[pos]),
-            argmin_index=int(models.indices[pos]),
-        )
-
-    @property
-    def argmin_position(self) -> int:
-        """Position of argmin_index within the model index set."""
-        return int(np.searchsorted(self.models.indices, self.argmin_index))
+        min_value, argmin_index = _row_minima(models, vals)
+        if vals.ndim == 1:
+            min_value, argmin_index = float(min_value), int(argmin_index)
+        return cls(models, vals, min_value=min_value, argmin_index=argmin_index)
 
 
 @dataclass(frozen=True)
 class WeightVector:
-    """Point on the probability simplex over a model index set."""
+    """Point on the probability simplex over a model index set (one per row of a block)."""
 
     models: ModelIndexSet
     weights: np.ndarray
@@ -80,15 +110,13 @@ class WeightVector:
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=float)
-        if w.shape != self.models.indices.shape:
+        if w.shape[-1:] != self.models.indices.shape:
             raise ValueError("weights must align with the model index set")
         if np.any(w < 0.0) or not np.all(np.isfinite(w)):
             raise ValueError("weights must be finite and nonnegative")
-        if abs(float(w.sum()) - 1.0) > self._SUM_TOL:
+        if np.any(np.abs(w.sum(axis=-1) - 1.0) > self._SUM_TOL):
             raise ValueError(f"weights must sum to 1 within {self._SUM_TOL}")
-        w = w.copy()
-        w.flags.writeable = False
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "weights", _frozen_array(w, float))
 
 
 def projection_estimate(Y: Observation, m: int) -> np.ndarray:
@@ -97,12 +125,12 @@ def projection_estimate(Y: Observation, m: int) -> np.ndarray:
     if m < 1:
         raise ValueError("m must be >= 1")
     keep = min(m, Y.length)
-    out = np.zeros(Y.length)
-    out[:keep] = Y.values[:keep]
+    out = np.zeros_like(Y.values)
+    out[..., :keep] = Y.values[..., :keep]
     return out
 
 
-def unbiased_risk(Y: Observation, m: int) -> float:
+def unbiased_risk(Y: Observation, m: int) -> float | np.ndarray:
     """Unbiased risk estimate -sum_{i<=m} Y_i^2 + 2 sigma^2 m of the m-projection."""
     m = int(m)
     if m < 1:
@@ -112,13 +140,8 @@ def unbiased_risk(Y: Observation, m: int) -> float:
             f"m={m} exceeds the observation length {Y.length}; "
             "coordinates beyond the support would be silently dropped"
         )
-    head = Y.values[:m]
-    return float(2.0 * Y.noise.variance * m - np.dot(head, head))
-
-
-def _profile_values(values: np.ndarray, variance: float, indices: np.ndarray) -> np.ndarray:
-    cum2 = np.cumsum(values * values)
-    return 2.0 * variance * indices - cum2[indices - 1]
+    values = profile_values(Y.values, Y.noise.variance, np.array([m]))[..., 0]
+    return float(values) if values.ndim == 0 else values
 
 
 def risk_profile(Y: Observation, M: ModelIndexSet) -> RiskProfile:
@@ -127,49 +150,26 @@ def risk_profile(Y: Observation, M: ModelIndexSet) -> RiskProfile:
         raise ValueError(
             f"max model index {M.max_index} exceeds the observation length {Y.length}"
         )
-    values = _profile_values(Y.values, Y.noise.variance, M.indices)
-    return RiskProfile.from_values(M, values)
+    return RiskProfile.from_values(M, profile_values(Y.values, Y.noise.variance, M.indices))
 
 
 def ure_weights(profile: RiskProfile) -> WeightVector:
     """Atomic weights: all mass on the profile's argmin model."""
-    w = np.zeros(len(profile.models))
-    w[profile.argmin_position] = 1.0
-    return WeightVector(models=profile.models, weights=w)
-
-
-def _softmax_weights(values: np.ndarray, min_value: float, variance: float) -> np.ndarray:
-    # Max-shift before exponentiating: the largest exponent is exactly 0, so the
-    # sum is >= 1 and can neither overflow nor vanish.  Extreme spreads underflow
-    # to exact zeros, which is the intended saturation.  Normalization runs in
-    # extended precision before casting back.
-    exponents = -(values - min_value) / (4.0 * variance)
-    expd = np.exp(exponents.astype(np.longdouble))
-    return np.asarray(expd / expd.sum(), dtype=float)
+    chosen = profile.models.indices == np.asarray(profile.argmin_index)[..., None]
+    return WeightVector(models=profile.models, weights=chosen.astype(float))
 
 
 def exponential_weights(profile: RiskProfile, sigma: NoiseLevel) -> WeightVector:
     """Softmax weights proportional to exp(-rbar / (4 sigma^2))."""
-    w = _softmax_weights(profile.values, profile.min_value, sigma.variance)
+    w = softmax_weights(profile.values, sigma.variance)
     return WeightVector(models=profile.models, weights=w)
-
-
-def _suffix_weight_per_coordinate(
-    indices: np.ndarray, weights: np.ndarray, length: int
-) -> np.ndarray:
-    # Coordinate i of the aggregate is Y_i times the total weight of all models
-    # with m >= i; a reversed cumulative sum gives every suffix in O(#M + N).
-    suffix = np.concatenate([np.cumsum(weights[::-1])[::-1], [0.0]])
-    positions = np.searchsorted(indices, np.arange(1, length + 1), side="left")
-    return suffix[positions]
 
 
 def aggregate(Y: Observation, M: ModelIndexSet, w: WeightVector) -> np.ndarray:
     """Convex combination of projection estimates, computed through suffix sums."""
     if not np.array_equal(w.models.indices, M.indices):
         raise ValueError("weight vector is not aligned with the model index set")
-    scale = _suffix_weight_per_coordinate(M.indices, w.weights, Y.length)
-    return Y.values * scale
+    return Y.values * suffix_weights(M.indices, w.weights, Y.length)
 
 
 def m_epsilon(
@@ -177,7 +177,7 @@ def m_epsilon(
     sigma: NoiseLevel,
     epsilon: float,
     center: float | None = None,
-) -> int:
+) -> int | np.ndarray:
     """Largest model whose risk estimate stays under the linear-in-m envelope.
 
     Returns max{m in M : rbar(m) - center <= 4 epsilon sigma^2 (m - mhat) + 4 sigma^2}.
@@ -189,13 +189,12 @@ def m_epsilon(
     epsilon = float(epsilon)
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie strictly between 0 and 1")
+    values, indices, variance = profile.values, profile.models.indices, sigma.variance
     if center is None:
-        center = profile.min_value
-    variance = sigma.variance
-    envelope = 4.0 * epsilon * variance * (
-        profile.models.indices - profile.argmin_index
-    ) + 4.0 * variance
-    admissible = (profile.values - center) <= envelope
-    if not np.any(admissible):
-        return profile.argmin_index
-    return int(profile.models.indices[admissible][-1])
+        center = values.min(axis=-1, keepdims=True)
+    mhat = np.asarray(profile.argmin_index)
+    envelope = 4.0 * epsilon * variance * (indices - mhat[..., None]) + 4.0 * variance
+    admissible = (values - center) <= envelope
+    last = indices.size - 1 - np.argmax(admissible[..., ::-1], axis=-1)
+    index = np.where(admissible.any(axis=-1), indices[last], mhat)
+    return int(index) if index.ndim == 0 else index

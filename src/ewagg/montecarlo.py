@@ -2,13 +2,16 @@
 
 Every replicate draws its observation from its own substream keyed by
 (base seed, scenario, replicate index), so results are independent of
-execution order, and losses are accumulated in fixed index order, so a
-given configuration always reproduces bit-identical estimates.
+execution order.  Replicates are processed in blocks of rows: each block is
+one Observation, and the public pipeline (risk profile, weights, aggregate,
+loss) runs once per block over the last axis.  Every row gets the same bits
+as that pipeline gives it alone, and losses are stored in fixed index order,
+so a given configuration reproduces bit-identical estimates whatever the
+block size.
 """
 
 from __future__ import annotations
 
-import enum
 import hashlib
 import math
 from dataclasses import dataclass
@@ -20,8 +23,8 @@ from .estimators import (
     aggregate,
     exponential_weights,
     m_epsilon,
+    profile_values,
     risk_profile,
-    unbiased_risk,
     ure_weights,
 )
 from .risk import OracleReport, oracle_risk, regret
@@ -29,15 +32,14 @@ from .sequence_model import (
     MeanVector,
     ModelIndexSet,
     NoiseLevel,
-    _seed_entropy,
-    generate_observation,
+    draw_observations,
     mean_vector_from_spec,
     squared_loss,
+    standard_normals,
     true_projection_risk,
 )
 
 __all__ = [
-    "EstimatorKind",
     "ScenarioConfig",
     "RiskEstimate",
     "ComparisonRow",
@@ -57,11 +59,9 @@ PASS_TOLERANCE_SE = 4.0
 
 LEMMA2_VARIANTS = ("chi2_upper", "linear", "chi2_lower")
 
-
-class EstimatorKind(str, enum.Enum):
-    URE = "URE"
-    EW = "EW"
-    BOTH = "BOTH"
+# Normals drawn per block of replicates (at least one row).  Outputs do not
+# depend on it; it trades per-call overhead against the block's memory.
+_BLOCK_VALUES = 1 << 12
 
 
 def _stable_key(label: str) -> int:
@@ -69,8 +69,13 @@ def _stable_key(label: str) -> int:
     return int.from_bytes(hashlib.sha256(label.encode("utf-8")).digest()[:8], "big")
 
 
-def _substream(parts) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(_seed_entropy(list(parts))))
+def _observation_blocks(mu: MeanVector, sigma: NoiseLevel, replicates: int, prefix: tuple):
+    """Yield (replicate slice, block Observation) in index order; rep uses (*prefix, rep)."""
+    rows = max(1, _BLOCK_VALUES // mu.declared_length)
+    for first in range(0, replicates, rows):
+        block = range(first, min(replicates, first + rows))
+        seeds = [(*prefix, rep) for rep in block]
+        yield slice(block.start, block.stop), draw_observations(mu, sigma, seeds)
 
 
 @dataclass(frozen=True)
@@ -83,14 +88,12 @@ class ScenarioConfig:
     models: ModelIndexSet
     replicates: int
     base_seed: int
-    estimator: EstimatorKind = EstimatorKind.BOTH
 
     def __post_init__(self):
-        if int(self.replicates) < 1:
-            raise ValueError("replicates must be >= 1")
+        if int(self.replicates) < 2:
+            raise ValueError("replicates must be >= 2, so that a standard error exists")
         object.__setattr__(self, "replicates", int(self.replicates))
         object.__setattr__(self, "base_seed", int(self.base_seed))
-        object.__setattr__(self, "estimator", EstimatorKind(self.estimator))
         # Fails fast when the mean family cannot support the model set.
         self.mean_vector()
 
@@ -116,8 +119,10 @@ class RiskEstimate:
     def from_samples(cls, samples: np.ndarray) -> "RiskEstimate":
         samples = np.asarray(samples, dtype=float)
         n = samples.size
+        if n < 2:
+            raise ValueError(f"a standard error needs at least 2 samples, got {n}")
         mean = float(samples.mean())
-        std_error = float(samples.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+        std_error = float(samples.std(ddof=1) / math.sqrt(n))
         return cls(mean=mean, std_error=std_error, replicates=n)
 
 
@@ -143,39 +148,22 @@ class ComparisonRow:
         return self.t2_pass or self.t3_pass
 
 
-def _observations(config: ScenarioConfig):
-    mu = config.mean_vector()
-    key = _stable_key(config.scenario_id)
-    for rep in range(config.replicates):
-        yield rep, generate_observation(mu, config.sigma, (config.base_seed, key, rep))
-
-
 def _replicate_losses(config: ScenarioConfig) -> dict[str, np.ndarray]:
-    """Per-replicate squared losses for the requested estimators, in index order."""
+    """Per-replicate squared losses of both estimators, in index order."""
     mu = config.mean_vector()
     models = config.models
-    need_ure = config.estimator in (EstimatorKind.URE, EstimatorKind.BOTH)
-    need_ew = config.estimator in (EstimatorKind.EW, EstimatorKind.BOTH)
-    ure_losses = np.empty(config.replicates) if need_ure else None
-    ew_losses = np.empty(config.replicates) if need_ew else None
-    for rep, obs in _observations(config):
+    losses = {"URE": np.empty(config.replicates), "EW": np.empty(config.replicates)}
+    prefix = (config.base_seed, _stable_key(config.scenario_id))
+    for reps, obs in _observation_blocks(mu, config.sigma, config.replicates, prefix):
         profile = risk_profile(obs, models)
-        if need_ure:
-            estimate = aggregate(obs, models, ure_weights(profile))
-            ure_losses[rep] = squared_loss(estimate, mu)
-        if need_ew:
-            estimate = aggregate(obs, models, exponential_weights(profile, config.sigma))
-            ew_losses[rep] = squared_loss(estimate, mu)
-    out: dict[str, np.ndarray] = {}
-    if need_ure:
-        out["URE"] = ure_losses
-    if need_ew:
-        out["EW"] = ew_losses
-    return out
+        weights = {"URE": ure_weights(profile), "EW": exponential_weights(profile, config.sigma)}
+        for name, w in weights.items():
+            losses[name][reps] = squared_loss(aggregate(obs, models, w), mu)
+    return losses
 
 
 def mc_risk(config: ScenarioConfig) -> dict[str, RiskEstimate]:
-    """Monte Carlo risk of the selected estimator(s), keyed "URE" / "EW"."""
+    """Monte Carlo risk of both estimators, keyed "URE" / "EW"."""
     return {
         name: RiskEstimate.from_samples(losses)
         for name, losses in _replicate_losses(config).items()
@@ -184,8 +172,6 @@ def mc_risk(config: ScenarioConfig) -> dict[str, RiskEstimate]:
 
 def verify_oracle_inequalities(config: ScenarioConfig) -> ComparisonRow:
     """Run both estimators and check their risks against the regret budgets."""
-    if config.estimator is not EstimatorKind.BOTH:
-        raise ValueError("verify_oracle_inequalities needs estimator BOTH")
     mu = config.mean_vector()
     report = theorem_bounds(
         oracle_risk(mu, config.sigma, config.models), config.sigma, config.models
@@ -240,8 +226,10 @@ def lemma2_empirical(
             raise ValueError("the linear variant needs a mean vector")
         if not alpha > 0.0:
             raise ValueError(f"the linear variant needs alpha > 0, got {alpha}")
-    if k_max < 1 or replicates < 1:
-        raise ValueError("k_max and replicates must be >= 1")
+    if k_max < 1:
+        raise ValueError("k_max must be >= 1")
+    if replicates < 2:
+        raise ValueError("replicates must be >= 2, so that a standard error exists")
 
     key = _stable_key(f"lemma2:{which}:{alpha!r}")
     stats = np.empty(replicates)
@@ -250,16 +238,14 @@ def lemma2_empirical(
         coeffs = mu.coefficients
         suffix_mu2 = np.cumsum((coeffs * coeffs)[::-1])[::-1]
         for rep in range(replicates):
-            rng = _substream((seed, key, rep))
-            xi = rng.standard_normal(coeffs.size)
+            xi = standard_normals((seed, key, rep), coeffs.size)
             suffix_dot = np.cumsum((coeffs * xi)[::-1])[::-1]
             walk = suffix_dot - 0.5 * alpha * suffix_mu2
             stats[rep] = max(float(walk.max()), 0.0)  # empty suffixes contribute 0
     else:
         steps = np.arange(1, k_max + 1, dtype=float)
         for rep in range(replicates):
-            rng = _substream((seed, key, rep))
-            xi = rng.standard_normal(k_max)
+            xi = standard_normals((seed, key, rep), k_max)
             if which == "chi2_upper":
                 walk = np.cumsum(xi * xi - 1.0) - drift * steps
             else:
@@ -278,17 +264,16 @@ def unbiasedness_check(
 ) -> dict[int, RiskEstimate]:
     """MC estimate of rbar(Y, m) + ||mu||^2 - true risk, per m; all means should be ~0."""
     m_values = [int(m) for m in m_values]
-    key = _stable_key("unbiasedness")
+    if any(m > mu.declared_length for m in m_values):
+        raise ValueError(f"every m must be <= the mean vector length {mu.declared_length}")
     norm2 = mu.squared_norm
-    offsets = {
-        m: norm2 - true_projection_risk(mu, sigma, m) for m in m_values
-    }
-    stats = {m: np.empty(replicates) for m in m_values}
-    for rep in range(replicates):
-        obs = generate_observation(mu, sigma, (base_seed, key, rep))
-        for m in m_values:
-            stats[m][rep] = unbiased_risk(obs, m) + offsets[m]
-    return {m: RiskEstimate.from_samples(stats[m]) for m in m_values}
+    offsets = np.array([norm2 - true_projection_risk(mu, sigma, m) for m in m_values])
+    indices = np.array(m_values, dtype=np.int64)
+    stats = np.empty((len(m_values), replicates))
+    prefix = (base_seed, _stable_key("unbiasedness"))
+    for reps, obs in _observation_blocks(mu, sigma, replicates, prefix):
+        stats[:, reps] = (profile_values(obs.values, sigma.variance, indices) + offsets).T
+    return {m: RiskEstimate.from_samples(row) for m, row in zip(m_values, stats)}
 
 
 @dataclass(frozen=True)
@@ -320,22 +305,20 @@ def m_epsilon_budget(oracle_value: float, sigma: NoiseLevel, epsilon: float) -> 
 def m_epsilon_study(config: ScenarioConfig, epsilon: float) -> MEpsilonReport:
     """MC estimate of the expected envelope index under both centerings."""
     epsilon = float(epsilon)
-    if not 0.0 < epsilon <= 1.0 / 7.0:
-        raise ValueError("epsilon must lie in (0, 1/7]")
     mu = config.mean_vector()
     report = oracle_risk(mu, config.sigma, config.models)
+    budget = m_epsilon_budget(report.oracle_risk, config.sigma, epsilon)  # checks epsilon
     by_profile = np.empty(config.replicates)
     by_oracle = np.empty(config.replicates)
-    for rep, obs in _observations(config):
+    prefix = (config.base_seed, _stable_key(config.scenario_id))
+    for reps, obs in _observation_blocks(mu, config.sigma, config.replicates, prefix):
         profile = risk_profile(obs, config.models)
-        by_profile[rep] = m_epsilon(profile, config.sigma, epsilon)
-        by_oracle[rep] = m_epsilon(
-            profile, config.sigma, epsilon, center=report.oracle_risk
-        )
+        by_profile[reps] = m_epsilon(profile, config.sigma, epsilon)
+        by_oracle[reps] = m_epsilon(profile, config.sigma, epsilon, report.oracle_risk)
     return MEpsilonReport(
         epsilon=epsilon,
         profile_centered=RiskEstimate.from_samples(by_profile),
         oracle_centered=RiskEstimate.from_samples(by_oracle),
-        analytic_budget=m_epsilon_budget(report.oracle_risk, config.sigma, epsilon),
+        analytic_budget=budget,
         oracle=report,
     )

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .sequence_model import MeanVector, ModelIndexSet, NoiseLevel, true_projection_risk
+import numpy as np
+
+from .sequence_model import MeanVector, ModelIndexSet, NoiseLevel
 
 __all__ = ["OracleReport", "oracle_risk", "regret"]
 
@@ -31,20 +33,18 @@ class OracleReport:
 
 
 def oracle_risk(mu: MeanVector, sigma: NoiseLevel, M: ModelIndexSet) -> OracleReport:
-    """Exact minimum of the projection risk over M by full scan, ties to smallest m."""
+    """Exact minimum of the projection risk over M, ties to smallest m.
+
+    Each risk is the same sum true_projection_risk gives for that m.
+    """
     if M.max_index > mu.declared_length:
         raise ValueError(
             f"max model index {M.max_index} exceeds the mean vector length "
             f"{mu.declared_length}"
         )
-    best_value = None
-    best_index = None
-    for m in M:
-        value = true_projection_risk(mu, sigma, m)
-        if best_value is None or value < best_value:
-            best_value = value
-            best_index = m
-    return OracleReport(oracle_risk=best_value, oracle_index=best_index)
+    risks = mu.tail_squared_norms()[M.indices] + sigma.variance * M.indices
+    pos = int(np.argmin(risks))  # first occurrence breaks ties toward smaller m
+    return OracleReport(oracle_risk=float(risks[pos]), oracle_index=int(M.indices[pos]))
 
 
 def regret(mc_risk: float, oracle: OracleReport) -> float:

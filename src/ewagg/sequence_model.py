@@ -8,6 +8,7 @@ with no truncation error.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -19,6 +20,8 @@ __all__ = [
     "Observation",
     "ModelIndexSet",
     "SeedLike",
+    "standard_normals",
+    "draw_observations",
     "generate_observation",
     "true_projection_risk",
     "squared_loss",
@@ -54,16 +57,18 @@ class MeanVector:
 
     @property
     def squared_norm(self) -> float:
-        return float(np.dot(self.coefficients, self.coefficients))
+        return self.tail_squared_norm(0)
+
+    def tail_squared_norms(self) -> np.ndarray:
+        """Sums of squared coordinates strictly beyond position m, for m = 0..N (entry N is 0)."""
+        squares = self.coefficients * self.coefficients
+        return np.append(np.cumsum(squares[::-1])[::-1], 0.0)
 
     def tail_squared_norm(self, m: int) -> float:
         """Sum of squared coordinates strictly beyond position m (exact: zero tail)."""
         if m < 0:
             raise ValueError("m must be nonnegative")
-        if m >= self.declared_length:
-            return 0.0
-        tail = self.coefficients[m:]
-        return float(np.dot(tail, tail))
+        return float(self.tail_squared_norms()[min(m, self.declared_length)])
 
 
 @dataclass(frozen=True)
@@ -74,8 +79,10 @@ class NoiseLevel:
 
     def __post_init__(self):
         sigma = float(self.sigma)
-        if not (np.isfinite(sigma) and sigma > 0.0):
-            raise ValueError(f"sigma must be a positive finite real, got {self.sigma!r}")
+        # sigma^2 turns subnormal below about 1.5e-154 and overflows above 1.3e154.
+        variance = sigma * sigma
+        if not (sigma > 0.0 and sys.float_info.min <= variance < np.inf):
+            raise ValueError(f"sigma^2 must be a normal positive float, got sigma={self.sigma!r}")
         object.__setattr__(self, "sigma", sigma)
 
     @property
@@ -85,7 +92,11 @@ class NoiseLevel:
 
 @dataclass(frozen=True)
 class Observation:
-    """One realization of the observation vector, with its noise level and seed."""
+    """One realization of the observation vector, with its noise level and seed.
+
+    A block holds realizations as rows and one seed per row; every function
+    taking an Observation works row by row over the last axis.
+    """
 
     values: np.ndarray
     noise: NoiseLevel
@@ -96,7 +107,7 @@ class Observation:
 
     @property
     def length(self) -> int:
-        return int(self.values.size)
+        return int(self.values.shape[-1])
 
 
 @dataclass(frozen=True)
@@ -143,17 +154,29 @@ def _seed_entropy(seed: SeedLike) -> list[int]:
     return [int(p) % (1 << 128) for p in parts]
 
 
-def generate_observation(mu: MeanVector, sigma: NoiseLevel, seed: SeedLike) -> Observation:
-    """Draw Y = mu + sigma * Z with Z i.i.d. standard normal.
+def standard_normals(seed: SeedLike, n: int) -> np.ndarray:
+    """n standard normals from the substream that seed addresses.
 
     The generator is PCG64 keyed through numpy's SeedSequence, and the normal
-    draws use numpy's ziggurat sampler, so identical (mu, sigma, seed) inputs
-    reproduce the observation bit for bit regardless of platform or call order.
-    A sequence seed addresses one substream per (base seed, scenario, replicate).
+    draws use numpy's ziggurat sampler, so a given (seed, n) reproduces the
+    same values bit for bit regardless of platform or call order.  A sequence
+    seed addresses one substream per (base seed, scenario, replicate).
     """
     rng = np.random.default_rng(np.random.SeedSequence(_seed_entropy(seed)))
-    values = mu.coefficients + sigma.sigma * rng.standard_normal(mu.declared_length)
+    return rng.standard_normal(n)
+
+
+def generate_observation(mu: MeanVector, sigma: NoiseLevel, seed: SeedLike) -> Observation:
+    """Draw Y = mu + sigma * Z with Z i.i.d. standard normal (see standard_normals)."""
+    values = mu.coefficients + sigma.sigma * standard_normals(seed, mu.declared_length)
     return Observation(values=values, noise=sigma, seed_record=seed)
+
+
+def draw_observations(mu: MeanVector, sigma: NoiseLevel, seeds) -> Observation:
+    """A block of observations, one row per seed, each drawn as generate_observation draws it."""
+    seeds = tuple(seeds)
+    rows = [generate_observation(mu, sigma, seed).values for seed in seeds]
+    return Observation(values=np.stack(rows), noise=sigma, seed_record=seeds)
 
 
 def true_projection_risk(mu: MeanVector, sigma: NoiseLevel, m: int) -> float:
@@ -167,16 +190,17 @@ def true_projection_risk(mu: MeanVector, sigma: NoiseLevel, m: int) -> float:
     return mu.tail_squared_norm(m) + sigma.variance * m
 
 
-def squared_loss(estimate: Sequence[float] | np.ndarray, mu: MeanVector) -> float:
-    """Squared l2 distance between an estimate and the mean vector, zero-padded tails."""
+def squared_loss(estimate: Sequence[float] | np.ndarray, mu: MeanVector) -> float | np.ndarray:
+    """Squared l2 distance to the mean vector, zero-padded tails; one per row of a block."""
     est = np.asarray(estimate, dtype=float)
-    if est.ndim != 1:
-        raise ValueError("estimate must be a 1-D sequence of reals")
-    n = max(est.size, mu.declared_length)
-    diff = np.zeros(n)
-    diff[: est.size] = est
-    diff[: mu.declared_length] -= mu.coefficients
-    return float(np.dot(diff, diff))
+    if est.ndim == 0:
+        raise ValueError("estimate must be a sequence of reals")
+    n = max(est.shape[-1], mu.declared_length)
+    diff = np.zeros(est.shape[:-1] + (n,))
+    diff[..., : est.shape[-1]] = est
+    diff[..., : mu.declared_length] -= mu.coefficients
+    loss = np.sum(diff * diff, axis=-1)
+    return float(loss) if loss.ndim == 0 else loss
 
 
 def _parse_params(body: str, spec: str) -> dict[str, str]:

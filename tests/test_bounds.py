@@ -215,6 +215,20 @@ class TestPsi:
         assert ev.psi == ev.objective_at_star
         assert ev.epsilon_star == pytest.approx(1.0 / 7.0, rel=1e-9)
 
+    def test_interior_minimum_beats_its_neighbours(self):
+        # Independent objective, its exponential term in the log domain so that
+        # it stays finite at the smallest subnormal r.
+        def objective(eps, r):
+            return 49.0 * eps + 105.0 * r / eps + math.exp(math.log(r) + 2.0 / (math.e * eps))
+
+        for r in (1e-3, 1e-6, 1e-30, 1e-300, 5e-324):
+            ev = psi(r)
+            assert PSI_EPSILON_LO < ev.epsilon_star < PSI_EPSILON_HI
+            assert ev.psi == pytest.approx(objective(ev.epsilon_star, r), rel=1e-14)
+            for step in (1e-9, 1e-6, 1e-3):
+                for eps in (ev.epsilon_star * (1.0 - step), ev.epsilon_star * (1.0 + step)):
+                    assert ev.psi <= objective(eps, r) * (1.0 + 1e-15)
+
     def test_nondecreasing_in_r(self):
         values = [psi(r).psi for r in (0.0, 1e-6, 1e-4, 1e-2, 0.1, 0.5, 1.0)]
         assert all(b >= a for a, b in zip(values, values[1:]))

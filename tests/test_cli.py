@@ -7,13 +7,13 @@ import math
 import pytest
 
 import ewagg.cli as cli
+from ewagg import montecarlo
 from ewagg.montecarlo import ComparisonRow, RiskEstimate
 
 GOOD_CONFIG = """\
 [DEFAULT]
 replicates = 300
 base_seed = 90210
-estimator = BOTH
 
 [zero_small]
 mu = zero
@@ -31,6 +31,11 @@ def write_config(tmp_path, text=GOOD_CONFIG, name="grid.cfg"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return str(path)
+
+
+def assert_one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
 class TestSimulate:
@@ -94,6 +99,33 @@ class TestSimulate:
         assert cli.main(["simulate", "--config", cfg, "--out", str(out2)]) == 0
         assert (out1 / "results.csv").read_bytes() == (out2 / "results.csv").read_bytes()
         assert (out1 / "results.json").read_bytes() == (out2 / "results.json").read_bytes()
+
+    def test_output_does_not_depend_on_the_block_size(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path)
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert cli.main(["simulate", "--config", cfg, "--out", str(out1)]) == 0
+        monkeypatch.setattr(montecarlo, "_BLOCK_VALUES", 1)
+        assert cli.main(["simulate", "--config", cfg, "--out", str(out2)]) == 0
+        assert (out1 / "results.csv").read_bytes() == (out2 / "results.csv").read_bytes()
+        assert (out1 / "results.json").read_bytes() == (out2 / "results.json").read_bytes()
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("base_seed = 90210\n", "base_seed = 90210\nestimator = URE\n"),  # removed key
+            ("sigma = 1.0", "sigma = 1e-160"),  # sigma^2 is subnormal
+            ("sigma = 1.0", "sigma = 1e-200"),  # sigma^2 underflows to 0
+            ("sigma = 1.0", "sigma = 1e200"),  # sigma^2 overflows to inf
+            ("replicates = 300", "replicates = 1"),  # no standard error
+        ],
+    )
+    def test_rejected_scenario_values_are_config_errors(self, tmp_path, capsys, old, new):
+        bad = GOOD_CONFIG.replace(old, new)
+        code = cli.main(
+            ["simulate", "--config", write_config(tmp_path, bad), "--out", str(tmp_path / "o")]
+        )
+        assert code == 2
+        assert_one_line_error(capsys)
 
     def test_empty_scenario_list_is_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, text="# nothing here\n")
@@ -176,6 +208,11 @@ class TestBounds:
         assert cli.main(["bounds", "--r", "0.5", "--m", "10"]) == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("ratio", ["inf", "nan"])
+    def test_non_finite_ratio_is_domain_error(self, capsys, ratio):
+        assert cli.main(["bounds", "--r", ratio, "--m", "10"]) == 2
+        assert_one_line_error(capsys)
+
     def test_nonpositive_count_is_domain_error(self):
         assert cli.main(["bounds", "--r", "2", "--m", "0"]) == 2
 
@@ -235,6 +272,15 @@ class TestLemmaCheck:
             ["lemma-check", "--which", "chi2_upper", "--alpha", "0.75", "--reps", "10"]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("reps", ["1", "0", "-3"])
+    def test_fewer_than_two_replicates_is_domain_error(self, capsys, reps):
+        code = cli.main(
+            ["lemma-check", "--which", "chi2_upper", "--alpha", "0.25", "--reps", reps]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "replicates" in err, err
 
     def test_unknown_variant_rejected_by_parser(self):
         with pytest.raises(SystemExit) as exc:

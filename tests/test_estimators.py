@@ -52,6 +52,14 @@ class TestUnbiasedRisk:
     def test_zero_data(self):
         assert unbiased_risk(obs([0.0, 0.0]), 1) == 2.0
 
+    def test_equals_the_profile_entry_exactly(self):
+        rng = np.random.default_rng(4)
+        M = ModelIndexSet.from_range(1, 40)
+        for _ in range(20):
+            y = obs(rng.normal(0.0, 3.0, size=40), NoiseLevel(float(rng.uniform(0.1, 2.0))))
+            profile = risk_profile(y, M).values
+            assert [unbiased_risk(y, m) for m in M] == profile.tolist()
+
     def test_m_beyond_support_rejected(self):
         with pytest.raises(ValueError):
             unbiased_risk(obs([1.0, 2.0]), 3)
@@ -290,3 +298,41 @@ class TestMEpsilon:
         prof = RiskProfile.from_values(ModelIndexSet.from_range(1, 3), [10.0, 20.0, 30.0])
         # Center far below every value empties the admissible set.
         assert m_epsilon(prof, SIGMA1, 0.1, center=-1e9) == prof.argmin_index
+
+
+class TestBlocks:
+    """A block Observation runs the whole pipeline row by row with the same bits."""
+
+    def test_block_rows_match_single_rows(self):
+        rng = np.random.default_rng(11)
+        sigma = NoiseLevel(0.7)
+        M = ModelIndexSet(np.array([1, 2, 5, 9, 12]))
+        values = rng.normal(0.0, 2.0, size=(6, 12))
+        block = Observation(values=values, noise=sigma, seed_record=tuple(range(6)))
+        profile = risk_profile(block, M)
+        weights = {"URE": ure_weights(profile), "EW": exponential_weights(profile, sigma)}
+        for b, row in enumerate(values):
+            single = obs(row, sigma)
+            one = risk_profile(single, M)
+            assert np.array_equal(profile.values[b], one.values)
+            assert profile.min_value[b] == one.min_value
+            assert profile.argmin_index[b] == one.argmin_index
+            assert unbiased_risk(block, 9)[b] == unbiased_risk(single, 9)
+            assert np.array_equal(projection_estimate(block, 5)[b], projection_estimate(single, 5))
+            assert m_epsilon(profile, sigma, 0.1)[b] == m_epsilon(one, sigma, 0.1)
+            for name, w_one in (("URE", ure_weights(one)), ("EW", exponential_weights(one, sigma))):
+                assert np.array_equal(weights[name].weights[b], w_one.weights)
+                assert np.array_equal(
+                    aggregate(block, M, weights[name])[b], aggregate(single, M, w_one)
+                )
+
+    def test_block_validation_checks_every_row(self):
+        M = ModelIndexSet.from_range(1, 2)
+        with pytest.raises(ValueError):
+            WeightVector(models=M, weights=np.array([[0.5, 0.5], [0.5, 0.6]]))
+        values = np.array([[1.0, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError):
+            RiskProfile(models=M, values=values, min_value=np.array([0.0, 0.0]),
+                        argmin_index=np.array([2, 2]))
+        good = RiskProfile.from_values(M, values)
+        np.testing.assert_array_equal(good.argmin_index, [2, 1])

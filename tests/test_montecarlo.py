@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from ewagg import montecarlo
 from ewagg.estimators import (
     aggregate,
     exponential_weights,
@@ -12,7 +13,6 @@ from ewagg.estimators import (
     ure_weights,
 )
 from ewagg.montecarlo import (
-    EstimatorKind,
     ScenarioConfig,
     _replicate_losses,
     _stable_key,
@@ -42,7 +42,6 @@ def make_config(**overrides):
         models=ModelIndexSet.from_range(1, 10),
         replicates=2000,
         base_seed=4242,
-        estimator=EstimatorKind.BOTH,
     )
     defaults.update(overrides)
     return ScenarioConfig(**defaults)
@@ -52,6 +51,8 @@ class TestScenarioConfig:
     def test_replicates_must_be_positive(self):
         with pytest.raises(ValueError):
             make_config(replicates=0)
+        with pytest.raises(ValueError):
+            make_config(replicates=1)  # no standard error from one sample
 
     def test_mean_support_must_cover_models(self):
         with pytest.raises(ValueError):
@@ -72,11 +73,25 @@ class TestMcRisk:
         for est in risks.values():
             assert abs(est.mean - 1.0) <= 4.0 * est.std_error
 
-    def test_estimator_selection(self):
-        cfg = make_config(estimator=EstimatorKind.URE, replicates=50)
-        assert set(mc_risk(cfg)) == {"URE"}
-        cfg = make_config(estimator=EstimatorKind.EW, replicates=50)
-        assert set(mc_risk(cfg)) == {"EW"}
+    @pytest.mark.parametrize("block_values", [1, 30, 1 << 20])
+    def test_results_do_not_depend_on_the_block_size(self, monkeypatch, block_values):
+        cfg = make_config(mu_spec="poly:beta=1,scale=1", replicates=97)
+        mu = cfg.mean_vector()
+
+        def run():
+            return (
+                _replicate_losses(cfg),
+                m_epsilon_study(cfg, 0.1),
+                unbiasedness_check(mu, cfg.sigma, [1, 4, 10], replicates=97, base_seed=5),
+            )
+
+        losses, study, unbiased = run()
+        monkeypatch.setattr(montecarlo, "_BLOCK_VALUES", block_values)
+        other_losses, other_study, other_unbiased = run()
+        for name in ("URE", "EW"):
+            np.testing.assert_array_equal(other_losses[name], losses[name])
+        assert other_study == study
+        assert other_unbiased == unbiased
 
     def test_bit_identical_reruns(self):
         cfg = make_config(replicates=500)
@@ -129,10 +144,6 @@ class TestMcRisk:
 
 
 class TestVerifyOracleInequalities:
-    def test_requires_both(self):
-        with pytest.raises(ValueError):
-            verify_oracle_inequalities(make_config(estimator=EstimatorKind.EW))
-
     def test_two_model_scenario_passes_t2(self):
         cfg = make_config(models=ModelIndexSet.from_range(1, 2), replicates=5000)
         row = verify_oracle_inequalities(cfg)
@@ -191,6 +202,9 @@ class TestLemma2Empirical:
             lemma2_empirical(0.5, "gauss_upper")
         with pytest.raises(ValueError):
             lemma2_empirical(0.25, "chi2_upper", k_max=0)
+        for replicates in (1, 0, -3):  # rejected before any walk is drawn
+            with pytest.raises(ValueError, match="replicates"):
+                lemma2_empirical(0.25, "chi2_upper", k_max=10, replicates=replicates)
 
 
 class TestUnbiasednessCheck:

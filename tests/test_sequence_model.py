@@ -7,6 +7,7 @@ from ewagg.sequence_model import (
     MeanVector,
     ModelIndexSet,
     NoiseLevel,
+    draw_observations,
     generate_observation,
     mean_vector_from_spec,
     squared_loss,
@@ -38,7 +39,12 @@ class TestTypes:
             NoiseLevel(-1.0)
         with pytest.raises(ValueError):
             NoiseLevel(float("nan"))
+        # sigma^2 subnormal, underflowing to 0, or overflowing to inf
+        for sigma in (1e-160, 1e-200, 1e200, float("inf")):
+            with pytest.raises(ValueError):
+                NoiseLevel(sigma)
         assert NoiseLevel(0.5).variance == 0.25
+        assert NoiseLevel(1e-150).variance > 0.0
 
     def test_model_index_set_validation(self):
         with pytest.raises(ValueError):
@@ -94,6 +100,16 @@ class TestGenerateObservation:
         c = generate_observation(mu, sig, (7, 0, 4))
         assert np.array_equal(a.values, b.values)
         assert not np.array_equal(a.values, c.values)
+
+    def test_block_rows_are_the_single_draws(self):
+        mu = MeanVector(np.linspace(1.0, 0.1, 7))
+        sig = NoiseLevel(0.3)
+        seeds = [(5, 1, rep) for rep in range(4)]
+        block = draw_observations(mu, sig, seeds)
+        assert block.values.shape == (4, 7) and block.length == 7
+        assert block.seed_record == tuple(seeds)
+        for row, seed in zip(block.values, seeds):
+            assert np.array_equal(row, generate_observation(mu, sig, seed).values)
 
     def test_law_of_large_numbers_on_coordinate_means(self):
         # Means over many independent seeds must approach mu at the MC rate.
@@ -169,6 +185,13 @@ class TestSquaredLoss:
         mu = MeanVector(np.array([1.0]))
         assert squared_loss([1.0, 3.0], mu) == 9.0
         assert squared_loss([0.0], MeanVector(np.array([1.0, 2.0]))) == 5.0
+
+    def test_block_gives_one_loss_per_row(self):
+        mu = MeanVector(np.array([1.0, 2.0]))
+        block = np.array([[1.0, 3.0, 0.5], [0.0, 0.0, 0.0]])
+        np.testing.assert_array_equal(
+            squared_loss(block, mu), [squared_loss(row, mu) for row in block]
+        )
 
 
 class TestMeanVectorFromSpec:
