@@ -7,7 +7,9 @@ bounds       evaluate the regret budgets at a given risk-to-noise ratio
 psi          evaluate the remainder function at one or more arguments
 lemma-check  run one empirical maximal-inequality check
 
-Exit codes: 0 success, 1 bound violation, 2 configuration or domain error.
+Exit codes: 0 success, 1 bound violation, 2 configuration or domain error,
+3 internal error (an unexpected exception, reported as one stderr line that
+names its type).
 The environment variable EWAGG_SEED supplies a default base seed wherever a
 scenario or command omits one.
 """
@@ -20,9 +22,12 @@ import csv
 import hashlib
 import json
 import os
+import platform
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import TextIO
 
 import numpy as np
 
@@ -61,10 +66,22 @@ CSV_HEADER = [
 EXIT_OK = 0
 EXIT_BOUND_VIOLATION = 1
 EXIT_CONFIG_ERROR = 2
+EXIT_INTERNAL_ERROR = 3
 
 
 class ConfigError(Exception):
     """Raised for malformed configuration files or out-of-domain arguments."""
+
+
+def _build_record() -> dict[str, str]:
+    # The output bytes are reproducible on the same build only: numpy picks its
+    # float64 exp kernel per CPU at run time.
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "system": platform.system(),
+        "machine": platform.machine(),
+    }
 
 
 @dataclass
@@ -76,6 +93,7 @@ class RunManifest:
     base_seeds: dict[str, int]
     timings_seconds: dict[str, float] = field(default_factory=dict)
     outputs: list[str] = field(default_factory=list)
+    build: dict[str, str] = field(default_factory=_build_record)
 
 
 def _fmt(x: float) -> str:
@@ -85,7 +103,7 @@ def _fmt(x: float) -> str:
 
 def parse_model_set_text(text: str) -> ModelIndexSet:
     """Parse "1..100" / "1,2,5" / "1..10,20" into a model index set."""
-    values: list[int] = []
+    values: list[np.ndarray] = []
     for item in text.split(","):
         item = item.strip()
         if not item:
@@ -95,12 +113,15 @@ def parse_model_set_text(text: str) -> ModelIndexSet:
             lo, hi = int(lo_text), int(hi_text)
             if hi < lo:
                 raise ConfigError(f"empty model range {item!r}")
-            values.extend(range(lo, hi + 1))
+            values.append(np.arange(lo, hi + 1, dtype=np.int64))
         else:
-            values.append(int(item))
+            values.append(np.array([int(item)], dtype=np.int64))
     if not values:
         raise ConfigError(f"model set {text!r} lists no indices")
-    return ModelIndexSet(np.unique(np.asarray(values, dtype=np.int64)))
+    # Sort and drop repeats: np.unique takes a hash-table path for integers
+    # that is about 15x slower on a 20,000-index range.
+    merged = np.sort(np.concatenate(values))
+    return ModelIndexSet(merged[np.r_[True, np.diff(merged) > 0]])
 
 
 def _default_seed() -> int | None:
@@ -141,7 +162,7 @@ def _scenario_from_section(name: str, options: dict[str, str]) -> ScenarioConfig
             replicates=int(options["replicates"]),
             base_seed=base_seed,
         )
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, OverflowError) as exc:
         raise ConfigError(f"scenario [{name}]: {exc}") from exc
 
 
@@ -166,7 +187,7 @@ def config_digest(scenarios: list[ScenarioConfig]) -> str:
     for cfg in scenarios:
         lines.append(f"[{cfg.scenario_id}]")
         lines.append(f"base_seed = {cfg.base_seed}")
-        lines.append(f"models = {','.join(str(m) for m in cfg.models)}")
+        lines.append(f"models = {','.join(map(str, cfg.models.indices.tolist()))}")
         lines.append(f"mu = {cfg.mu_spec}")
         lines.append(f"replicates = {cfg.replicates}")
         lines.append(f"sigma = {_fmt(cfg.sigma.sigma)}")
@@ -200,6 +221,37 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
+def _write_csv(records: list[dict], fh: TextIO) -> None:
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(CSV_HEADER)
+    for record in records:
+        writer.writerow([_csv_cell(record[key]) for key in CSV_HEADER])
+
+
+def _dump_json(payload, fh: TextIO) -> None:
+    json.dump(payload, fh, indent=2)
+    fh.write("\n")
+
+
+def _write_outputs(writers: dict[str, Callable[[TextIO], None]]) -> None:
+    """Write every file to a temporary sibling first, then rename each into place.
+
+    A failure while writing leaves every earlier output as it was and removes
+    the temporary files.
+    """
+    staged = {path: f"{path}.{os.getpid()}.tmp" for path in writers}
+    try:
+        for path, write in writers.items():
+            with open(staged[path], "w", encoding="utf-8", newline="") as fh:
+                write(fh)
+        for path, tmp in staged.items():
+            os.replace(tmp, path)
+    finally:
+        for tmp in staged.values():
+            if os.path.exists(tmp):
+                os.remove(tmp)
+
+
 def cmd_simulate(config_path: str, out_dir: str) -> int:
     try:
         with open(config_path, "r", encoding="utf-8") as fh:
@@ -212,21 +264,11 @@ def cmd_simulate(config_path: str, out_dir: str) -> int:
     rows = [verify_oracle_inequalities(cfg) for cfg in scenarios]
     elapsed = time.perf_counter() - started
 
-    os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "results.csv")
     json_path = os.path.join(out_dir, "results.json")
     manifest_path = os.path.join(out_dir, "run_manifest.json")
 
     records = [_row_record(row) for row in rows]
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for record in records:
-            writer.writerow([_csv_cell(record[key]) for key in CSV_HEADER])
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(records, fh, indent=2)
-        fh.write("\n")
-
     manifest = RunManifest(
         tool_version=__version__,
         config_digest=config_digest(scenarios),
@@ -234,9 +276,17 @@ def cmd_simulate(config_path: str, out_dir: str) -> int:
         timings_seconds={"simulate": elapsed},
         outputs=[csv_path, json_path],
     )
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        json.dump(manifest.__dict__, fh, indent=2)
-        fh.write("\n")
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        _write_outputs(
+            {
+                csv_path: lambda fh: _write_csv(records, fh),
+                json_path: lambda fh: _dump_json(records, fh),
+                manifest_path: lambda fh: _dump_json(manifest.__dict__, fh),
+            }
+        )
+    except OSError as exc:
+        raise ConfigError(f"cannot write outputs to {out_dir!r}: {exc}") from exc
 
     all_pass = all(row.t2_pass and row.t3_pass for row in rows)
     return EXIT_OK if all_pass else EXIT_BOUND_VIOLATION
@@ -355,6 +405,11 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _one_line(exc: Exception) -> str:
+    # configparser and numpy messages may span several lines.
+    return " ".join(str(exc).splitlines())
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -376,8 +431,11 @@ def main(argv: list[str] | None = None) -> int:
             )
         raise ConfigError(f"unknown command {args.command!r}")
     except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {_one_line(exc)}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
+    except Exception as exc:
+        print(f"error: internal error: {type(exc).__name__}: {_one_line(exc)}", file=sys.stderr)
+        return EXIT_INTERNAL_ERROR
 
 
 if __name__ == "__main__":

@@ -10,6 +10,11 @@ Each formula has one implementation over the last axis, so a block of
 observations (B, N) and a single one (N,) get the same bits per row.  The
 validated objects hold either one row or a block of rows, so one call per
 block runs the whole pipeline over it.
+
+Everything runs in float64.  numpy sums a contiguous row pairwise but a
+strided one sequentially, so the kernels that reduce along a row (the softmax
+normalisation) first make their input C-contiguous: a row then sums to the
+same bits whether it arrives alone, inside a block, or in a transposed view.
 """
 
 from __future__ import annotations
@@ -39,27 +44,32 @@ __all__ = [
 def profile_values(values: np.ndarray, variance: float, indices: np.ndarray) -> np.ndarray:
     """Risk estimates 2 sigma^2 m - sum_{i<=m} Y_i^2 for each m in indices, per row."""
     cum2 = np.cumsum(values * values, axis=-1)
-    return 2.0 * variance * indices - cum2[..., indices - 1]
+    # np.take keeps the result C-ordered; fancy indexing on the last axis of a
+    # block returns an F-ordered array.
+    return 2.0 * variance * indices - np.take(cum2, indices - 1, axis=-1)
 
 
 def softmax_weights(profile: np.ndarray, variance: float) -> np.ndarray:
     """Weights proportional to exp(-rbar / (4 sigma^2)) over each profile row."""
     # Max-shift before exponentiating: the largest exponent is exactly 0, so the
-    # sum is >= 1 and can neither overflow nor vanish.  Extreme spreads underflow
-    # to exact zeros, which is the intended saturation.  Normalization runs in
-    # extended precision before casting back.
+    # row sum is >= 1 and can neither overflow nor vanish.  Extreme spreads
+    # underflow to exact zeros, which is the intended saturation.  The exponents
+    # are made C-contiguous so that every row sum takes numpy's pairwise path
+    # and a row gets the same bits in any block layout.
     exponents = -(profile - profile.min(axis=-1, keepdims=True)) / (4.0 * variance)
-    expd = np.exp(exponents.astype(np.longdouble))
-    return np.asarray(expd / expd.sum(axis=-1, keepdims=True), dtype=float)
+    expd = np.exp(np.ascontiguousarray(exponents))
+    return expd / expd.sum(axis=-1, keepdims=True)
 
 
 def suffix_weights(indices: np.ndarray, weights: np.ndarray, length: int) -> np.ndarray:
     """Per-coordinate scale of the aggregate: total weight of the models with m >= i."""
-    # A reversed cumulative sum gives every suffix in O(#M + N) per row.
-    suffix = np.cumsum(weights[..., ::-1], axis=-1)[..., ::-1]
-    suffix = np.concatenate([suffix, np.zeros(suffix.shape[:-1] + (1,))], axis=-1)
-    positions = np.searchsorted(indices, np.arange(1, length + 1), side="left")
-    return suffix[..., positions]
+    # Scatter each model's weight to coordinate m, then one reversed cumulative
+    # sum gives every suffix in O(N) per row.  The cumsum is sequential and the
+    # added entries are exact zeros, so each suffix has the bits of the sum
+    # over the models alone.
+    dense = np.zeros(weights.shape[:-1] + (max(length, int(indices[-1])),))
+    dense[..., indices - 1] = weights
+    return np.cumsum(dense[..., ::-1], axis=-1)[..., ::-1][..., :length]
 
 
 def _row_minima(models: ModelIndexSet, values: np.ndarray):

@@ -3,7 +3,10 @@
 import csv
 import json
 import math
+import os
+import platform
 
+import numpy as np
 import pytest
 
 import ewagg.cli as cli
@@ -57,6 +60,12 @@ class TestSimulate:
         assert manifest["base_seeds"] == {"zero_small": 90210, "poly_small": 90210}
         assert "simulate" in manifest["timings_seconds"]
         assert len(manifest["outputs"]) == 2
+        assert manifest["build"] == {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "system": platform.system(),
+            "machine": platform.machine(),
+        }
 
     def test_two_model_scenario_budget_column(self, tmp_path):
         text = (
@@ -117,6 +126,8 @@ class TestSimulate:
             ("sigma = 1.0", "sigma = 1e-200"),  # sigma^2 underflows to 0
             ("sigma = 1.0", "sigma = 1e200"),  # sigma^2 overflows to inf
             ("replicates = 300", "replicates = 1"),  # no standard error
+            ("models = 1..10", "models = 99999999999999999999"),  # beyond int64
+            ("[DEFAULT]\n", ""),  # configparser's message spans three lines
         ],
     )
     def test_rejected_scenario_values_are_config_errors(self, tmp_path, capsys, old, new):
@@ -146,6 +157,14 @@ class TestSimulate:
             ["simulate", "--config", write_config(tmp_path, bad), "--out", str(tmp_path / "o")]
         )
         assert code == 2
+
+    def test_unwritable_output_is_config_error(self, tmp_path, capsys):
+        blocker = tmp_path / "taken"
+        blocker.write_text("a file, not a directory\n")
+        code = cli.main(["simulate", "--config", write_config(tmp_path), "--out", str(blocker)])
+        assert code == 2
+        assert_one_line_error(capsys)
+        assert blocker.read_text() == "a file, not a directory\n"
 
     def test_missing_file_is_config_error(self, tmp_path):
         code = cli.main(
@@ -188,6 +207,34 @@ class TestSimulate:
             ["simulate", "--config", write_config(tmp_path), "--out", str(tmp_path / "o")]
         )
         assert code == 1
+
+    def test_unexpected_exception_exits_three(self, tmp_path, monkeypatch, capsys):
+        def broken(cfg):
+            raise RuntimeError("engine fault\nsecond line")
+
+        monkeypatch.setattr(cli, "verify_oracle_inequalities", broken)
+        code = cli.main(
+            ["simulate", "--config", write_config(tmp_path), "--out", str(tmp_path / "o")]
+        )
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == "error: internal error: RuntimeError: engine fault second line\n"
+
+    def test_failed_write_keeps_earlier_outputs(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "o"
+        assert cli.main(["simulate", "--config", write_config(tmp_path), "--out", str(out)]) == 0
+        before = {name: (out / name).read_bytes() for name in os.listdir(out)}
+
+        def failing_dump(*args, **kwargs):
+            raise TypeError("Object of type float32 is not JSON serializable")
+
+        monkeypatch.setattr(cli.json, "dump", failing_dump)
+        # A different seed, so a partial write of the new results would show.
+        cfg = write_config(tmp_path, GOOD_CONFIG.replace("90210", "90211"), name="b.cfg")
+        assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 3
+        assert_one_line_error(capsys)
+        assert sorted(os.listdir(out)) == ["results.csv", "results.json", "run_manifest.json"]
+        assert {name: (out / name).read_bytes() for name in os.listdir(out)} == before
 
 
 class TestBounds:
@@ -326,3 +373,8 @@ class TestConfigDigest:
         assert digest == cli.config_digest(cli.parse_scenarios(GOOD_CONFIG))
         other = cli.parse_scenarios(GOOD_CONFIG.replace("90210", "90211"))
         assert cli.config_digest(other) != digest
+
+    def test_digest_bytes_are_pinned(self):
+        # The canonical text and its hash must not drift between releases.
+        digest = cli.config_digest(cli.parse_scenarios(GOOD_CONFIG))
+        assert digest == "05a7cecc50fba2f813204c6c1ccab20b684a30dace00077e27d5e37274a734d0"

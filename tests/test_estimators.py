@@ -1,5 +1,7 @@
 """Tests for projection estimators, risk profiles, weighting, and aggregation."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,11 @@ from ewagg.estimators import (
     aggregate,
     exponential_weights,
     m_epsilon,
+    profile_values,
     projection_estimate,
     risk_profile,
+    softmax_weights,
+    suffix_weights,
     unbiased_risk,
     ure_weights,
 )
@@ -174,6 +179,22 @@ class TestExponentialWeights:
             got = exponential_weights(RiskProfile.from_values(M, vals), sig).weights
             np.testing.assert_allclose(got, expected, rtol=1e-12)
 
+    def test_wide_profile_matches_exact_normalisation(self):
+        # One N = 20,000 profile of the benchmark's wide shape, normalised
+        # independently: long-double exponentials over a correctly rounded sum.
+        mu = mean_vector_from_spec("poly:beta=1,scale=1,N=20000")
+        sig = NoiseLevel(0.05)
+        y = generate_observation(mu, sig, (2024, 0))
+        M = ModelIndexSet.from_range(1, 20000)
+        profile = profile_values(y.values, sig.variance, M.indices)
+        exps = np.exp(-(profile - profile.min()).astype(np.longdouble) / (4.0 * sig.variance))
+        expected = np.asarray(exps / math.fsum(exps.astype(float)), dtype=float)
+        got = softmax_weights(profile, sig.variance)
+        # Relative accuracy down to the smallest normal float; below it only
+        # absolute accuracy is meaningful.
+        np.testing.assert_allclose(got, expected, rtol=1e-13, atol=1e-13 * np.finfo(float).tiny)
+        assert abs(math.fsum(got) - 1.0) <= 1e-12
+
 
 class TestWeightVector:
     def test_simplex_validation(self):
@@ -232,6 +253,31 @@ class TestAggregate:
         w = WeightVector(models=other, weights=np.array([0.5, 0.5]))
         with pytest.raises(ValueError):
             aggregate(y, M, w)
+
+    @pytest.mark.parametrize(
+        "indices, length",
+        [
+            ([1, 4, 5, 9, 12], 12),  # gaps
+            ([3, 4, 5, 6, 7], 9),  # no model 1
+            ([2, 6, 15], 10),  # largest index beyond the observation
+        ],
+    )
+    def test_suffix_sums_equal_naive_reversed_sums(self, indices, length):
+        rng = np.random.default_rng(12)
+        M = ModelIndexSet(np.array(indices))
+        raw = rng.uniform(0.0, 1.0, size=(4, len(indices)))
+        w = WeightVector(models=M, weights=raw / raw.sum(axis=-1, keepdims=True))
+        y = Observation(values=rng.normal(size=(4, length)), noise=SIGMA1, seed_record=0)
+        naive = np.zeros((4, length))
+        for b in range(4):
+            for i in range(1, length + 1):
+                total = 0.0
+                for m, weight in zip(reversed(indices), w.weights[b][::-1]):
+                    if m >= i:
+                        total += weight
+                naive[b, i - 1] = total
+        assert np.array_equal(suffix_weights(M.indices, w.weights, length), naive)
+        assert np.array_equal(aggregate(y, M, w), y.values * naive)
 
     def test_dominant_model_drives_aggregate(self):
         # When one risk value sits far below the rest, the exponential-weight
@@ -303,28 +349,40 @@ class TestMEpsilon:
 class TestBlocks:
     """A block Observation runs the whole pipeline row by row with the same bits."""
 
+    # The second model set is large enough that numpy sums a contiguous row
+    # pairwise, while a strided (F-ordered) row would be summed sequentially.
+    MODEL_SETS = [([1, 2, 5, 9, 12], 12), (list(range(1, 30)) + [33, 37, 40], 40)]
+
     def test_block_rows_match_single_rows(self):
         rng = np.random.default_rng(11)
         sigma = NoiseLevel(0.7)
-        M = ModelIndexSet(np.array([1, 2, 5, 9, 12]))
-        values = rng.normal(0.0, 2.0, size=(6, 12))
-        block = Observation(values=values, noise=sigma, seed_record=tuple(range(6)))
-        profile = risk_profile(block, M)
-        weights = {"URE": ure_weights(profile), "EW": exponential_weights(profile, sigma)}
-        for b, row in enumerate(values):
-            single = obs(row, sigma)
-            one = risk_profile(single, M)
-            assert np.array_equal(profile.values[b], one.values)
-            assert profile.min_value[b] == one.min_value
-            assert profile.argmin_index[b] == one.argmin_index
-            assert unbiased_risk(block, 9)[b] == unbiased_risk(single, 9)
-            assert np.array_equal(projection_estimate(block, 5)[b], projection_estimate(single, 5))
-            assert m_epsilon(profile, sigma, 0.1)[b] == m_epsilon(one, sigma, 0.1)
-            for name, w_one in (("URE", ure_weights(one)), ("EW", exponential_weights(one, sigma))):
-                assert np.array_equal(weights[name].weights[b], w_one.weights)
+        for indices, length in self.MODEL_SETS:
+            M = ModelIndexSet(np.array(indices))
+            values = rng.normal(0.0, 2.0, size=(6, length))
+            block = Observation(values=values, noise=sigma, seed_record=tuple(range(6)))
+            profile = risk_profile(block, M)
+            weights = {"URE": ure_weights(profile), "EW": exponential_weights(profile, sigma)}
+            f_ordered = softmax_weights(np.asfortranarray(profile.values), sigma.variance)
+            for b, row in enumerate(values):
+                single = obs(row, sigma)
+                one = risk_profile(single, M)
+                assert np.array_equal(profile.values[b], one.values)
+                assert profile.min_value[b] == one.min_value
+                assert profile.argmin_index[b] == one.argmin_index
+                assert unbiased_risk(block, 9)[b] == unbiased_risk(single, 9)
                 assert np.array_equal(
-                    aggregate(block, M, weights[name])[b], aggregate(single, M, w_one)
+                    projection_estimate(block, 5)[b], projection_estimate(single, 5)
                 )
+                assert m_epsilon(profile, sigma, 0.1)[b] == m_epsilon(one, sigma, 0.1)
+                assert np.array_equal(f_ordered[b], softmax_weights(one.values, sigma.variance))
+                for name, w_one in (
+                    ("URE", ure_weights(one)),
+                    ("EW", exponential_weights(one, sigma)),
+                ):
+                    assert np.array_equal(weights[name].weights[b], w_one.weights)
+                    assert np.array_equal(
+                        aggregate(block, M, weights[name])[b], aggregate(single, M, w_one)
+                    )
 
     def test_block_validation_checks_every_row(self):
         M = ModelIndexSet.from_range(1, 2)
