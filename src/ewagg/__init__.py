@@ -26,9 +26,10 @@ from .estimators import (
     unbiased_risk,
     ure_weights,
 )
-from .risk import OracleReport, oracle_risk, regret
+from .risk import OracleReport, oracle_risk
 from .bounds import (
     PsiEvaluation,
+    RegretBudgets,
     entropy,
     lemma4_bound,
     psi,
@@ -73,8 +74,8 @@ __all__ = [
     "m_epsilon",
     "OracleReport",
     "oracle_risk",
-    "regret",
     "PsiEvaluation",
+    "RegretBudgets",
     "u_alpha",
     "u_star_alpha",
     "u_inverse",

@@ -9,16 +9,17 @@ right-hand-side budgets of the three oracle inequalities.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .estimators import WeightVector
-from .risk import OracleReport
-from .sequence_model import ModelIndexSet, NoiseLevel
+from .sequence_model import NoiseLevel
 
 __all__ = [
     "PsiEvaluation",
+    "RegretBudgets",
     "u_alpha",
     "u_star_alpha",
     "u_inverse",
@@ -151,7 +152,6 @@ class PsiEvaluation:
     r: float
     psi: float
     epsilon_star: float
-    objective_at_star: float
 
 
 def _psi_log_descent(eps: float, log_r: float) -> float:
@@ -182,7 +182,7 @@ def psi(r: float) -> PsiEvaluation:
     if not 0.0 <= r <= 1.0:
         raise ValueError(f"psi needs r in [0, 1], got {r}")
     if r == 0.0:
-        return PsiEvaluation(r=0.0, psi=0.0, epsilon_star=PSI_EPSILON_LO, objective_at_star=0.0)
+        return PsiEvaluation(r=0.0, psi=0.0, epsilon_star=PSI_EPSILON_LO)
 
     log_r = math.log(r)
     target = math.log(49.0)
@@ -194,18 +194,26 @@ def psi(r: float) -> PsiEvaluation:
         )
     # r exp(c/eps) is formed in the log domain, where it cannot overflow.
     value = 49.0 * eps_star + 105.0 * r / eps_star + math.exp(log_r + _PSI_C / eps_star)
-    return PsiEvaluation(r=r, psi=value, epsilon_star=eps_star, objective_at_star=value)
+    return PsiEvaluation(r=r, psi=value, epsilon_star=eps_star)
 
 
-def theorem_bounds(oracle: OracleReport, sigma: NoiseLevel, M: ModelIndexSet) -> OracleReport:
-    """Fill the three regret budgets for an oracle report.
+class RegretBudgets(NamedTuple):
+    """Right-hand-side budgets of the three oracle inequalities."""
+
+    t1: float
+    t2: float
+    t3: float
+
+
+def theorem_bounds(oracle_risk: float, sigma: NoiseLevel, model_count: int) -> RegretBudgets:
+    """The three regret budgets at oracle risk r over #M = model_count models.
 
     t2 is 4 sigma^2 log(#M); t3 is 4 sigma^2 log{(r/sigma^2)[1 + Psi(sigma^2/r)]};
     t1 is the unit-constant shape sigma^2 sqrt(r/sigma^2), whose universal
     multiplier is left to the Monte Carlo harness to back-solve empirically.
     """
     variance = sigma.variance
-    r = oracle.oracle_risk
+    r = float(oracle_risk)
     ratio = variance / r
     if ratio > 1.0:
         if ratio > 1.0 + 1e-12:
@@ -214,12 +222,8 @@ def theorem_bounds(oracle: OracleReport, sigma: NoiseLevel, M: ModelIndexSet) ->
                 "the ratio sigma^2/r must not exceed 1"
             )
         ratio = 1.0  # guard against rounding at the r = sigma^2 boundary
-    t1 = variance * math.sqrt(r / variance)
-    t2 = 4.0 * variance * math.log(len(M))
-    t3 = 4.0 * variance * math.log((r / variance) * (1.0 + psi(ratio).psi))
-    return replace(
-        oracle,
-        regret_budget_t1=t1,
-        regret_budget_t2=t2,
-        regret_budget_t3=t3,
+    return RegretBudgets(
+        t1=variance * math.sqrt(r / variance),
+        t2=4.0 * variance * math.log(model_count),
+        t3=4.0 * variance * math.log((r / variance) * (1.0 + psi(ratio).psi)),
     )

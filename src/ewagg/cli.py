@@ -7,9 +7,9 @@ bounds       evaluate the regret budgets at a given risk-to-noise ratio
 psi          evaluate the remainder function at one or more arguments
 lemma-check  run one empirical maximal-inequality check
 
-Exit codes: 0 success, 1 bound violation, 2 configuration or domain error,
-3 internal error (an unexpected exception, reported as one stderr line that
-names its type).
+Exit codes: 0 success, 1 bound violation, 2 configuration or domain error
+(also an input that needs more memory than is available), 3 internal error
+(an unexpected exception, reported as one stderr line that names its type).
 The environment variable EWAGG_SEED supplies a default base seed wherever a
 scenario or command omits one.
 """
@@ -40,7 +40,6 @@ from .montecarlo import (
     lemma2_empirical,
     verify_oracle_inequalities,
 )
-from .risk import OracleReport
 from .sequence_model import MeanVector, ModelIndexSet, NoiseLevel, mean_vector_from_spec
 
 __all__ = ["main", "ConfigError", "RunManifest", "parse_scenarios", "parse_model_set_text"]
@@ -135,12 +134,10 @@ def _default_seed() -> int | None:
 
 
 def _scenario_from_section(name: str, options: dict[str, str]) -> ScenarioConfig:
-    required = {"mu", "sigma", "models"}
+    required = {"mu", "sigma", "models", "replicates"}
     missing = sorted(required - options.keys())
     if missing:
         raise ConfigError(f"scenario [{name}] is missing keys: {', '.join(missing)}")
-    if "replicates" not in options:
-        raise ConfigError(f"scenario [{name}] is missing keys: replicates")
     if "base_seed" in options:
         base_seed = int(options["base_seed"])
     else:
@@ -149,7 +146,7 @@ def _scenario_from_section(name: str, options: dict[str, str]) -> ScenarioConfig
             raise ConfigError(
                 f"scenario [{name}] has no base_seed and {SEED_ENV} is not set"
             )
-    known = required | {"replicates", "base_seed"}
+    known = required | {"base_seed"}
     unknown = sorted(options.keys() - known)
     if unknown:
         raise ConfigError(f"scenario [{name}] has unknown keys: {', '.join(unknown)}")
@@ -297,19 +294,15 @@ def cmd_bounds(r_over_sigma2: float, count_m: int) -> int:
         raise ConfigError(f"--r must be finite and >= 1 (oracle risk >= sigma^2), got {r_over_sigma2}")
     if count_m < 1:
         raise ConfigError(f"--m must be >= 1, got {count_m}")
-    sigma = NoiseLevel(1.0)
-    models = ModelIndexSet.from_range(1, count_m)
-    report = theorem_bounds(
-        OracleReport(oracle_risk=float(r_over_sigma2), oracle_index=1), sigma, models
-    )
+    budgets = theorem_bounds(float(r_over_sigma2), NoiseLevel(1.0), count_m)
     evaluation = psi(min(1.0, 1.0 / float(r_over_sigma2)))
     payload = {
         "r_over_sigma2": float(r_over_sigma2),
         "count_m": int(count_m),
-        "t1_shape": report.regret_budget_t1,
-        "t2_budget": report.regret_budget_t2,
-        "t3_budget": report.regret_budget_t3,
-        "combined_budget": report.combined_budget,
+        "t1_shape": budgets.t1,
+        "t2_budget": budgets.t2,
+        "t3_budget": budgets.t3,
+        "combined_budget": min(budgets.t2, budgets.t3),
         "psi": {
             "r": evaluation.r,
             "psi": evaluation.psi,
@@ -420,18 +413,21 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_bounds(args.r, args.m)
         if args.command == "psi":
             return cmd_psi(args.r_values)
-        if args.command == "lemma-check":
-            seed = args.seed
+        # lemma-check: the required subparsers admit no other command.
+        seed = args.seed
+        if seed is None:
+            seed = _default_seed()
             if seed is None:
-                seed = _default_seed()
-                if seed is None:
-                    seed = 0
-            return cmd_lemma_check(
-                args.which, args.alpha, args.mu, args.kmax, args.reps, seed
-            )
-        raise ConfigError(f"unknown command {args.command!r}")
+                seed = 0
+        return cmd_lemma_check(args.which, args.alpha, args.mu, args.kmax, args.reps, seed)
     except ConfigError as exc:
         print(f"error: {_one_line(exc)}", file=sys.stderr)
+        return EXIT_CONFIG_ERROR
+    except MemoryError as exc:
+        print(
+            f"error: input needs more memory than is available: {_one_line(exc)}",
+            file=sys.stderr,
+        )
         return EXIT_CONFIG_ERROR
     except Exception as exc:
         print(f"error: internal error: {type(exc).__name__}: {_one_line(exc)}", file=sys.stderr)

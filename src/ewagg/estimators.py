@@ -19,7 +19,7 @@ same bits whether it arrives alone, inside a block, or in a transposed view.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -72,41 +72,31 @@ def suffix_weights(indices: np.ndarray, weights: np.ndarray, length: int) -> np.
     return np.cumsum(dense[..., ::-1], axis=-1)[..., ::-1][..., :length]
 
 
-def _row_minima(models: ModelIndexSet, values: np.ndarray):
-    """Per row, the minimum and the smallest model index attaining it."""
-    return values.min(axis=-1), models.indices[np.argmin(values, axis=-1)]
-
-
 @dataclass(frozen=True)
 class RiskProfile:
     """Unbiased risk estimates aligned with a model index set (one row, or rows of a block).
 
-    argmin_index is the smallest model index attaining the minimum value; for
-    a block, min_value and argmin_index are arrays with one entry per row.
+    min_value and argmin_index are derived from the values: argmin_index is
+    the smallest model index attaining the minimum.  For a block they are
+    arrays with one entry per row.
     """
 
     models: ModelIndexSet
     values: np.ndarray
-    min_value: float
-    argmin_index: int
+    min_value: float | np.ndarray = field(init=False)
+    argmin_index: int | np.ndarray = field(init=False)
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
         if values.shape[-1:] != self.models.indices.shape:
             raise ValueError("profile values must align with the model index set")
-        expected = _row_minima(self.models, values)
-        if not all(map(np.array_equal, (self.min_value, self.argmin_index), expected)):
-            raise ValueError("min_value/argmin_index are inconsistent with the values")
-        object.__setattr__(self, "values", _frozen_array(values, float))
-
-    @classmethod
-    def from_values(cls, models: ModelIndexSet, values) -> "RiskProfile":
-        """Build a profile from raw values; ties in the argmin go to the smallest m."""
-        vals = np.asarray(values, dtype=float)
-        min_value, argmin_index = _row_minima(models, vals)
-        if vals.ndim == 1:
+        min_value = values.min(axis=-1)
+        argmin_index = self.models.indices[np.argmin(values, axis=-1)]  # first occurrence
+        if values.ndim == 1:
             min_value, argmin_index = float(min_value), int(argmin_index)
-        return cls(models, vals, min_value=min_value, argmin_index=argmin_index)
+        object.__setattr__(self, "values", _frozen_array(values, float))
+        object.__setattr__(self, "min_value", min_value)
+        object.__setattr__(self, "argmin_index", argmin_index)
 
 
 @dataclass(frozen=True)
@@ -160,7 +150,7 @@ def risk_profile(Y: Observation, M: ModelIndexSet) -> RiskProfile:
         raise ValueError(
             f"max model index {M.max_index} exceeds the observation length {Y.length}"
         )
-    return RiskProfile.from_values(M, profile_values(Y.values, Y.noise.variance, M.indices))
+    return RiskProfile(M, profile_values(Y.values, Y.noise.variance, M.indices))
 
 
 def ure_weights(profile: RiskProfile) -> WeightVector:

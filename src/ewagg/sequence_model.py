@@ -92,15 +92,14 @@ class NoiseLevel:
 
 @dataclass(frozen=True)
 class Observation:
-    """One realization of the observation vector, with its noise level and seed.
+    """One realization of the observation vector, with its noise level.
 
-    A block holds realizations as rows and one seed per row; every function
-    taking an Observation works row by row over the last axis.
+    A block holds realizations as rows; every function taking an Observation
+    works row by row over the last axis.
     """
 
     values: np.ndarray
     noise: NoiseLevel
-    seed_record: SeedLike
 
     def __post_init__(self):
         object.__setattr__(self, "values", _frozen_array(self.values, float))
@@ -169,14 +168,13 @@ def standard_normals(seed: SeedLike, n: int) -> np.ndarray:
 def generate_observation(mu: MeanVector, sigma: NoiseLevel, seed: SeedLike) -> Observation:
     """Draw Y = mu + sigma * Z with Z i.i.d. standard normal (see standard_normals)."""
     values = mu.coefficients + sigma.sigma * standard_normals(seed, mu.declared_length)
-    return Observation(values=values, noise=sigma, seed_record=seed)
+    return Observation(values=values, noise=sigma)
 
 
 def draw_observations(mu: MeanVector, sigma: NoiseLevel, seeds) -> Observation:
     """A block of observations, one row per seed, each drawn as generate_observation draws it."""
-    seeds = tuple(seeds)
     rows = [generate_observation(mu, sigma, seed).values for seed in seeds]
-    return Observation(values=np.stack(rows), noise=sigma, seed_record=seeds)
+    return Observation(values=np.stack(rows), noise=sigma)
 
 
 def true_projection_risk(mu: MeanVector, sigma: NoiseLevel, m: int) -> float:

@@ -347,8 +347,8 @@ def test_criterion_10_softmax_simplex_invariants():
         sigma = NoiseLevel(float(rng.uniform(0.2, 2.0)))
         values = np.round(rng.uniform(-100.0, 100.0, size=k) / quantum) * quantum
         shift = round(float(rng.uniform(0.0, 1e6)) / quantum) * quantum
-        w0 = exponential_weights(RiskProfile.from_values(models, values), sigma).weights
-        w1 = exponential_weights(RiskProfile.from_values(models, values + shift), sigma).weights
+        w0 = exponential_weights(RiskProfile(models, values), sigma).weights
+        w1 = exponential_weights(RiskProfile(models, values + shift), sigma).weights
         nonneg_ok &= bool(np.all(w0 >= 0.0))
         worst_sum = max(worst_sum, abs(float(w0.sum()) - 1.0))
         worst_shift = max(worst_shift, float(np.max(np.abs(w0 - w1))))

@@ -19,7 +19,6 @@ from ewagg.bounds import (
     u_star_inverse,
 )
 from ewagg.estimators import WeightVector
-from ewagg.risk import OracleReport
 from ewagg.sequence_model import ModelIndexSet, NoiseLevel
 
 
@@ -196,7 +195,6 @@ class TestPsi:
     def test_zero_gives_zero(self):
         ev = psi(0.0)
         assert ev.psi == 0.0
-        assert ev.objective_at_star == 0.0
         assert ev.epsilon_star == PSI_EPSILON_LO
 
     def test_domain(self):
@@ -212,7 +210,6 @@ class TestPsi:
             scan = (49.0 * eps + 105.0 / eps + np.exp(2.0 / (math.e * eps))).min()
         ev = psi(1.0)
         assert ev.psi == pytest.approx(float(scan), rel=1e-6)
-        assert ev.psi == ev.objective_at_star
         assert ev.epsilon_star == pytest.approx(1.0 / 7.0, rel=1e-9)
 
     def test_interior_minimum_beats_its_neighbours(self):
@@ -252,42 +249,23 @@ class TestPsi:
 
 class TestTheoremBounds:
     def test_t2_arithmetic(self):
-        report = theorem_bounds(
-            OracleReport(oracle_risk=1.0, oracle_index=1),
-            NoiseLevel(1.0),
-            ModelIndexSet.from_range(1, 100),
-        )
-        assert report.regret_budget_t2 == pytest.approx(4.0 * math.log(100.0), rel=1e-15)
+        budgets = theorem_bounds(1.0, NoiseLevel(1.0), 100)
+        assert budgets.t2 == pytest.approx(4.0 * math.log(100.0), rel=1e-15)
 
     def test_t3_at_ratio_one(self):
-        report = theorem_bounds(
-            OracleReport(oracle_risk=1.0, oracle_index=1),
-            NoiseLevel(1.0),
-            ModelIndexSet.from_range(1, 10),
-        )
+        budgets = theorem_bounds(1.0, NoiseLevel(1.0), 10)
         expected = 4.0 * math.log(1.0 + psi(1.0).psi)
-        assert report.regret_budget_t3 == pytest.approx(expected, rel=1e-12)
+        assert budgets.t3 == pytest.approx(expected, rel=1e-12)
 
     def test_t1_shape_and_combined(self):
         sigma = NoiseLevel(0.5)
-        report = theorem_bounds(
-            OracleReport(oracle_risk=1.0, oracle_index=2),
-            sigma,
-            ModelIndexSet.from_range(1, 100),
-        )
-        assert report.regret_budget_t1 == pytest.approx(
-            sigma.variance * math.sqrt(1.0 / sigma.variance)
-        )
-        assert report.combined_budget == min(report.regret_budget_t2, report.regret_budget_t3)
+        budgets = theorem_bounds(1.0, sigma, 100)
+        assert budgets.t1 == pytest.approx(sigma.variance * math.sqrt(1.0 / sigma.variance))
 
     def test_t3_ratio_tends_to_one_for_large_risk(self):
-        M = ModelIndexSet.from_range(1, 100)
         ratios = []
         for r in (1e3, 1e6, 1e9):
-            report = theorem_bounds(
-                OracleReport(oracle_risk=r, oracle_index=1), NoiseLevel(1.0), M
-            )
-            ratios.append(report.regret_budget_t3 / (4.0 * math.log(r)))
+            ratios.append(theorem_bounds(r, NoiseLevel(1.0), 100).t3 / (4.0 * math.log(r)))
         assert all(b < a for a, b in zip(ratios, ratios[1:]))
         assert ratios[-1] < 1.06
 
@@ -297,25 +275,12 @@ class TestTheoremBounds:
             sigma = NoiseLevel(float(rng.uniform(0.05, 2.0)))
             count = int(rng.integers(1, 500))
             risk = sigma.variance * float(rng.uniform(1.0, 1e6))
-            report = theorem_bounds(
-                OracleReport(oracle_risk=risk, oracle_index=1),
-                sigma,
-                ModelIndexSet.from_range(1, count),
-            )
-            budgets = (
-                report.regret_budget_t1,
-                report.regret_budget_t2,
-                report.regret_budget_t3,
-            )
+            budgets = theorem_bounds(risk, sigma, count)
             assert all(math.isfinite(b) for b in budgets)
-            assert report.regret_budget_t1 > 0.0
-            assert report.regret_budget_t2 >= 0.0
-            assert report.regret_budget_t3 > 0.0
+            assert budgets.t1 > 0.0
+            assert budgets.t2 >= 0.0
+            assert budgets.t3 > 0.0
 
     def test_risk_below_variance_rejected(self):
         with pytest.raises(ValueError):
-            theorem_bounds(
-                OracleReport(oracle_risk=0.5, oracle_index=1),
-                NoiseLevel(1.0),
-                ModelIndexSet.from_range(1, 3),
-            )
+            theorem_bounds(0.5, NoiseLevel(1.0), 3)

@@ -5,6 +5,9 @@ import json
 import math
 import os
 import platform
+import resource
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -39,6 +42,28 @@ def write_config(tmp_path, text=GOOD_CONFIG, name="grid.cfg"):
 def assert_one_line_error(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+_CHILD_ADDRESS_SPACE = 2 << 30
+
+
+def _cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (_CHILD_ADDRESS_SPACE, _CHILD_ADDRESS_SPACE))
+
+
+def run_capped(argv, cwd):
+    """Run the CLI in a child process whose address space is capped at 2 GiB.
+
+    An oversized allocation then fails at once whatever the overcommit policy,
+    so inputs that need terabytes are safe to try.
+    """
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    return subprocess.run(
+        [sys.executable, "-m", "ewagg.cli", *argv],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+        preexec_fn=_cap_address_space,
+    )
 
 
 class TestSimulate:
@@ -151,12 +176,14 @@ class TestSimulate:
         )
         assert code == 2
 
-    def test_missing_required_key_is_config_error(self, tmp_path):
+    def test_missing_required_key_is_config_error(self, tmp_path, capsys):
         bad = "[only]\nmu = zero\nsigma = 1.0\n"  # no models/replicates
         code = cli.main(
             ["simulate", "--config", write_config(tmp_path, bad), "--out", str(tmp_path / "o")]
         )
         assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "models" in err and "replicates" in err, err
 
     def test_unwritable_output_is_config_error(self, tmp_path, capsys):
         blocker = tmp_path / "taken"
@@ -263,6 +290,14 @@ class TestBounds:
     def test_nonpositive_count_is_domain_error(self):
         assert cli.main(["bounds", "--r", "2", "--m", "0"]) == 2
 
+    def test_huge_model_count_needs_no_memory(self, tmp_path):
+        # Run capped: a budget that allocated per model would ask for terabytes.
+        proc = run_capped(["bounds", "--r", "2", "--m", "1000000000000"], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        payload = json.loads(proc.stdout)
+        assert payload["t2_budget"] == pytest.approx(4.0 * math.log(1e12), rel=1e-15)
+        assert payload["combined_budget"] == min(payload["t2_budget"], payload["t3_budget"])
+
 
 class TestPsi:
     def test_zero_row(self, capsys):
@@ -348,6 +383,33 @@ class TestLemmaCheck:
         )
         second = json.loads(capsys.readouterr().out)
         assert first == second
+
+
+class TestOversizedInputs:
+    """Inputs that need more memory than is available are configuration errors."""
+
+    @pytest.mark.parametrize(
+        "config_edit, argv",
+        [
+            (("models = 1..10", "models = 1..10000000000"), None),  # 74.5 GiB of indices
+            (("models = 1..10", "models = 10000000000"), None),  # 74.5 GiB mean vector
+            (("replicates = 300", "replicates = 10000000000000"), None),  # 72.8 TiB of losses
+            (None, ["lemma-check", "--which", "chi2_upper", "--alpha", "0.25",
+                    "--kmax", "10000000000", "--reps", "2"]),  # 74.5 GiB of steps
+        ],
+        ids=["model_range", "model_index", "replicates", "lemma_kmax"],
+    )
+    def test_exits_two_with_one_line(self, tmp_path, config_edit, argv):
+        # Only ever run capped: uncapped, some of these could be granted lazily
+        # and then touched page by page.
+        if argv is None:
+            cfg = write_config(tmp_path, GOOD_CONFIG.replace(*config_edit))
+            argv = ["simulate", "--config", cfg, "--out", str(tmp_path / "o")]
+        proc = run_capped(argv, tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: input needs more memory than is available: ")
+        assert proc.stderr.count("\n") == 1, proc.stderr
+        assert not (tmp_path / "o").exists()
 
 
 class TestModelSetParsing:

@@ -32,7 +32,7 @@ SIGMA1 = NoiseLevel(1.0)
 
 
 def obs(values, sigma=SIGMA1):
-    return Observation(values=np.asarray(values, dtype=float), noise=sigma, seed_record=0)
+    return Observation(values=np.asarray(values, dtype=float), noise=sigma)
 
 
 class TestProjectionEstimate:
@@ -97,7 +97,7 @@ class TestRiskProfile:
         assert prof.argmin_index == 1
 
     def test_tie_breaks_toward_smallest_m(self):
-        prof = RiskProfile.from_values(ModelIndexSet.from_range(1, 2), [3.0, 3.0])
+        prof = RiskProfile(ModelIndexSet.from_range(1, 2), [3.0, 3.0])
         assert prof.argmin_index == 1
         assert prof.min_value == 3.0
 
@@ -105,34 +105,29 @@ class TestRiskProfile:
         with pytest.raises(ValueError):
             risk_profile(obs([1.0, 2.0]), ModelIndexSet.from_range(1, 3))
 
-    def test_inconsistent_fields_rejected(self):
-        M = ModelIndexSet.from_range(1, 2)
-        with pytest.raises(ValueError):
-            RiskProfile(models=M, values=np.array([1.0, 0.0]), min_value=1.0, argmin_index=1)
-
 
 class TestUreWeights:
     def test_point_mass_on_argmin(self):
-        prof = RiskProfile.from_values(ModelIndexSet.from_range(1, 2), [3.0, 5.0])
+        prof = RiskProfile(ModelIndexSet.from_range(1, 2), [3.0, 5.0])
         np.testing.assert_allclose(ure_weights(prof).weights, [1.0, 0.0])
 
     def test_argmin_in_last_position(self):
-        prof = RiskProfile.from_values(ModelIndexSet.from_range(1, 3), [3.0, 2.0, 1.0])
+        prof = RiskProfile(ModelIndexSet.from_range(1, 3), [3.0, 2.0, 1.0])
         np.testing.assert_allclose(ure_weights(prof).weights, [0.0, 0.0, 1.0])
 
     def test_all_ties_pick_smallest(self):
-        prof = RiskProfile.from_values(ModelIndexSet.from_range(1, 3), [2.0, 2.0, 2.0])
+        prof = RiskProfile(ModelIndexSet.from_range(1, 3), [2.0, 2.0, 2.0])
         np.testing.assert_allclose(ure_weights(prof).weights, [1.0, 0.0, 0.0])
 
 
 class TestExponentialWeights:
     def test_equal_values_give_uniform(self):
-        prof = RiskProfile.from_values(ModelIndexSet.from_range(1, 2), [5.0, 5.0])
+        prof = RiskProfile(ModelIndexSet.from_range(1, 2), [5.0, 5.0])
         np.testing.assert_allclose(exponential_weights(prof, SIGMA1).weights, [0.5, 0.5])
 
     def test_closed_form_ratio(self):
         # Values (0, 4 sigma^2 ln 3) put weights (3/4, 1/4).
-        prof = RiskProfile.from_values(
+        prof = RiskProfile(
             ModelIndexSet.from_range(1, 2), [0.0, 4.0 * np.log(3.0)]
         )
         np.testing.assert_allclose(
@@ -140,7 +135,7 @@ class TestExponentialWeights:
         )
 
     def test_extreme_spread_saturates_cleanly(self):
-        prof = RiskProfile.from_values(ModelIndexSet.from_range(1, 3), [0.0, 1e6, 2e6])
+        prof = RiskProfile(ModelIndexSet.from_range(1, 3), [0.0, 1e6, 2e6])
         w = exponential_weights(prof, SIGMA1).weights
         np.testing.assert_array_equal(w, [1.0, 0.0, 0.0])
         assert np.all(np.isfinite(w))
@@ -154,8 +149,8 @@ class TestExponentialWeights:
         for shift in [1.0, 2.0**10, 2.0**16, 2.0**19, 2.0**20]:
             raw = rng.uniform(-50.0, 50.0, size=12)
             vals = np.round(raw * 2.0**20) / 2.0**20
-            w0 = exponential_weights(RiskProfile.from_values(M, vals), SIGMA1).weights
-            w1 = exponential_weights(RiskProfile.from_values(M, vals + shift), SIGMA1).weights
+            w0 = exponential_weights(RiskProfile(M, vals), SIGMA1).weights
+            w1 = exponential_weights(RiskProfile(M, vals + shift), SIGMA1).weights
             assert np.max(np.abs(w0 - w1)) <= 1e-12
 
     def test_argmax_weight_is_profile_argmin(self):
@@ -163,7 +158,7 @@ class TestExponentialWeights:
         M = ModelIndexSet.from_range(1, 20)
         for _ in range(100):
             vals = rng.normal(0.0, 30.0, size=20)
-            prof = RiskProfile.from_values(M, vals)
+            prof = RiskProfile(M, vals)
             w = exponential_weights(prof, SIGMA1).weights
             assert np.argmax(w) == np.argmin(vals)
 
@@ -176,7 +171,7 @@ class TestExponentialWeights:
             vals = rng.normal(0.0, 5.0, size=8)
             expected = np.exp(-vals / (4.0 * sig.variance))
             expected /= expected.sum()
-            got = exponential_weights(RiskProfile.from_values(M, vals), sig).weights
+            got = exponential_weights(RiskProfile(M, vals), sig).weights
             np.testing.assert_allclose(got, expected, rtol=1e-12)
 
     def test_wide_profile_matches_exact_normalisation(self):
@@ -267,7 +262,7 @@ class TestAggregate:
         M = ModelIndexSet(np.array(indices))
         raw = rng.uniform(0.0, 1.0, size=(4, len(indices)))
         w = WeightVector(models=M, weights=raw / raw.sum(axis=-1, keepdims=True))
-        y = Observation(values=rng.normal(size=(4, length)), noise=SIGMA1, seed_record=0)
+        y = Observation(values=rng.normal(size=(4, length)), noise=SIGMA1)
         naive = np.zeros((4, length))
         for b in range(4):
             for i in range(1, length + 1):
@@ -284,7 +279,7 @@ class TestAggregate:
         # aggregate collapses onto that projection coordinatewise.
         y = obs([1.0, 2.0, 3.0, 4.0])
         M = ModelIndexSet.from_range(1, 4)
-        prof = RiskProfile.from_values(M, [500.0, 0.0, 500.0, 500.0])
+        prof = RiskProfile(M, [500.0, 0.0, 500.0, 500.0])
         w = exponential_weights(prof, SIGMA1)
         np.testing.assert_allclose(
             aggregate(y, M, w), projection_estimate(y, 2), atol=1e-20
@@ -296,19 +291,19 @@ class TestMEpsilon:
         rng = np.random.default_rng(8)
         M = ModelIndexSet.from_range(1, 30)
         for _ in range(100):
-            prof = RiskProfile.from_values(M, rng.normal(0, 10, size=30))
+            prof = RiskProfile(M, rng.normal(0, 10, size=30))
             assert m_epsilon(prof, SIGMA1, 0.1) >= prof.argmin_index
 
     def test_constant_profile_reaches_the_top(self):
-        prof = RiskProfile.from_values(ModelIndexSet.from_range(1, 10), np.full(10, 3.0))
+        prof = RiskProfile(ModelIndexSet.from_range(1, 10), np.full(10, 3.0))
         assert m_epsilon(prof, SIGMA1, 0.1) == 10
 
     def test_direct_scan_example(self):
-        prof = RiskProfile.from_values(ModelIndexSet.from_range(1, 3), [0.0, 9.0, 100.0])
+        prof = RiskProfile(ModelIndexSet.from_range(1, 3), [0.0, 9.0, 100.0])
         assert m_epsilon(prof, SIGMA1, 0.25) == 1
 
     def test_epsilon_domain(self):
-        prof = RiskProfile.from_values(ModelIndexSet.from_range(1, 2), [0.0, 1.0])
+        prof = RiskProfile(ModelIndexSet.from_range(1, 2), [0.0, 1.0])
         with pytest.raises(ValueError):
             m_epsilon(prof, SIGMA1, 0.0)
         with pytest.raises(ValueError):
@@ -324,7 +319,7 @@ class TestMEpsilon:
             vals = rng.normal(0.0, 20.0, size=size)
             sig = NoiseLevel(float(rng.uniform(0.2, 3.0)))
             eps = float(rng.uniform(0.01, 0.9))
-            prof = RiskProfile.from_values(M, vals)
+            prof = RiskProfile(M, vals)
             best = None
             for m, value in zip(M, prof.values):
                 rhs = 4 * eps * sig.variance * (m - prof.argmin_index) + 4 * sig.variance
@@ -336,12 +331,12 @@ class TestMEpsilon:
         rng = np.random.default_rng(10)
         M = ModelIndexSet.from_range(1, 40)
         for _ in range(50):
-            prof = RiskProfile.from_values(M, rng.normal(0, 15, size=40))
+            prof = RiskProfile(M, rng.normal(0, 15, size=40))
             results = [m_epsilon(prof, SIGMA1, e) for e in (0.05, 0.2, 0.5, 0.9)]
             assert all(b >= a for a, b in zip(results, results[1:]))
 
     def test_custom_center_falls_back_to_argmin_when_empty(self):
-        prof = RiskProfile.from_values(ModelIndexSet.from_range(1, 3), [10.0, 20.0, 30.0])
+        prof = RiskProfile(ModelIndexSet.from_range(1, 3), [10.0, 20.0, 30.0])
         # Center far below every value empties the admissible set.
         assert m_epsilon(prof, SIGMA1, 0.1, center=-1e9) == prof.argmin_index
 
@@ -359,7 +354,7 @@ class TestBlocks:
         for indices, length in self.MODEL_SETS:
             M = ModelIndexSet(np.array(indices))
             values = rng.normal(0.0, 2.0, size=(6, length))
-            block = Observation(values=values, noise=sigma, seed_record=tuple(range(6)))
+            block = Observation(values=values, noise=sigma)
             profile = risk_profile(block, M)
             weights = {"URE": ure_weights(profile), "EW": exponential_weights(profile, sigma)}
             f_ordered = softmax_weights(np.asfortranarray(profile.values), sigma.variance)
@@ -388,9 +383,3 @@ class TestBlocks:
         M = ModelIndexSet.from_range(1, 2)
         with pytest.raises(ValueError):
             WeightVector(models=M, weights=np.array([[0.5, 0.5], [0.5, 0.6]]))
-        values = np.array([[1.0, 0.0], [0.0, 1.0]])
-        with pytest.raises(ValueError):
-            RiskProfile(models=M, values=values, min_value=np.array([0.0, 0.0]),
-                        argmin_index=np.array([2, 2]))
-        good = RiskProfile.from_values(M, values)
-        np.testing.assert_array_equal(good.argmin_index, [2, 1])

@@ -1,11 +1,9 @@
-"""Tests for the oracle risk scan and regret arithmetic."""
-
-import math
+"""Tests for the oracle risk scan."""
 
 import numpy as np
 import pytest
 
-from ewagg.risk import OracleReport, oracle_risk, regret
+from ewagg.risk import oracle_risk
 from ewagg.sequence_model import (
     MeanVector,
     ModelIndexSet,
@@ -81,32 +79,3 @@ class TestOracleRisk:
     def test_support_precondition(self):
         with pytest.raises(ValueError):
             oracle_risk(MeanVector(np.zeros(5)), SIGMA1, ModelIndexSet.from_range(1, 6))
-
-
-class TestRegret:
-    def test_identity(self):
-        report = OracleReport(oracle_risk=3.0, oracle_index=2)
-        assert regret(3.0, report) == 0.0
-
-    def test_budget_by_construction(self):
-        report = OracleReport(oracle_risk=2.0, oracle_index=1)
-        budget = 4.0 * math.log(100.0)
-        assert regret(2.0 + budget, report) == pytest.approx(budget)
-
-    def test_may_be_negative(self):
-        report = OracleReport(oracle_risk=5.0, oracle_index=1)
-        assert regret(4.9, report) < 0.0
-
-
-class TestOracleReport:
-    def test_combined_budget_requires_fill(self):
-        report = OracleReport(oracle_risk=1.0, oracle_index=1)
-        assert report.combined_budget is None
-        filled = OracleReport(
-            oracle_risk=1.0,
-            oracle_index=1,
-            regret_budget_t1=1.0,
-            regret_budget_t2=3.0,
-            regret_budget_t3=2.0,
-        )
-        assert filled.combined_budget == 2.0

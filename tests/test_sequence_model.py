@@ -75,7 +75,6 @@ class TestGenerateObservation:
         a = generate_observation(mu, sig, 12345)
         b = generate_observation(mu, sig, 12345)
         assert np.array_equal(a.values, b.values)
-        assert a.seed_record == 12345
 
     def test_different_seeds_differ(self):
         mu = MeanVector(np.zeros(3))
@@ -107,7 +106,6 @@ class TestGenerateObservation:
         seeds = [(5, 1, rep) for rep in range(4)]
         block = draw_observations(mu, sig, seeds)
         assert block.values.shape == (4, 7) and block.length == 7
-        assert block.seed_record == tuple(seeds)
         for row, seed in zip(block.values, seeds):
             assert np.array_equal(row, generate_observation(mu, sig, seed).values)
 
