@@ -8,8 +8,9 @@ psi          evaluate the remainder function at one or more arguments
 lemma-check  run one empirical maximal-inequality check
 
 Exit codes: 0 success, 1 bound violation, 2 configuration or domain error
-(also an input that needs more memory than is available), 3 internal error
-(an unexpected exception, reported as one stderr line that names its type).
+(also an input that needs more memory than is available, or whose arithmetic
+overflows float64), 3 internal error (an unexpected exception, reported as one
+stderr line that names its type).
 The environment variable EWAGG_SEED supplies a default base seed wherever a
 scenario or command omits one.
 """
@@ -407,19 +408,23 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "simulate":
-            return cmd_simulate(args.config, args.out)
-        if args.command == "bounds":
-            return cmd_bounds(args.r, args.m)
-        if args.command == "psi":
-            return cmd_psi(args.r_values)
-        # lemma-check: the required subparsers admit no other command.
-        seed = args.seed
-        if seed is None:
-            seed = _default_seed()
+        # An input whose squares or sums pass the float64 range raises here
+        # rather than carrying inf or nan into the outputs.  The error state
+        # is per thread: worker threads compute nothing that can overflow.
+        with np.errstate(over="raise"):
+            if args.command == "simulate":
+                return cmd_simulate(args.config, args.out)
+            if args.command == "bounds":
+                return cmd_bounds(args.r, args.m)
+            if args.command == "psi":
+                return cmd_psi(args.r_values)
+            # lemma-check: the required subparsers admit no other command.
+            seed = args.seed
             if seed is None:
-                seed = 0
-        return cmd_lemma_check(args.which, args.alpha, args.mu, args.kmax, args.reps, seed)
+                seed = _default_seed()
+                if seed is None:
+                    seed = 0
+            return cmd_lemma_check(args.which, args.alpha, args.mu, args.kmax, args.reps, seed)
     except ConfigError as exc:
         print(f"error: {_one_line(exc)}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
@@ -428,6 +433,9 @@ def main(argv: list[str] | None = None) -> int:
             f"error: input needs more memory than is available: {_one_line(exc)}",
             file=sys.stderr,
         )
+        return EXIT_CONFIG_ERROR
+    except FloatingPointError as exc:
+        print(f"error: input overflows float64: {_one_line(exc)}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     except Exception as exc:
         print(f"error: internal error: {type(exc).__name__}: {_one_line(exc)}", file=sys.stderr)

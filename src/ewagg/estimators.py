@@ -49,15 +49,25 @@ def profile_values(values: np.ndarray, variance: float, indices: np.ndarray) -> 
     return 2.0 * variance * indices - np.take(cum2, indices - 1, axis=-1)
 
 
+# float64 exp rounds to exactly 0 below log(2**-1075) = -745.13.  numpy's exp
+# is an order of magnitude slower on such inputs than on others, so the
+# softmax writes their zeros without calling it.
+_EXP_UNDERFLOW_CUT = -746.0
+
+
 def softmax_weights(profile: np.ndarray, variance: float) -> np.ndarray:
     """Weights proportional to exp(-rbar / (4 sigma^2)) over each profile row."""
     # Max-shift before exponentiating: the largest exponent is exactly 0, so the
     # row sum is >= 1 and can neither overflow nor vanish.  Extreme spreads
-    # underflow to exact zeros, which is the intended saturation.  The exponents
-    # are made C-contiguous so that every row sum takes numpy's pairwise path
-    # and a row gets the same bits in any block layout.
-    exponents = -(profile - profile.min(axis=-1, keepdims=True)) / (4.0 * variance)
-    expd = np.exp(np.ascontiguousarray(exponents))
+    # underflow to exact zeros, which is the intended saturation; an exponent
+    # that overflows to -inf saturates the same way, so that overflow is not an
+    # error.  The exponents are made C-contiguous so that every row sum takes
+    # numpy's pairwise path and a row gets the same bits in any block layout.
+    with np.errstate(over="ignore"):
+        exponents = np.ascontiguousarray(
+            -(profile - profile.min(axis=-1, keepdims=True)) / (4.0 * variance)
+        )
+    expd = np.exp(exponents, out=np.zeros_like(exponents), where=exponents > _EXP_UNDERFLOW_CUT)
     return expd / expd.sum(axis=-1, keepdims=True)
 
 

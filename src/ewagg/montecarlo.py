@@ -8,12 +8,22 @@ loss) runs once per block over the last axis.  Every row gets the same bits
 as that pipeline gives it alone, and losses are stored in fixed index order,
 so a given configuration reproduces bit-identical estimates whatever the
 block size.
+
+The lemma-2 walks run on worker threads, one per CPU in the affinity mask
+(capped at the replicate count).  Nearly all of a walk's time is numpy
+drawing and summing normals with the interpreter lock released, so the
+threads overlap.  Each replicate still draws from its own substream and
+writes its own slot of the result, so the estimates have the same bits for
+any worker count.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+import os
+import threading
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,6 +72,14 @@ LEMMA2_VARIANTS = ("chi2_upper", "linear", "chi2_lower")
 # Normals drawn per block of replicates (at least one row).  Outputs do not
 # depend on it; it trades per-call overhead against the block's memory.
 _BLOCK_VALUES = 1 << 12
+
+
+# Threads that run the lemma-2 walks of one call (at most one per replicate):
+# the CPUs this process may run on.  Outputs do not depend on it.
+if hasattr(os, "sched_getaffinity"):
+    _WORKERS = len(os.sched_getaffinity(0))
+else:  # platforms without affinity masks
+    _WORKERS = os.cpu_count() or 1
 
 
 def _stable_key(label: str) -> int:
@@ -230,27 +248,72 @@ def lemma2_empirical(
         raise ValueError("replicates must be >= 2, so that a standard error exists")
 
     key = _stable_key(f"lemma2:{which}:{alpha!r}")
-    stats = np.empty(replicates)
-
+    # The drift line, sized by k_max or by the support of mu, is built here
+    # before any worker starts, so an oversized input fails in the caller.
+    # The caller's numpy error state does not reach the workers; the
+    # coefficient squares, the only step that can overflow for finite mu, run
+    # here under it.
     if which == "linear":
         coeffs = mu.coefficients
-        suffix_mu2 = np.cumsum((coeffs * coeffs)[::-1])[::-1]
-        for rep in range(replicates):
+        drift_line = 0.5 * alpha * np.cumsum((coeffs * coeffs)[::-1])[::-1]
+
+        def walk(rep: int) -> float:
             xi = standard_normals((seed, key, rep), coeffs.size)
             suffix_dot = np.cumsum((coeffs * xi)[::-1])[::-1]
-            walk = suffix_dot - 0.5 * alpha * suffix_mu2
-            stats[rep] = max(float(walk.max()), 0.0)  # empty suffixes contribute 0
+            return max(float((suffix_dot - drift_line).max()), 0.0)  # empty suffixes give 0
     else:
-        steps = np.arange(1, k_max + 1, dtype=float)
-        for rep in range(replicates):
-            xi = standard_normals((seed, key, rep), k_max)
-            if which == "chi2_upper":
-                walk = np.cumsum(xi * xi - 1.0) - drift * steps
-            else:
-                walk = np.cumsum(1.0 - xi * xi) - drift * steps
-            stats[rep] = float(walk.max())
+        drift_line = drift * np.arange(1, k_max + 1, dtype=float)
+        upper = which == "chi2_upper"
 
-    return RiskEstimate.from_samples(stats)
+        def walk(rep: int) -> float:
+            steps = standard_normals((seed, key, rep), k_max)
+            steps *= steps
+            if upper:
+                steps -= 1.0
+            else:
+                np.subtract(1.0, steps, out=steps)
+            np.cumsum(steps, out=steps)
+            steps -= drift_line
+            return float(steps.max())
+
+    return RiskEstimate.from_samples(_run_replicates(walk, replicates))
+
+
+def _run_replicates(walk: Callable[[int], float], replicates: int) -> np.ndarray:
+    """[walk(rep) for rep in range(replicates)] as an array, over _WORKERS threads.
+
+    Worker w runs the replicates congruent to w modulo the worker count; the
+    calling thread is worker 0.  The first exception, in a walk or in starting
+    a thread, stops every worker at its next replicate and is raised once all
+    started threads have joined.
+    """
+    stats = np.empty(replicates)
+    workers = min(_WORKERS, replicates)
+    errors: list[BaseException] = []
+
+    def run(first: int) -> None:
+        try:
+            for rep in range(first, replicates, workers):
+                if errors:
+                    return
+                stats[rep] = walk(rep)
+        except BaseException as exc:  # re-raised in the calling thread below
+            errors.append(exc)
+
+    started = []
+    try:
+        for w in range(1, workers):
+            thread = threading.Thread(target=run, args=(w,))
+            thread.start()
+            started.append(thread)
+    except BaseException as exc:
+        errors.append(exc)
+    run(0)
+    for thread in started:
+        thread.join()
+    if errors:
+        raise errors[0]
+    return stats
 
 
 def unbiasedness_check(

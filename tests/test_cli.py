@@ -8,6 +8,7 @@ import platform
 import resource
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -409,6 +410,35 @@ class TestOversizedInputs:
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("error: input needs more memory than is available: ")
         assert proc.stderr.count("\n") == 1, proc.stderr
+        assert not (tmp_path / "o").exists()
+
+
+class TestOverflowingInputs:
+    """Inputs whose float64 arithmetic overflows are configuration errors."""
+
+    @pytest.mark.parametrize(
+        "config_edit, argv",
+        [
+            (("mu = zero", "mu = explicit:1e200,1,1,1,1,1,1,1,1,1"), None),  # mu_1^2
+            (("sigma = 1.0", "sigma = 1e154"), None),  # sigma^2 m
+            (("sigma = 1.0", "sigma = 1e150"), None),  # the losses' variance
+            (None, ["lemma-check", "--which", "linear", "--alpha", "0.5",
+                    "--mu", "explicit:1e200,1"]),  # mu_1^2 in the drift line
+        ],
+        ids=["mean_square", "noise_times_m", "loss_variance", "lemma_linear"],
+    )
+    def test_exits_two_with_one_line(self, tmp_path, capsys, config_edit, argv):
+        if argv is None:
+            cfg = write_config(tmp_path, GOOD_CONFIG.replace(*config_edit, 1))
+            argv = ["simulate", "--config", cfg, "--out", str(tmp_path / "o")]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(argv)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: input overflows float64: overflow encountered in ")
+        assert err.count("\n") == 1, err
+        assert not caught
         assert not (tmp_path / "o").exists()
 
 

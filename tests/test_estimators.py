@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from ewagg import estimators
 from ewagg.estimators import (
     RiskProfile,
     WeightVector,
@@ -173,6 +174,27 @@ class TestExponentialWeights:
             expected /= expected.sum()
             got = exponential_weights(RiskProfile(M, vals), sig).weights
             np.testing.assert_allclose(got, expected, rtol=1e-12)
+
+    def test_underflow_cut_keeps_the_plain_exp_bits(self):
+        # Exponents straddle the cut, including values at and next to it; the
+        # skipped entries must be the zeros the full exp would give.  Every
+        # exponent but the 0 is below -40, so the row sum is exactly 1 and a
+        # subnormal weight such as exp(-745) survives the normalisation.
+        rng = np.random.default_rng(29)
+        cut = estimators._EXP_UNDERFLOW_CUT
+        near = np.nextafter(cut, [-np.inf, np.inf])
+        exponents = np.concatenate(
+            [[0.0, cut, *near, -745.2, -745.0, -744.0], -rng.uniform(40.0, 2000.0, size=4000)]
+        )
+        profile = -exponents  # variance 1/4: the softmax forms exactly these exponents
+        plain = np.exp(exponents)
+        assert np.array_equal(softmax_weights(profile, 0.25), plain / plain.sum())
+
+    def test_exp_is_zero_at_and_below_the_cut(self):
+        # The cut is only exact while this build's exp rounds to 0 there.
+        cut = estimators._EXP_UNDERFLOW_CUT
+        below = np.concatenate([[cut], np.linspace(cut, -1e4, 10_001), [-1e300, -np.inf]])
+        assert np.all(np.exp(below) == 0.0)
 
     def test_wide_profile_matches_exact_normalisation(self):
         # One N = 20,000 profile of the benchmark's wide shape, normalised

@@ -1,11 +1,13 @@
 """Tests for the reproducible Monte Carlo engine and empirical bound checks."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from ewagg import montecarlo
+from ewagg import cli, montecarlo
 from ewagg.estimators import (
     aggregate,
     exponential_weights,
@@ -13,6 +15,8 @@ from ewagg.estimators import (
     ure_weights,
 )
 from ewagg.montecarlo import (
+    LEMMA2_VARIANTS,
+    RiskEstimate,
     ScenarioConfig,
     _replicate_losses,
     _stable_key,
@@ -205,6 +209,114 @@ class TestLemma2Empirical:
         for replicates in (1, 0, -3):  # rejected before any walk is drawn
             with pytest.raises(ValueError, match="replicates"):
                 lemma2_empirical(0.25, "chi2_upper", k_max=10, replicates=replicates)
+
+
+def lemma_case(which):
+    """Arguments of the pinned lemma-2 checks, one per variant."""
+    if which == "linear":
+        return dict(alpha=0.5, which=which, mu=mean_vector_from_spec("poly:beta=1,scale=1,N=100"))
+    return dict(alpha=0.25 if which == "chi2_upper" else 0.5, which=which, k_max=500)
+
+
+class TestLemma2Workers:
+    """The walks run on _WORKERS threads with the same bits for any count."""
+
+    # Estimates at seed 9 with 300 replicates, from the single-threaded loop
+    # that preceded the worker threads.
+    PINNED = {
+        "chi2_upper": RiskEstimate(2.193966296959709, 0.24692202194613994, 300),
+        "chi2_lower": RiskEstimate(1.4909440913653376, 0.15796849163565066, 300),
+        "linear": RiskEstimate(0.601545016587546, 0.035280080819848646, 300),
+    }
+
+    @pytest.mark.parametrize("which", LEMMA2_VARIANTS)
+    def test_pinned_bits(self, which):
+        assert lemma2_empirical(**lemma_case(which), replicates=300, seed=9) == self.PINNED[which]
+
+    @pytest.mark.parametrize("workers", [1, 2, 3, 5])
+    @pytest.mark.parametrize("which", LEMMA2_VARIANTS)
+    def test_same_estimate_for_any_worker_count(self, monkeypatch, which, workers):
+        # replicates=3 with 5 workers: the count is capped at the replicates.
+        for replicates in (3, 41):
+            monkeypatch.setattr(montecarlo, "_WORKERS", 1)
+            serial = lemma2_empirical(**lemma_case(which), replicates=replicates, seed=9)
+            monkeypatch.setattr(montecarlo, "_WORKERS", workers)
+            assert lemma2_empirical(**lemma_case(which), replicates=replicates, seed=9) == serial
+
+    def test_many_workers_with_frequent_switches(self, monkeypatch):
+        # More threads than CPUs, switching every microsecond: a walk written
+        # to the wrong slot, or lost, changes the estimate.
+        monkeypatch.setattr(montecarlo, "_WORKERS", 1)
+        serial = lemma2_empirical(0.25, "chi2_upper", k_max=50, replicates=400, seed=2)
+        monkeypatch.setattr(montecarlo, "_WORKERS", 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = lemma2_empirical(0.25, "chi2_upper", k_max=50, replicates=400, seed=2)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threaded == serial
+
+    def test_a_thread_that_cannot_start_stops_the_others(self, monkeypatch):
+        baseline = threading.active_count()
+        starts = []
+
+        class OneStartOnly(threading.Thread):
+            def start(self):
+                if starts:
+                    raise RuntimeError("can't start new thread")
+                starts.append(self)
+                super().start()
+
+        monkeypatch.setattr(montecarlo.threading, "Thread", OneStartOnly)
+        monkeypatch.setattr(montecarlo, "_WORKERS", 3)
+        with pytest.raises(RuntimeError, match="can't start new thread"):
+            lemma2_empirical(0.25, "chi2_upper", k_max=100, replicates=20, seed=1)
+        assert threading.active_count() == baseline
+
+    def test_lemma_check_bytes_do_not_depend_on_workers(self, monkeypatch, capsys):
+        commands = [
+            ["--which", "chi2_upper", "--alpha", "0.25", "--kmax", "400"],
+            ["--which", "chi2_lower", "--alpha", "0.5", "--kmax", "400"],
+            ["--which", "linear", "--alpha", "0.5", "--mu", "poly:beta=1,scale=1,N=100"],
+        ]
+        outputs = {}
+        for workers in (1, 2):
+            monkeypatch.setattr(montecarlo, "_WORKERS", workers)
+            for argv in commands:
+                assert cli.main(["lemma-check", *argv, "--reps", "99", "--seed", "3"]) == 0
+            outputs[workers] = capsys.readouterr().out
+        assert outputs[1] == outputs[2]
+
+    def test_walks_run_on_two_threads(self, monkeypatch):
+        # Recorded through the draw, so a one-CPU machine runs the path too.
+        idents = set()
+        draw = montecarlo.standard_normals
+
+        def recording(seed, n):
+            idents.add(threading.get_ident())
+            return draw(seed, n)
+
+        monkeypatch.setattr(montecarlo, "standard_normals", recording)
+        monkeypatch.setattr(montecarlo, "_WORKERS", 2)
+        lemma2_empirical(0.25, "chi2_upper", k_max=100, replicates=20, seed=1)
+        assert len(idents) == 2
+
+    @pytest.mark.parametrize("failing_rep", [0, 7])  # the calling thread, then a worker
+    def test_a_walk_exception_reaches_the_caller(self, monkeypatch, failing_rep):
+        baseline = threading.active_count()
+        draw = montecarlo.standard_normals
+
+        def failing(seed, n):
+            if seed[-1] == failing_rep:
+                raise RuntimeError(f"walk {failing_rep} failed")
+            return draw(seed, n)
+
+        monkeypatch.setattr(montecarlo, "standard_normals", failing)
+        monkeypatch.setattr(montecarlo, "_WORKERS", 2)
+        with pytest.raises(RuntimeError, match=f"walk {failing_rep} failed"):
+            lemma2_empirical(0.25, "chi2_upper", k_max=100, replicates=20, seed=1)
+        assert threading.active_count() == baseline
 
 
 class TestUnbiasednessCheck:

@@ -1,17 +1,22 @@
-"""Property tests for the risk profile and the weight kernels.
+"""Property tests for the risk profile, the weight kernels and the CLI's exit codes.
 
 Examples are derandomized and no example database is written, so the suite
 stays deterministic and leaves nothing in the working tree.  Profiles are
 integer-valued so that ties occur and so that shifts by an integer are exact.
 """
 
+import contextlib
+import io
+import os
 import tempfile
+import warnings
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
+from ewagg import cli
 from ewagg.estimators import RiskProfile, softmax_weights, ure_weights
 from ewagg.sequence_model import ModelIndexSet
 
@@ -86,3 +91,35 @@ def test_softmax_is_bitwise_invariant_under_an_integer_shift(case, variance, shi
     # Integers below 2**53 shift exactly, so the max-shifted exponents agree.
     _, block = case
     assert np.array_equal(softmax_weights(block, variance), softmax_weights(block + shift, variance))
+
+
+@SETTINGS
+@given(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=3),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(1, 3),
+    st.integers(2, 4),
+)
+def test_simulate_ends_in_a_documented_exit_without_warnings(coefficients, sigma, k, replicates):
+    config = (
+        "[s]\n"
+        f"mu = explicit:{','.join(map(repr, coefficients))}\n"
+        f"sigma = {sigma!r}\n"
+        f"models = 1..{k}\n"
+        f"replicates = {replicates}\n"
+        "base_seed = 1\n"
+    )
+    with tempfile.TemporaryDirectory(prefix="ewagg-fuzz-") as tmp:
+        path = os.path.join(tmp, "s.cfg")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(config)
+        stderr = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(stderr):
+            warnings.simplefilter("always")
+            code = cli.main(["simulate", "--config", path, "--out", os.path.join(tmp, "out")])
+        wrote_outputs = os.path.exists(os.path.join(tmp, "out"))
+    assert code in (0, 1, 2), stderr.getvalue()
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], config
+    if code == 2:
+        assert stderr.getvalue().count("\n") == 1, stderr.getvalue()
+        assert not wrote_outputs
