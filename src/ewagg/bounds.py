@@ -211,9 +211,10 @@ def theorem_bounds(oracle_risk: float, sigma: NoiseLevel, model_count: int) -> R
     t2 is 4 sigma^2 log(#M); t3 is 4 sigma^2 log{(r/sigma^2)[1 + Psi(sigma^2/r)]};
     t1 is the unit-constant shape sigma^2 sqrt(r/sigma^2), whose universal
     multiplier is left to the Monte Carlo harness to back-solve empirically.
+    The arithmetic runs on numpy scalars, so an overflow obeys np.errstate.
     """
-    variance = sigma.variance
-    r = float(oracle_risk)
+    variance = np.float64(sigma.variance)
+    r = np.float64(oracle_risk)
     ratio = variance / r
     if ratio > 1.0:
         if ratio > 1.0 + 1e-12:
@@ -223,7 +224,7 @@ def theorem_bounds(oracle_risk: float, sigma: NoiseLevel, model_count: int) -> R
             )
         ratio = 1.0  # guard against rounding at the r = sigma^2 boundary
     return RegretBudgets(
-        t1=variance * math.sqrt(r / variance),
-        t2=4.0 * variance * math.log(model_count),
-        t3=4.0 * variance * math.log((r / variance) * (1.0 + psi(ratio).psi)),
+        t1=float(variance * math.sqrt(r / variance)),
+        t2=float(4.0 * variance * math.log(model_count)),
+        t3=float(4.0 * variance * math.log((r / variance) * (1.0 + psi(ratio).psi))),
     )

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import dataclasses
 import hashlib
 import json
 import os
@@ -27,7 +28,6 @@ import platform
 import sys
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field
 from typing import TextIO
 
 import numpy as np
@@ -37,31 +37,16 @@ from .bounds import psi, theorem_bounds
 from .montecarlo import (
     LEMMA2_VARIANTS,
     PASS_TOLERANCE_SE,
+    ComparisonRow,
     ScenarioConfig,
     lemma2_empirical,
     verify_oracle_inequalities,
 )
 from .sequence_model import MeanVector, ModelIndexSet, NoiseLevel, mean_vector_from_spec
 
-__all__ = ["main", "ConfigError", "RunManifest", "parse_scenarios", "parse_model_set_text"]
+__all__ = ["main", "ConfigError", "parse_scenarios", "parse_model_set_text", "model_set_text"]
 
 SEED_ENV = "EWAGG_SEED"
-
-CSV_HEADER = [
-    "scenario_id",
-    "oracle_risk",
-    "oracle_index",
-    "ure_mean",
-    "ure_se",
-    "ew_mean",
-    "ew_se",
-    "t1_shape",
-    "t2_budget",
-    "t3_budget",
-    "empirical_K",
-    "t2_pass",
-    "t3_pass",
-]
 
 EXIT_OK = 0
 EXIT_BOUND_VIOLATION = 1
@@ -71,29 +56,6 @@ EXIT_INTERNAL_ERROR = 3
 
 class ConfigError(Exception):
     """Raised for malformed configuration files or out-of-domain arguments."""
-
-
-def _build_record() -> dict[str, str]:
-    # The output bytes are reproducible on the same build only: numpy picks its
-    # float64 exp kernel per CPU at run time.
-    return {
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "system": platform.system(),
-        "machine": platform.machine(),
-    }
-
-
-@dataclass
-class RunManifest:
-    """Provenance record for one invocation; timing excluded from reproducibility."""
-
-    tool_version: str
-    config_digest: str
-    base_seeds: dict[str, int]
-    timings_seconds: dict[str, float] = field(default_factory=dict)
-    outputs: list[str] = field(default_factory=list)
-    build: dict[str, str] = field(default_factory=_build_record)
 
 
 def _fmt(x: float) -> str:
@@ -179,36 +141,27 @@ def parse_scenarios(text: str) -> list[ScenarioConfig]:
     ]
 
 
+def model_set_text(models: ModelIndexSet) -> str:
+    """Canonical text of a model set: runs of consecutive indices as "lo..hi"."""
+    indices = models.indices
+    breaks = np.flatnonzero(np.diff(indices) != 1) + 1
+    starts = indices[np.r_[0, breaks]].tolist()
+    ends = indices[np.r_[breaks - 1, indices.size - 1]].tolist()
+    return ",".join(str(lo) if lo == hi else f"{lo}..{hi}" for lo, hi in zip(starts, ends))
+
+
 def config_digest(scenarios: list[ScenarioConfig]) -> str:
     """Stable hash of the canonicalized (fully resolved) scenario grid."""
     lines = []
     for cfg in scenarios:
         lines.append(f"[{cfg.scenario_id}]")
         lines.append(f"base_seed = {cfg.base_seed}")
-        lines.append(f"models = {','.join(map(str, cfg.models.indices.tolist()))}")
+        lines.append(f"models = {model_set_text(cfg.models)}")
         lines.append(f"mu = {cfg.mu_spec}")
         lines.append(f"replicates = {cfg.replicates}")
         lines.append(f"sigma = {_fmt(cfg.sigma.sigma)}")
     canonical = "\n".join(lines) + "\n"
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-def _row_record(row) -> dict:
-    return {
-        "scenario_id": row.scenario_id,
-        "oracle_risk": row.oracle_risk,
-        "oracle_index": row.oracle_index,
-        "ure_mean": row.ure_risk.mean,
-        "ure_se": row.ure_risk.std_error,
-        "ew_mean": row.ew_risk.mean,
-        "ew_se": row.ew_risk.std_error,
-        "t1_shape": row.budget_t1,
-        "t2_budget": row.budget_t2,
-        "t3_budget": row.budget_t3,
-        "empirical_K": row.empirical_k,
-        "t2_pass": row.t2_pass,
-        "t3_pass": row.t3_pass,
-    }
 
 
 def _csv_cell(value) -> str:
@@ -220,10 +173,11 @@ def _csv_cell(value) -> str:
 
 
 def _write_csv(records: list[dict], fh: TextIO) -> None:
+    header = [column.name for column in dataclasses.fields(ComparisonRow)]
     writer = csv.writer(fh, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
+    writer.writerow(header)
     for record in records:
-        writer.writerow([_csv_cell(record[key]) for key in CSV_HEADER])
+        writer.writerow([_csv_cell(record[key]) for key in header])
 
 
 def _dump_json(payload, fh: TextIO) -> None:
@@ -266,21 +220,29 @@ def cmd_simulate(config_path: str, out_dir: str) -> int:
     json_path = os.path.join(out_dir, "results.json")
     manifest_path = os.path.join(out_dir, "run_manifest.json")
 
-    records = [_row_record(row) for row in rows]
-    manifest = RunManifest(
-        tool_version=__version__,
-        config_digest=config_digest(scenarios),
-        base_seeds={cfg.scenario_id: cfg.base_seed for cfg in scenarios},
-        timings_seconds={"simulate": elapsed},
-        outputs=[csv_path, json_path],
-    )
+    records = [dataclasses.asdict(row) for row in rows]
+    manifest = {
+        "tool_version": __version__,
+        "config_digest": config_digest(scenarios),
+        "base_seeds": {cfg.scenario_id: cfg.base_seed for cfg in scenarios},
+        "timings_seconds": {"simulate": elapsed},
+        "outputs": [csv_path, json_path],
+        # The output bytes are reproducible on the same build only: numpy picks
+        # its float64 exp kernel per CPU at run time.
+        "build": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "system": platform.system(),
+            "machine": platform.machine(),
+        },
+    }
     try:
         os.makedirs(out_dir, exist_ok=True)
         _write_outputs(
             {
                 csv_path: lambda fh: _write_csv(records, fh),
                 json_path: lambda fh: _dump_json(records, fh),
-                manifest_path: lambda fh: _dump_json(manifest.__dict__, fh),
+                manifest_path: lambda fh: _dump_json(manifest, fh),
             }
         )
     except OSError as exc:

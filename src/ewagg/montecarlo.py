@@ -24,7 +24,7 @@ import math
 import os
 import threading
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -98,7 +98,7 @@ def _observation_blocks(mu: MeanVector, sigma: NoiseLevel, replicates: int, pref
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Full description of one experiment."""
+    """Full description of one experiment; mu is the mean vector mu_spec resolves to."""
 
     scenario_id: str
     mu_spec: str
@@ -106,23 +106,20 @@ class ScenarioConfig:
     models: ModelIndexSet
     replicates: int
     base_seed: int
+    mu: MeanVector = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if int(self.replicates) < 2:
             raise ValueError("replicates must be >= 2, so that a standard error exists")
         object.__setattr__(self, "replicates", int(self.replicates))
         object.__setattr__(self, "base_seed", int(self.base_seed))
-        # Fails fast when the mean family cannot support the model set.
-        self.mean_vector()
-
-    def mean_vector(self) -> MeanVector:
         mu = mean_vector_from_spec(self.mu_spec, default_length=self.models.max_index)
         if mu.declared_length < self.models.max_index:
             raise ValueError(
                 f"mean spec {self.mu_spec!r} has length {mu.declared_length}, "
                 f"below the max model index {self.models.max_index}"
             )
-        return mu
+        object.__setattr__(self, "mu", mu)
 
 
 @dataclass(frozen=True)
@@ -146,29 +143,31 @@ class RiskEstimate:
 
 @dataclass(frozen=True)
 class ComparisonRow:
-    """One scenario's oracle risk, Monte Carlo risks, budgets, and pass flags."""
+    """One scenario's results.csv row: the fields are its columns, in order.
+
+    The oracle risk, the Monte Carlo risks with their standard errors, the
+    three budgets, the back-solved constant empirical_K = (ure_mean -
+    oracle_risk) / t1_shape, and the two pass flags.
+    """
 
     scenario_id: str
     oracle_risk: float
     oracle_index: int
-    ure_risk: RiskEstimate
-    ew_risk: RiskEstimate
-    budget_t1: float
-    budget_t2: float
-    budget_t3: float
-    empirical_k: float
+    ure_mean: float
+    ure_se: float
+    ew_mean: float
+    ew_se: float
+    t1_shape: float
+    t2_budget: float
+    t3_budget: float
+    empirical_K: float
     t2_pass: bool
     t3_pass: bool
-
-    @property
-    def combined_pass(self) -> bool:
-        """Whether at least one exponential-weighting budget is respected."""
-        return self.t2_pass or self.t3_pass
 
 
 def _replicate_losses(config: ScenarioConfig) -> dict[str, np.ndarray]:
     """Per-replicate squared losses of both estimators, in index order."""
-    mu = config.mean_vector()
+    mu = config.mu
     models = config.models
     losses = {"URE": np.empty(config.replicates), "EW": np.empty(config.replicates)}
     prefix = (config.base_seed, _stable_key(config.scenario_id))
@@ -190,8 +189,7 @@ def mc_risk(config: ScenarioConfig) -> dict[str, RiskEstimate]:
 
 def verify_oracle_inequalities(config: ScenarioConfig) -> ComparisonRow:
     """Run both estimators and check their risks against the regret budgets."""
-    mu = config.mean_vector()
-    oracle = oracle_risk(mu, config.sigma, config.models)
+    oracle = oracle_risk(config.mu, config.sigma, config.models)
     budgets = theorem_bounds(oracle.oracle_risk, config.sigma, len(config.models))
     risks = mc_risk(config)
     ure_est, ew_est = risks["URE"], risks["EW"]
@@ -200,12 +198,14 @@ def verify_oracle_inequalities(config: ScenarioConfig) -> ComparisonRow:
         scenario_id=config.scenario_id,
         oracle_risk=oracle.oracle_risk,
         oracle_index=oracle.oracle_index,
-        ure_risk=ure_est,
-        ew_risk=ew_est,
-        budget_t1=budgets.t1,
-        budget_t2=budgets.t2,
-        budget_t3=budgets.t3,
-        empirical_k=(ure_est.mean - oracle.oracle_risk) / budgets.t1,
+        ure_mean=ure_est.mean,
+        ure_se=ure_est.std_error,
+        ew_mean=ew_est.mean,
+        ew_se=ew_est.std_error,
+        t1_shape=budgets.t1,
+        t2_budget=budgets.t2,
+        t3_budget=budgets.t3,
+        empirical_K=(ure_est.mean - oracle.oracle_risk) / budgets.t1,
         t2_pass=ew_est.mean <= oracle.oracle_risk + budgets.t2 + slack,
         t3_pass=ew_est.mean <= oracle.oracle_risk + budgets.t3 + slack,
     )
@@ -366,7 +366,7 @@ def m_epsilon_budget(oracle_value: float, sigma: NoiseLevel, epsilon: float) -> 
 def m_epsilon_study(config: ScenarioConfig, epsilon: float) -> MEpsilonReport:
     """MC estimate of the expected envelope index under both centerings."""
     epsilon = float(epsilon)
-    mu = config.mean_vector()
+    mu = config.mu
     report = oracle_risk(mu, config.sigma, config.models)
     budget = m_epsilon_budget(report.oracle_risk, config.sigma, epsilon)  # checks epsilon
     by_profile = np.empty(config.replicates)

@@ -295,7 +295,7 @@ def test_criterion_07_remainder_asymptotics():
 
 def test_criterion_08_empirical_constant_report(scenario_grid):
     rows, _ = scenario_grid
-    ks = {row.scenario_id: row.empirical_k for row in rows}
+    ks = {row.scenario_id: row.empirical_K for row in rows}
     ok = all(math.isfinite(k) and k > 0.0 for k in ks.values())
     detail = (
         f"empirical K finite and positive in {len(ks)}/{len(ks)} scenarios; "
@@ -315,9 +315,9 @@ def test_criterion_09_weighting_beats_selection():
         base_seed=GRID_SEED,
     )
     row = verify_oracle_inequalities(config)
-    ew_regret = row.ew_risk.mean - row.oracle_risk
-    ure_regret = row.ure_risk.mean - row.oracle_risk
-    combined_se = math.hypot(row.ure_risk.std_error, row.ew_risk.std_error)
+    ew_regret = row.ew_mean - row.oracle_risk
+    ure_regret = row.ure_mean - row.oracle_risk
+    combined_se = math.hypot(row.ure_se, row.ew_se)
     holds = ew_regret <= ure_regret + 4.0 * combined_se
     detail = (
         f"EW regret={ew_regret:.5f}, URE regret={ure_regret:.5f}, "

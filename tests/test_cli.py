@@ -15,7 +15,7 @@ import pytest
 
 import ewagg.cli as cli
 from ewagg import montecarlo
-from ewagg.montecarlo import ComparisonRow, RiskEstimate
+from ewagg.montecarlo import ComparisonRow
 
 GOOD_CONFIG = """\
 [DEFAULT]
@@ -74,7 +74,10 @@ class TestSimulate:
         assert code == 0
         csv_text = (out / "results.csv").read_text()
         lines = csv_text.strip().split("\n")
-        assert lines[0] == ",".join(cli.CSV_HEADER)
+        assert lines[0] == (
+            "scenario_id,oracle_risk,oracle_index,ure_mean,ure_se,ew_mean,ew_se,"
+            "t1_shape,t2_budget,t3_budget,empirical_K,t2_pass,t3_pass"
+        )
         assert len(lines) == 3  # header + two scenarios
 
         records = json.loads((out / "results.json").read_text())
@@ -118,8 +121,8 @@ class TestSimulate:
         records = json.loads((out / "results.json").read_text())
         assert len(rows) == len(records)
         for row, record in zip(rows, records):
-            for key in cli.CSV_HEADER:
-                value = record[key]
+            assert list(row) == list(record)
+            for key, value in record.items():
                 if isinstance(value, bool):
                     assert row[key] == ("true" if value else "false")
                 elif isinstance(value, float):
@@ -216,17 +219,18 @@ class TestSimulate:
 
     def test_bound_violation_exits_one(self, tmp_path, monkeypatch):
         # Exit-code contract only; a real violation would contradict the bounds.
-        estimate = RiskEstimate(mean=100.0, std_error=0.1, replicates=10)
         fake_row = ComparisonRow(
             scenario_id="zero_small",
             oracle_risk=1.0,
             oracle_index=1,
-            ure_risk=estimate,
-            ew_risk=estimate,
-            budget_t1=1.0,
-            budget_t2=2.0,
-            budget_t3=3.0,
-            empirical_k=1.0,
+            ure_mean=100.0,
+            ure_se=0.1,
+            ew_mean=100.0,
+            ew_se=0.1,
+            t1_shape=1.0,
+            t2_budget=2.0,
+            t3_budget=3.0,
+            empirical_K=1.0,
             t2_pass=False,
             t3_pass=True,
         )
@@ -422,10 +426,15 @@ class TestOverflowingInputs:
             (("mu = zero", "mu = explicit:1e200,1,1,1,1,1,1,1,1,1"), None),  # mu_1^2
             (("sigma = 1.0", "sigma = 1e154"), None),  # sigma^2 m
             (("sigma = 1.0", "sigma = 1e150"), None),  # the losses' variance
+            (
+                ("mu = zero\nsigma = 1.0\nmodels = 1..10\n",
+                 "mu = explicit:1e150,1e150\nsigma = 1e-150\nmodels = 1..1\nreplicates = 2\n"),
+                None,
+            ),  # r / sigma^2 in the budgets
             (None, ["lemma-check", "--which", "linear", "--alpha", "0.5",
                     "--mu", "explicit:1e200,1"]),  # mu_1^2 in the drift line
         ],
-        ids=["mean_square", "noise_times_m", "loss_variance", "lemma_linear"],
+        ids=["mean_square", "noise_times_m", "loss_variance", "budget_ratio", "lemma_linear"],
     )
     def test_exits_two_with_one_line(self, tmp_path, capsys, config_edit, argv):
         if argv is None:
@@ -451,6 +460,11 @@ class TestModelSetParsing:
     def test_duplicates_collapse(self):
         assert list(cli.parse_model_set_text("3,1..4")) == [1, 2, 3, 4]
 
+    def test_text_writes_runs(self):
+        assert cli.model_set_text(cli.parse_model_set_text("1..20000")) == "1..20000"
+        assert cli.model_set_text(cli.parse_model_set_text("9,1..3,5,6")) == "1..3,5..6,9"
+        assert cli.model_set_text(cli.parse_model_set_text("7")) == "7"
+
     def test_errors(self):
         with pytest.raises(cli.ConfigError):
             cli.parse_model_set_text("")
@@ -469,4 +483,4 @@ class TestConfigDigest:
     def test_digest_bytes_are_pinned(self):
         # The canonical text and its hash must not drift between releases.
         digest = cli.config_digest(cli.parse_scenarios(GOOD_CONFIG))
-        assert digest == "05a7cecc50fba2f813204c6c1ccab20b684a30dace00077e27d5e37274a734d0"
+        assert digest == "7b337c2865edfb551be9f9103e5d7e6b4696f61ba8baba51e3617e27581e6d41"

@@ -1,18 +1,21 @@
-"""Property tests for the risk profile, the weight kernels and the CLI's exit codes.
+"""Property tests for the risk profile, the weight kernels, the CLI's exit codes
+and the canonical text of model sets.
 
 Examples are derandomized and no example database is written, so the suite
 stays deterministic and leaves nothing in the working tree.  Profiles are
 integer-valued so that ties occur and so that shifts by an integer are exact.
 """
 
+import atexit
 import contextlib
 import io
 import os
+import shutil
 import tempfile
 import warnings
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
@@ -25,8 +28,9 @@ SETTINGS = settings(derandomize=True, database=None, deadline=None)
 # Hypothesis caches the constants it reads from local modules on disk, even
 # without an example database, as soon as it collects a property test; point
 # it at a directory removed when the interpreter exits.
-_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="ewagg-hypothesis-")
-set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
+_HYPOTHESIS_HOME = tempfile.mkdtemp(prefix="ewagg-hypothesis-")
+atexit.register(shutil.rmtree, _HYPOTHESIS_HOME, ignore_errors=True)
+set_hypothesis_home_dir(_HYPOTHESIS_HOME)
 
 
 def first_minimum(row):
@@ -123,3 +127,19 @@ def test_simulate_ends_in_a_documented_exit_without_warnings(coefficients, sigma
     if code == 2:
         assert stderr.getvalue().count("\n") == 1, stderr.getvalue()
         assert not wrote_outputs
+
+
+def scenario_digest(models_text):
+    """config_digest of a one-scenario grid with the given model set text."""
+    config = f"[s]\nmu = zero\nsigma = 1.0\nmodels = {models_text}\nreplicates = 2\nbase_seed = 1\n"
+    return cli.config_digest(cli.parse_scenarios(config))
+
+
+@SETTINGS
+@given(st.lists(st.integers(1, 200), min_size=1, max_size=60, unique=True))
+@example([1, 2, 3, 4, 5])  # text "1..5", list "1,2,3,4,5"
+def test_model_set_text_parses_back_to_the_same_indices(indices):
+    models = ModelIndexSet(np.array(sorted(indices)))
+    text = cli.model_set_text(models)
+    assert np.array_equal(cli.parse_model_set_text(text).indices, models.indices)
+    assert scenario_digest(text) == scenario_digest(",".join(map(str, indices)))
