@@ -9,7 +9,6 @@ from .sequence_model import (
     MeanVector,
     ModelIndexSet,
     NoiseLevel,
-    Observation,
     generate_observation,
     mean_vector_from_spec,
     squared_loss,
@@ -57,7 +56,6 @@ __all__ = [
     "__version__",
     "MeanVector",
     "NoiseLevel",
-    "Observation",
     "ModelIndexSet",
     "generate_observation",
     "true_projection_risk",

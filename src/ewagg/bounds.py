@@ -9,6 +9,7 @@ right-hand-side budgets of the three oracle inequalities.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -60,6 +61,9 @@ def u_star_alpha(alpha: float) -> float:
     alpha = float(alpha)
     if not alpha > 0.0:
         raise ValueError(f"u_star_alpha needs alpha > 0, got {alpha}")
+    if alpha > sys.float_info.max / 2.0:
+        # 2 alpha overflows; log1p(2 alpha) is log 2 + log alpha to float precision.
+        return (alpha - (math.log(2.0) + math.log(alpha)) / 2.0) / alpha
     return (alpha - math.log1p(2.0 * alpha) / 2.0) / alpha
 
 
@@ -101,11 +105,15 @@ def u_star_inverse(y: float) -> float:
     return _bisect_increasing(u_star_alpha, lo, hi, y)
 
 
-def entropy(w: WeightVector) -> float:
-    """Shannon entropy (natural log) of a weight vector; zero weights contribute 0."""
-    values = w.weights
-    positive = values[values > 0.0]
-    return float(-np.dot(positive, np.log(positive)))
+def entropy(w: WeightVector) -> float | np.ndarray:
+    """Shannon entropy (natural log) over the last axis; zero weights contribute 0.
+
+    A float for one weight row, an array with one entry per row for a block.
+    """
+    p = w.weights
+    p_log_p = p * np.log(p, out=np.zeros_like(p), where=p > 0.0)
+    h = 0.0 - p_log_p.sum(axis=-1)  # 0 - 0 is +0, so a point mass gets +0.0, not -0.0
+    return float(h) if h.ndim == 0 else h
 
 
 def r_rho(rho: float) -> float:

@@ -6,10 +6,11 @@ an unbiased estimate of the true risk up to one additive constant shared by
 all m, so every consumer here (argmin selection, softmax weighting,
 profile differences) is shift invariant.
 
-Each formula has one implementation over the last axis, so a block of
-observations (B, N) and a single one (N,) get the same bits per row.  The
-validated objects hold either one row or a block of rows, so one call per
-block runs the whole pipeline over it.
+An observation Y is a float64 array: (N,) for one draw, (B, N) for a block
+with one draw per row.  Each formula has one implementation over the last
+axis, so a block and a single row get the same bits per row.  The profile and
+weight records hold either one row or a block of rows, so one call per block
+runs the whole pipeline over it.
 
 Everything runs in float64.  numpy sums a contiguous row pairwise but a
 strided one sequentially, so the kernels that reduce along a row (the softmax
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .sequence_model import ModelIndexSet, NoiseLevel, Observation, _frozen_array
+from .sequence_model import ModelIndexSet, NoiseLevel, _frozen_array
 
 __all__ = [
     "profile_values",
@@ -129,38 +130,40 @@ class WeightVector:
         object.__setattr__(self, "weights", _frozen_array(w, float))
 
 
-def projection_estimate(Y: Observation, m: int) -> np.ndarray:
+def projection_estimate(Y: np.ndarray, m: int) -> np.ndarray:
     """Keep the first m observed coordinates, zero the rest (output length N)."""
+    Y = np.asarray(Y, dtype=float)
     m = int(m)
     if m < 1:
         raise ValueError("m must be >= 1")
-    keep = min(m, Y.length)
-    out = np.zeros_like(Y.values)
-    out[..., :keep] = Y.values[..., :keep]
+    out = np.zeros_like(Y)
+    out[..., :m] = Y[..., :m]
     return out
 
 
-def unbiased_risk(Y: Observation, m: int) -> float | np.ndarray:
+def unbiased_risk(Y: np.ndarray, sigma: NoiseLevel, m: int) -> float | np.ndarray:
     """Unbiased risk estimate -sum_{i<=m} Y_i^2 + 2 sigma^2 m of the m-projection."""
+    Y = np.asarray(Y, dtype=float)
     m = int(m)
     if m < 1:
         raise ValueError("m must be >= 1")
-    if m > Y.length:
+    if m > Y.shape[-1]:
         raise ValueError(
-            f"m={m} exceeds the observation length {Y.length}; "
+            f"m={m} exceeds the observation length {Y.shape[-1]}; "
             "coordinates beyond the support would be silently dropped"
         )
-    values = profile_values(Y.values, Y.noise.variance, np.array([m]))[..., 0]
+    values = profile_values(Y, sigma.variance, np.array([m]))[..., 0]
     return float(values) if values.ndim == 0 else values
 
 
-def risk_profile(Y: Observation, M: ModelIndexSet) -> RiskProfile:
+def risk_profile(Y: np.ndarray, sigma: NoiseLevel, M: ModelIndexSet) -> RiskProfile:
     """Unbiased risk estimates over all m in M, with the argmin selection."""
-    if M.max_index > Y.length:
+    Y = np.asarray(Y, dtype=float)
+    if M.max_index > Y.shape[-1]:
         raise ValueError(
-            f"max model index {M.max_index} exceeds the observation length {Y.length}"
+            f"max model index {M.max_index} exceeds the observation length {Y.shape[-1]}"
         )
-    return RiskProfile(M, profile_values(Y.values, Y.noise.variance, M.indices))
+    return RiskProfile(M, profile_values(Y, sigma.variance, M.indices))
 
 
 def ure_weights(profile: RiskProfile) -> WeightVector:
@@ -175,11 +178,10 @@ def exponential_weights(profile: RiskProfile, sigma: NoiseLevel) -> WeightVector
     return WeightVector(models=profile.models, weights=w)
 
 
-def aggregate(Y: Observation, M: ModelIndexSet, w: WeightVector) -> np.ndarray:
-    """Convex combination of projection estimates, computed through suffix sums."""
-    if not np.array_equal(w.models.indices, M.indices):
-        raise ValueError("weight vector is not aligned with the model index set")
-    return Y.values * suffix_weights(M.indices, w.weights, Y.length)
+def aggregate(Y: np.ndarray, w: WeightVector) -> np.ndarray:
+    """Convex combination of the projections of Y over w's models, through suffix sums."""
+    Y = np.asarray(Y, dtype=float)
+    return Y * suffix_weights(w.models.indices, w.weights, Y.shape[-1])
 
 
 def m_epsilon(

@@ -2,12 +2,12 @@
 
 Every replicate draws its observation from its own substream keyed by
 (base seed, scenario, replicate index), so results are independent of
-execution order.  Replicates are processed in blocks of rows: each block is
-one Observation, and the public pipeline (risk profile, weights, aggregate,
-loss) runs once per block over the last axis.  Every row gets the same bits
-as that pipeline gives it alone, and losses are stored in fixed index order,
-so a given configuration reproduces bit-identical estimates whatever the
-block size.
+execution order.  Replicates are processed in blocks: each block is one
+(B, N) observation array with a replicate per row, and the public pipeline
+(risk profile, weights, aggregate, loss) runs once per block over the last
+axis.  Every row gets the same bits as that pipeline gives it alone, and
+losses are stored in fixed index order, so a given configuration reproduces
+bit-identical estimates whatever the block size.
 
 The lemma-2 walks run on worker threads, one per CPU in the affinity mask
 (capped at the replicate count).  Nearly all of a walk's time is numpy
@@ -88,7 +88,7 @@ def _stable_key(label: str) -> int:
 
 
 def _observation_blocks(mu: MeanVector, sigma: NoiseLevel, replicates: int, prefix: tuple):
-    """Yield (replicate slice, block Observation) in index order; rep uses (*prefix, rep)."""
+    """Yield (replicate slice, observation block) in index order; rep uses (*prefix, rep)."""
     rows = max(1, _BLOCK_VALUES // mu.declared_length)
     for first in range(0, replicates, rows):
         block = range(first, min(replicates, first + rows))
@@ -172,10 +172,10 @@ def _replicate_losses(config: ScenarioConfig) -> dict[str, np.ndarray]:
     losses = {"URE": np.empty(config.replicates), "EW": np.empty(config.replicates)}
     prefix = (config.base_seed, _stable_key(config.scenario_id))
     for reps, obs in _observation_blocks(mu, config.sigma, config.replicates, prefix):
-        profile = risk_profile(obs, models)
+        profile = risk_profile(obs, config.sigma, models)
         weights = {"URE": ure_weights(profile), "EW": exponential_weights(profile, config.sigma)}
         for name, w in weights.items():
-            losses[name][reps] = squared_loss(aggregate(obs, models, w), mu)
+            losses[name][reps] = squared_loss(aggregate(obs, w), mu)
     return losses
 
 
@@ -228,20 +228,20 @@ def lemma2_empirical(
     The chi-square walks are truncated at k_max, which can only lower the
     maximum, so comparing the mean against 1/alpha stays conservative.  The
     linear statistic is exact: the finite support of mu makes suffixes beyond
-    it empty, contributing the value 0 to the maximum.
+    it empty, contributing the value 0 to the maximum.  alpha must be finite
+    and positive, with 1/alpha finite, so that the budget is a number.
     """
     alpha = float(alpha)
     if which not in LEMMA2_VARIANTS:
         raise ValueError(f"which must be one of {LEMMA2_VARIANTS}, got {which!r}")
+    if not (alpha > 0.0 and math.isfinite(alpha) and math.isfinite(1.0 / alpha)):
+        raise ValueError(f"alpha must be positive and finite, with 1/alpha finite, got {alpha}")
     if which == "chi2_upper":
-        drift = u_alpha(alpha)  # validates 0 < alpha < 1/2
+        drift = u_alpha(alpha)  # validates alpha < 1/2
     elif which == "chi2_lower":
-        drift = u_star_alpha(alpha)  # validates alpha > 0
-    else:
-        if mu is None:
-            raise ValueError("the linear variant needs a mean vector")
-        if not alpha > 0.0:
-            raise ValueError(f"the linear variant needs alpha > 0, got {alpha}")
+        drift = u_star_alpha(alpha)
+    elif mu is None:
+        raise ValueError("the linear variant needs a mean vector")
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     if replicates < 2:
@@ -251,8 +251,8 @@ def lemma2_empirical(
     # The drift line, sized by k_max or by the support of mu, is built here
     # before any worker starts, so an oversized input fails in the caller.
     # The caller's numpy error state does not reach the workers; the
-    # coefficient squares, the only step that can overflow for finite mu, run
-    # here under it.
+    # coefficient squares and the drift line, the only steps that can overflow
+    # for finite mu and alpha, run here under it.
     if which == "linear":
         coeffs = mu.coefficients
         drift_line = 0.5 * alpha * np.cumsum((coeffs * coeffs)[::-1])[::-1]
@@ -327,13 +327,12 @@ def unbiasedness_check(
     m_values = [int(m) for m in m_values]
     if any(m > mu.declared_length for m in m_values):
         raise ValueError(f"every m must be <= the mean vector length {mu.declared_length}")
-    norm2 = mu.squared_norm
-    offsets = np.array([norm2 - true_projection_risk(mu, sigma, m) for m in m_values])
     indices = np.array(m_values, dtype=np.int64)
+    offsets = mu.squared_norm - true_projection_risk(mu, sigma, indices)
     stats = np.empty((len(m_values), replicates))
     prefix = (base_seed, _stable_key("unbiasedness"))
     for reps, obs in _observation_blocks(mu, sigma, replicates, prefix):
-        stats[:, reps] = (profile_values(obs.values, sigma.variance, indices) + offsets).T
+        stats[:, reps] = (profile_values(obs, sigma.variance, indices) + offsets).T
     return {m: RiskEstimate.from_samples(row) for m, row in zip(m_values, stats)}
 
 
@@ -373,7 +372,7 @@ def m_epsilon_study(config: ScenarioConfig, epsilon: float) -> MEpsilonReport:
     by_oracle = np.empty(config.replicates)
     prefix = (config.base_seed, _stable_key(config.scenario_id))
     for reps, obs in _observation_blocks(mu, config.sigma, config.replicates, prefix):
-        profile = risk_profile(obs, config.models)
+        profile = risk_profile(obs, config.sigma, config.models)
         by_profile[reps] = m_epsilon(profile, config.sigma, epsilon)
         by_oracle[reps] = m_epsilon(profile, config.sigma, epsilon, report.oracle_risk)
     return MEpsilonReport(

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sequence_model import MeanVector, ModelIndexSet, NoiseLevel
+from .sequence_model import MeanVector, ModelIndexSet, NoiseLevel, true_projection_risk
 
 __all__ = ["OracleReport", "oracle_risk"]
 
@@ -20,16 +20,13 @@ class OracleReport:
 
 
 def oracle_risk(mu: MeanVector, sigma: NoiseLevel, M: ModelIndexSet) -> OracleReport:
-    """Exact minimum of the projection risk over M, ties to smallest m.
-
-    Each risk is the same sum true_projection_risk gives for that m.
-    """
+    """Exact minimum of the projection risk over M, ties to smallest m."""
     if M.max_index > mu.declared_length:
         raise ValueError(
             f"max model index {M.max_index} exceeds the mean vector length "
             f"{mu.declared_length}"
         )
-    risks = mu.tail_squared_norms()[M.indices] + sigma.variance * M.indices
+    risks = true_projection_risk(mu, sigma, M.indices)
     pos = int(np.argmin(risks))  # first occurrence breaks ties toward smaller m
     return OracleReport(oracle_risk=float(risks[pos]), oracle_index=int(M.indices[pos]))
 

@@ -1,9 +1,10 @@
-"""Gaussian sequence model: mean vectors, noise, observations, and exact projection risks.
+"""Gaussian sequence model: mean vectors, noise, observation draws, and exact projection risks.
 
 The model observes Y_i = mu_i + sigma * xi_i with i.i.d. standard normal xi_i.
-Mean vectors are stored with finite support: coordinates beyond the declared
-length are exactly zero, so every risk quantity is computable in closed form
-with no truncation error.
+An observation is a plain float64 array: shape (N,) for one draw, (B, N) for a
+block of B draws, one per row.  Mean vectors are stored with finite support:
+coordinates beyond the declared length are exactly zero, so every risk
+quantity is computable in closed form with no truncation error.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import numpy as np
 __all__ = [
     "MeanVector",
     "NoiseLevel",
-    "Observation",
     "ModelIndexSet",
     "SeedLike",
     "standard_normals",
@@ -91,25 +91,6 @@ class NoiseLevel:
 
 
 @dataclass(frozen=True)
-class Observation:
-    """One realization of the observation vector, with its noise level.
-
-    A block holds realizations as rows; every function taking an Observation
-    works row by row over the last axis.
-    """
-
-    values: np.ndarray
-    noise: NoiseLevel
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _frozen_array(self.values, float))
-
-    @property
-    def length(self) -> int:
-        return int(self.values.shape[-1])
-
-
-@dataclass(frozen=True)
 class ModelIndexSet:
     """Bounded set of candidate projection dimensions, kept strictly increasing."""
 
@@ -165,27 +146,27 @@ def standard_normals(seed: SeedLike, n: int) -> np.ndarray:
     return rng.standard_normal(n)
 
 
-def generate_observation(mu: MeanVector, sigma: NoiseLevel, seed: SeedLike) -> Observation:
+def generate_observation(mu: MeanVector, sigma: NoiseLevel, seed: SeedLike) -> np.ndarray:
     """Draw Y = mu + sigma * Z with Z i.i.d. standard normal (see standard_normals)."""
-    values = mu.coefficients + sigma.sigma * standard_normals(seed, mu.declared_length)
-    return Observation(values=values, noise=sigma)
+    return mu.coefficients + sigma.sigma * standard_normals(seed, mu.declared_length)
 
 
-def draw_observations(mu: MeanVector, sigma: NoiseLevel, seeds) -> Observation:
-    """A block of observations, one row per seed, each drawn as generate_observation draws it."""
-    rows = [generate_observation(mu, sigma, seed).values for seed in seeds]
-    return Observation(values=np.stack(rows), noise=sigma)
+def draw_observations(mu: MeanVector, sigma: NoiseLevel, seeds) -> np.ndarray:
+    """A (B, N) block of observations, one row per seed, each drawn by generate_observation."""
+    return np.stack([generate_observation(mu, sigma, seed) for seed in seeds])
 
 
-def true_projection_risk(mu: MeanVector, sigma: NoiseLevel, m: int) -> float:
+def true_projection_risk(mu: MeanVector, sigma: NoiseLevel, m) -> float | np.ndarray:
     """Exact risk of the projection estimator keeping the first m coordinates.
 
-    Equals the squared-bias tail beyond m plus the variance term sigma^2 * m.
+    Equals the squared-bias tail beyond m (zero beyond the support) plus the
+    variance term sigma^2 * m.  m is one model index or an array of them.
     """
-    m = int(m)
-    if m < 1:
+    m = np.asarray(m, dtype=np.int64)
+    if np.any(m < 1):
         raise ValueError("m must be >= 1")
-    return mu.tail_squared_norm(m) + sigma.variance * m
+    risk = mu.tail_squared_norms()[np.minimum(m, mu.declared_length)] + sigma.variance * m
+    return float(risk) if risk.ndim == 0 else risk
 
 
 def squared_loss(estimate: Sequence[float] | np.ndarray, mu: MeanVector) -> float | np.ndarray:

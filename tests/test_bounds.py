@@ -1,6 +1,7 @@
 """Tests for the drift functions, their inverses, entropy bounds, and budgets."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -83,6 +84,14 @@ class TestUStarAlpha:
         vals = [u_star_alpha(a) for a in grid]
         assert all(b > a for a, b in zip(vals, vals[1:]))
 
+    def test_finite_where_two_alpha_overflows(self):
+        # U*(alpha) = 1 - log(1 + 2 alpha) / (2 alpha) rises to 1; the log term
+        # stays finite although 2 alpha does not.
+        half = sys.float_info.max / 2.0
+        for a in (half, np.nextafter(half, math.inf), 1e308, sys.float_info.max):
+            assert u_star_alpha(a) == 1.0
+        assert u_star_alpha(1e300) == 1.0 - (math.log(2.0) + math.log(1e300)) / 2e300
+
 
 class TestInverses:
     def test_round_trip_through_alpha(self):
@@ -128,6 +137,19 @@ class TestEntropy:
     def test_direct_evaluation(self):
         w = WeightVector(ModelIndexSet.from_range(1, 2), np.array([0.75, 0.25]))
         assert entropy(w) == pytest.approx(0.5623351446188083, abs=1e-15)
+
+    def test_point_mass_is_positive_zero(self):
+        w = WeightVector(ModelIndexSet.from_range(1, 2), np.array([0.0, 1.0]))
+        assert math.copysign(1.0, entropy(w)) == 1.0
+
+    def test_block_gives_one_entropy_per_row(self):
+        M = ModelIndexSet.from_range(1, 3)
+        rows = np.array([[0.5, 0.5, 0.0], [1.0, 0.0, 0.0], [0.75, 0.0, 0.25]])
+        h = entropy(WeightVector(M, rows))
+        assert h.shape == (3,)
+        assert np.array_equal(h, [entropy(WeightVector(M, row)) for row in rows])
+        assert np.array_equal(h[:2], [math.log(2.0), 0.0])
+        assert math.copysign(1.0, h[1]) == 1.0
 
 
 class TestRRho:

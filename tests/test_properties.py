@@ -1,5 +1,5 @@
-"""Property tests for the risk profile, the weight kernels, the CLI's exit codes
-and the canonical text of model sets.
+"""Property tests for the risk profile, the weight kernels, the block pipeline,
+the CLI's exit codes and the canonical text of model sets.
 
 Examples are derandomized and no example database is written, so the suite
 stays deterministic and leaves nothing in the working tree.  Profiles are
@@ -9,6 +9,8 @@ integer-valued so that ties occur and so that shifts by an integer are exact.
 import atexit
 import contextlib
 import io
+import json
+import math
 import os
 import shutil
 import tempfile
@@ -20,8 +22,18 @@ from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from ewagg import cli
-from ewagg.estimators import RiskProfile, softmax_weights, ure_weights
-from ewagg.sequence_model import ModelIndexSet
+from ewagg.estimators import (
+    RiskProfile,
+    aggregate,
+    exponential_weights,
+    m_epsilon,
+    risk_profile,
+    softmax_weights,
+    unbiased_risk,
+    ure_weights,
+)
+from ewagg.montecarlo import LEMMA2_VARIANTS
+from ewagg.sequence_model import MeanVector, ModelIndexSet, NoiseLevel, squared_loss
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None)
 
@@ -127,6 +139,83 @@ def test_simulate_ends_in_a_documented_exit_without_warnings(coefficients, sigma
     if code == 2:
         assert stderr.getvalue().count("\n") == 1, stderr.getvalue()
         assert not wrote_outputs
+
+
+@st.composite
+def observation_blocks(draw):
+    """A gapped model set, a (B, N) observation block, sigma, a mean, m <= N and epsilon.
+
+    Up to 300 coordinates, so that a row of profile values or weights is long
+    enough for numpy to sum it pairwise.  The values come from a drawn seed.
+    """
+    rows = draw(st.integers(1, 6))
+    length = draw(st.integers(1, 300))
+    density = draw(st.floats(0.01, 1.0))
+    scale = draw(st.floats(1e-3, 1e3))
+    sigma = NoiseLevel(draw(st.floats(1e-3, 1e3)))
+    epsilon = draw(st.floats(1e-3, 0.999))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    keep = rng.random(length) < density
+    keep[rng.integers(length)] = True
+    models = ModelIndexSet(np.flatnonzero(keep) + 1)
+    block = scale * rng.standard_normal((rows, length))
+    mu = MeanVector(scale * rng.standard_normal(int(rng.integers(1, length + 1))))
+    m = int(rng.integers(1, length + 1))
+    return models, block, sigma, mu, m, epsilon
+
+
+@SETTINGS
+@given(observation_blocks())
+def test_block_rows_get_the_bits_of_the_row_alone(case):
+    models, block, sigma, mu, m, epsilon = case
+    profile = risk_profile(block, sigma, models)
+    weights = (ure_weights(profile), exponential_weights(profile, sigma))
+    estimates = [aggregate(block, w) for w in weights]
+    losses = [squared_loss(estimate, mu) for estimate in estimates]
+    for b, row in enumerate(block):
+        one = risk_profile(row, sigma, models)
+        assert np.array_equal(profile.values[b], one.values)
+        assert profile.min_value[b] == one.min_value
+        assert profile.argmin_index[b] == one.argmin_index
+        assert unbiased_risk(block, sigma, m)[b] == unbiased_risk(row, sigma, m)
+        assert m_epsilon(profile, sigma, epsilon)[b] == m_epsilon(one, sigma, epsilon)
+        single = (ure_weights(one), exponential_weights(one, sigma))
+        for w, w_one, estimate, loss in zip(weights, single, estimates, losses):
+            assert np.array_equal(w.weights[b], w_one.weights)
+            assert np.array_equal(estimate[b], aggregate(row, w_one))
+            assert loss[b] == squared_loss(aggregate(row, w_one), mu)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite number {name} in the output")
+
+
+@SETTINGS
+@given(st.floats(), st.sampled_from(LEMMA2_VARIANTS))
+@example(math.inf, "chi2_lower")
+@example(1e308, "chi2_lower")
+@example(math.inf, "linear")
+@example(1e-320, "chi2_upper")
+def test_lemma_check_reaches_a_verdict_for_any_alpha(alpha, which):
+    argv = [
+        "lemma-check", "--which", which, f"--alpha={alpha!r}", "--reps", "2", "--kmax", "3",
+        "--mu", "poly:beta=1,scale=1,N=5",
+    ]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with (
+        warnings.catch_warnings(record=True) as caught,
+        contextlib.redirect_stdout(stdout),
+        contextlib.redirect_stderr(stderr),
+    ):
+        warnings.simplefilter("always")
+        code = cli.main(argv)
+    assert code in (0, 1, 2), stderr.getvalue()
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], alpha
+    if code == 2:
+        assert stderr.getvalue().count("\n") == 1 and not stdout.getvalue()
+    else:
+        assert math.isfinite(alpha)
+        json.loads(stdout.getvalue(), parse_constant=_reject_constant)
 
 
 def scenario_digest(models_text):

@@ -74,22 +74,20 @@ class TestGenerateObservation:
         sig = NoiseLevel(1.0)
         a = generate_observation(mu, sig, 12345)
         b = generate_observation(mu, sig, 12345)
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
 
     def test_different_seeds_differ(self):
         mu = MeanVector(np.zeros(3))
         sig = NoiseLevel(1.0)
         a = generate_observation(mu, sig, 1)
         b = generate_observation(mu, sig, 2)
-        assert not np.array_equal(a.values, b.values)
+        assert not np.array_equal(a, b)
 
     def test_recorded_draw_for_fixed_seed(self):
         # Frozen reference draw; numpy guarantees Generator stream stability,
         # so a change here means the sampling path changed.
         obs = generate_observation(MeanVector(np.array([1.0, 2.0])), NoiseLevel(1.0), 42)
-        np.testing.assert_allclose(
-            obs.values, [1.3047170797544314, 0.9600158937595045], rtol=1e-15
-        )
+        np.testing.assert_allclose(obs, [1.3047170797544314, 0.9600158937595045], rtol=1e-15)
 
     def test_sequence_seed_addresses_substreams(self):
         mu = MeanVector(np.zeros(4))
@@ -97,17 +95,17 @@ class TestGenerateObservation:
         a = generate_observation(mu, sig, (7, 0, 3))
         b = generate_observation(mu, sig, (7, 0, 3))
         c = generate_observation(mu, sig, (7, 0, 4))
-        assert np.array_equal(a.values, b.values)
-        assert not np.array_equal(a.values, c.values)
+        assert np.array_equal(a, b)
+        assert not np.array_equal(a, c)
 
     def test_block_rows_are_the_single_draws(self):
         mu = MeanVector(np.linspace(1.0, 0.1, 7))
         sig = NoiseLevel(0.3)
         seeds = [(5, 1, rep) for rep in range(4)]
         block = draw_observations(mu, sig, seeds)
-        assert block.values.shape == (4, 7) and block.length == 7
-        for row, seed in zip(block.values, seeds):
-            assert np.array_equal(row, generate_observation(mu, sig, seed).values)
+        assert block.shape == (4, 7)
+        for row, seed in zip(block, seeds):
+            assert np.array_equal(row, generate_observation(mu, sig, seed))
 
     def test_law_of_large_numbers_on_coordinate_means(self):
         # Means over many independent seeds must approach mu at the MC rate.
@@ -116,7 +114,7 @@ class TestGenerateObservation:
         reps = 100_000
         total = np.zeros(2)
         for seed in range(reps):
-            total += generate_observation(mu, sig, (555, seed)).values
+            total += generate_observation(mu, sig, (555, seed))
         means = total / reps
         tol = 3.0 / np.sqrt(reps)
         assert abs(means[0] - 1.0) <= tol
@@ -142,6 +140,16 @@ class TestTrueProjectionRisk:
         mu = MeanVector(np.zeros(3))
         with pytest.raises(ValueError):
             true_projection_risk(mu, NoiseLevel(1.0), 0)
+
+    def test_index_array_gives_each_index_risk(self):
+        mu = MeanVector(np.array([1.0, 0.5, 0.25]))
+        sig = NoiseLevel(0.3)
+        m = np.array([1, 2, 3, 7])
+        risks = true_projection_risk(mu, sig, m)
+        assert np.array_equal(risks, [true_projection_risk(mu, sig, k) for k in m])
+        assert risks[3] == sig.variance * 7  # the tail beyond the support is 0
+        with pytest.raises(ValueError):
+            true_projection_risk(mu, sig, np.array([2, 0]))
 
     def test_strictly_increasing_beyond_support(self):
         mu = MeanVector(np.array([1.0, 0.5, 0.25]))
