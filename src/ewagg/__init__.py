@@ -15,8 +15,6 @@ from .sequence_model import (
     true_projection_risk,
 )
 from .estimators import (
-    RiskProfile,
-    WeightVector,
     aggregate,
     exponential_weights,
     m_epsilon,
@@ -61,8 +59,6 @@ __all__ = [
     "true_projection_risk",
     "squared_loss",
     "mean_vector_from_spec",
-    "RiskProfile",
-    "WeightVector",
     "projection_estimate",
     "unbiased_risk",
     "risk_profile",

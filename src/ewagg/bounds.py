@@ -15,7 +15,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .estimators import WeightVector
 from .sequence_model import NoiseLevel
 
 __all__ = [
@@ -108,8 +107,11 @@ def u_inverse(y: float) -> float:
     y = float(y)
     if not (math.isfinite(y) and y > 0.0):
         raise ValueError(f"u_inverse needs y > 0, got {y}")
-    lo = 1e-300
-    hi = 0.25
+    # a <= U(a) <= a / (1 - 2a) puts the root in [y / (1 + 2y), y], a bracket
+    # whose width scales with y, so bisection resolves a tiny root as finely as
+    # a large one.  From y = 1/2 on, the upper end walks to the pole instead.
+    lo = y / (1.0 + 2.0 * y)
+    hi = y if y < 0.5 else lo
     while u_alpha(hi) < y:
         hi = 0.5 * (hi + 0.5)  # approach the pole at 1/2 geometrically
     return _bisect_increasing(u_alpha, lo, hi, y)
@@ -120,19 +122,24 @@ def u_star_inverse(y: float) -> float:
     y = float(y)
     if not 0.0 < y < 1.0:
         raise ValueError(f"u_star_inverse needs 0 < y < 1, got {y}")
-    lo = 1e-300
-    hi = 1.0
+    # a / (1 + 2a) <= U*(a) <= a puts the root in [y, y / (1 - 2y)] (the lower
+    # bound is log(1 + x) <= x (2 + x) / (2 + 2x)).  From y = 1/2 on, the upper
+    # end doubles from 1 instead.
+    lo = y
+    hi = y / (1.0 - 2.0 * y) if y < 0.5 else 1.0
     while u_star_alpha(hi) < y:
         hi *= 2.0
     return _bisect_increasing(u_star_alpha, lo, hi, y)
 
 
-def entropy(w: WeightVector) -> float | np.ndarray:
+def entropy(w: np.ndarray) -> float | np.ndarray:
     """Shannon entropy (natural log) over the last axis; zero weights contribute 0.
 
-    A float for one weight row, an array with one entry per row for a block.
+    w is a weight array as ure_weights or exponential_weights return it.  The
+    result is a float for one weight row, an array with one entry per row for
+    a block.
     """
-    p = w.weights
+    p = np.asarray(w, dtype=float)
     p_log_p = p * np.log(p, out=np.zeros_like(p), where=p > 0.0)
     h = 0.0 - p_log_p.sum(axis=-1)  # 0 - 0 is +0, so a point mass gets +0.0, not -0.0
     return float(h) if h.ndim == 0 else h

@@ -7,10 +7,14 @@ all m, so every consumer here (argmin selection, softmax weighting,
 profile differences) is shift invariant.
 
 An observation Y is a float64 array: (N,) for one draw, (B, N) for a block
-with one draw per row.  Each formula has one implementation over the last
-axis, so a block and a single row get the same bits per row.  The profile and
-weight records hold either one row or a block of rows, so one call per block
-runs the whole pipeline over it.
+with one draw per row.  The pipeline passes plain float64 arrays between its
+steps: risk_profile gives the profile (..., #M) of risk estimates over a model
+index set M, ure_weights and exponential_weights turn a profile into weights
+of the same shape, and aggregate combines the projections of Y under them.
+Entry j of a profile or weight row belongs to model M.indices[j].  Each
+formula has one implementation over the last axis, so a block and a single
+row get the same bits per row, and one call per block runs the whole
+pipeline over it.
 
 Everything runs in float64.  numpy sums a contiguous row pairwise but a
 strided one sequentially, so the kernels that reduce along a row (the softmax
@@ -20,18 +24,12 @@ same bits whether it arrives alone, inside a block, or in a transposed view.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .sequence_model import ModelIndexSet, NoiseLevel, _frozen_array
+from .sequence_model import ModelIndexSet, NoiseLevel
 
 __all__ = [
     "profile_values",
-    "softmax_weights",
-    "suffix_weights",
-    "RiskProfile",
-    "WeightVector",
     "projection_estimate",
     "unbiased_risk",
     "risk_profile",
@@ -48,86 +46,6 @@ def profile_values(values: np.ndarray, variance: float, indices: np.ndarray) -> 
     # np.take keeps the result C-ordered; fancy indexing on the last axis of a
     # block returns an F-ordered array.
     return 2.0 * variance * indices - np.take(cum2, indices - 1, axis=-1)
-
-
-# float64 exp rounds to exactly 0 below log(2**-1075) = -745.13.  numpy's exp
-# is an order of magnitude slower on such inputs than on others, so the
-# softmax writes their zeros without calling it.
-_EXP_UNDERFLOW_CUT = -746.0
-
-
-def softmax_weights(profile: np.ndarray, variance: float) -> np.ndarray:
-    """Weights proportional to exp(-rbar / (4 sigma^2)) over each profile row."""
-    # Max-shift before exponentiating: the largest exponent is exactly 0, so the
-    # row sum is >= 1 and can neither overflow nor vanish.  Extreme spreads
-    # underflow to exact zeros, which is the intended saturation; an exponent
-    # that overflows to -inf saturates the same way, so that overflow is not an
-    # error.  The exponents are made C-contiguous so that every row sum takes
-    # numpy's pairwise path and a row gets the same bits in any block layout.
-    with np.errstate(over="ignore"):
-        exponents = np.ascontiguousarray(
-            -(profile - profile.min(axis=-1, keepdims=True)) / (4.0 * variance)
-        )
-    expd = np.exp(exponents, out=np.zeros_like(exponents), where=exponents > _EXP_UNDERFLOW_CUT)
-    return expd / expd.sum(axis=-1, keepdims=True)
-
-
-def suffix_weights(indices: np.ndarray, weights: np.ndarray, length: int) -> np.ndarray:
-    """Per-coordinate scale of the aggregate: total weight of the models with m >= i."""
-    # Scatter each model's weight to coordinate m, then one reversed cumulative
-    # sum gives every suffix in O(N) per row.  The cumsum is sequential and the
-    # added entries are exact zeros, so each suffix has the bits of the sum
-    # over the models alone.
-    dense = np.zeros(weights.shape[:-1] + (max(length, int(indices[-1])),))
-    dense[..., indices - 1] = weights
-    return np.cumsum(dense[..., ::-1], axis=-1)[..., ::-1][..., :length]
-
-
-@dataclass(frozen=True)
-class RiskProfile:
-    """Unbiased risk estimates aligned with a model index set (one row, or rows of a block).
-
-    min_value and argmin_index are derived from the values: argmin_index is
-    the smallest model index attaining the minimum.  For a block they are
-    arrays with one entry per row.
-    """
-
-    models: ModelIndexSet
-    values: np.ndarray
-    min_value: float | np.ndarray = field(init=False)
-    argmin_index: int | np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.shape[-1:] != self.models.indices.shape:
-            raise ValueError("profile values must align with the model index set")
-        min_value = values.min(axis=-1)
-        argmin_index = self.models.indices[np.argmin(values, axis=-1)]  # first occurrence
-        if values.ndim == 1:
-            min_value, argmin_index = float(min_value), int(argmin_index)
-        object.__setattr__(self, "values", _frozen_array(values, float))
-        object.__setattr__(self, "min_value", min_value)
-        object.__setattr__(self, "argmin_index", argmin_index)
-
-
-@dataclass(frozen=True)
-class WeightVector:
-    """Point on the probability simplex over a model index set (one per row of a block)."""
-
-    models: ModelIndexSet
-    weights: np.ndarray
-
-    _SUM_TOL = 1e-12
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        if w.shape[-1:] != self.models.indices.shape:
-            raise ValueError("weights must align with the model index set")
-        if np.any(w < 0.0) or not np.all(np.isfinite(w)):
-            raise ValueError("weights must be finite and nonnegative")
-        if np.any(np.abs(w.sum(axis=-1) - 1.0) > self._SUM_TOL):
-            raise ValueError(f"weights must sum to 1 within {self._SUM_TOL}")
-        object.__setattr__(self, "weights", _frozen_array(w, float))
 
 
 def projection_estimate(Y: np.ndarray, m: int) -> np.ndarray:
@@ -156,43 +74,74 @@ def unbiased_risk(Y: np.ndarray, sigma: NoiseLevel, m: int) -> float | np.ndarra
     return float(values) if values.ndim == 0 else values
 
 
-def risk_profile(Y: np.ndarray, sigma: NoiseLevel, M: ModelIndexSet) -> RiskProfile:
-    """Unbiased risk estimates over all m in M, with the argmin selection."""
+def risk_profile(Y: np.ndarray, sigma: NoiseLevel, M: ModelIndexSet) -> np.ndarray:
+    """Unbiased risk estimates rbar(Y, m) for every m in M, shape (..., #M)."""
     Y = np.asarray(Y, dtype=float)
     if M.max_index > Y.shape[-1]:
         raise ValueError(
             f"max model index {M.max_index} exceeds the observation length {Y.shape[-1]}"
         )
-    return RiskProfile(M, profile_values(Y, sigma.variance, M.indices))
+    return profile_values(Y, sigma.variance, M.indices)
 
 
-def ure_weights(profile: RiskProfile) -> WeightVector:
-    """Atomic weights: all mass on the profile's argmin model."""
-    chosen = profile.models.indices == np.asarray(profile.argmin_index)[..., None]
-    return WeightVector(models=profile.models, weights=chosen.astype(float))
+def ure_weights(profile: np.ndarray) -> np.ndarray:
+    """Atomic weights: all mass on each row's argmin, the smallest model on ties."""
+    profile = np.asarray(profile, dtype=float)
+    chosen = np.arange(profile.shape[-1]) == np.argmin(profile, axis=-1)[..., None]
+    return chosen.astype(float)
 
 
-def exponential_weights(profile: RiskProfile, sigma: NoiseLevel) -> WeightVector:
-    """Softmax weights proportional to exp(-rbar / (4 sigma^2))."""
-    w = softmax_weights(profile.values, sigma.variance)
-    return WeightVector(models=profile.models, weights=w)
+# float64 exp rounds to exactly 0 below log(2**-1075) = -745.13.  numpy's exp
+# is an order of magnitude slower on such inputs than on others, so the
+# softmax writes their zeros without calling it.
+_EXP_UNDERFLOW_CUT = -746.0
 
 
-def aggregate(Y: np.ndarray, w: WeightVector) -> np.ndarray:
-    """Convex combination of the projections of Y over w's models, through suffix sums."""
+def exponential_weights(profile: np.ndarray, sigma: NoiseLevel) -> np.ndarray:
+    """Softmax weights proportional to exp(-rbar / (4 sigma^2)) over each profile row."""
+    profile = np.asarray(profile, dtype=float)
+    # Max-shift before exponentiating: the largest exponent is exactly 0, so the
+    # row sum is >= 1 and can neither overflow nor vanish.  Extreme spreads
+    # underflow to exact zeros, which is the intended saturation; an exponent
+    # that overflows to -inf saturates the same way, so that overflow is not an
+    # error.  The exponents are made C-contiguous so that every row sum takes
+    # numpy's pairwise path and a row gets the same bits in any block layout.
+    with np.errstate(over="ignore"):
+        exponents = np.ascontiguousarray(
+            -(profile - profile.min(axis=-1, keepdims=True)) / (4.0 * sigma.variance)
+        )
+    expd = np.exp(exponents, out=np.zeros_like(exponents), where=exponents > _EXP_UNDERFLOW_CUT)
+    return expd / expd.sum(axis=-1, keepdims=True)
+
+
+def aggregate(Y: np.ndarray, M: ModelIndexSet, w: np.ndarray) -> np.ndarray:
+    """Convex combination sum_m w_m P_m Y of the projections of Y over the models in M."""
     Y = np.asarray(Y, dtype=float)
-    return Y * suffix_weights(w.models.indices, w.weights, Y.shape[-1])
+    w = np.asarray(w, dtype=float)
+    if w.shape[-1:] != M.indices.shape:
+        raise ValueError("weights must align with the model index set")
+    # Coordinate i of the aggregate is Y_i times the total weight of the models
+    # with m >= i.  Scatter each model's weight to coordinate m, then one
+    # reversed cumulative sum gives every suffix in O(N) per row.  The cumsum is
+    # sequential and the added entries are exact zeros, so each suffix has the
+    # bits of the sum over the models alone.
+    length = Y.shape[-1]
+    dense = np.zeros(w.shape[:-1] + (max(length, M.max_index),))
+    dense[..., M.indices - 1] = w
+    return Y * np.cumsum(dense[..., ::-1], axis=-1)[..., ::-1][..., :length]
 
 
 def m_epsilon(
-    profile: RiskProfile,
+    profile: np.ndarray,
+    M: ModelIndexSet,
     sigma: NoiseLevel,
     epsilon: float,
     center: float | None = None,
 ) -> int | np.ndarray:
     """Largest model whose risk estimate stays under the linear-in-m envelope.
 
-    Returns max{m in M : rbar(m) - center <= 4 epsilon sigma^2 (m - mhat) + 4 sigma^2}.
+    Returns max{m in M : rbar(m) - center <= 4 epsilon sigma^2 (m - mhat) + 4 sigma^2},
+    where mhat is the argmin model of the profile (the smallest on ties).
     With the default centering at the profile minimum the set always contains
     mhat, so the scan is well defined.  A custom center (for diagnostics that
     compare against an externally computed risk level) may empty the set, in
@@ -201,12 +150,15 @@ def m_epsilon(
     epsilon = float(epsilon)
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie strictly between 0 and 1")
-    values, indices, variance = profile.values, profile.models.indices, sigma.variance
+    profile = np.asarray(profile, dtype=float)
+    if profile.shape[-1:] != M.indices.shape:
+        raise ValueError("the profile must align with the model index set")
+    indices, variance = M.indices, sigma.variance
     if center is None:
-        center = values.min(axis=-1, keepdims=True)
-    mhat = np.asarray(profile.argmin_index)
+        center = profile.min(axis=-1, keepdims=True)
+    mhat = indices[np.argmin(profile, axis=-1)]
     envelope = 4.0 * epsilon * variance * (indices - mhat[..., None]) + 4.0 * variance
-    admissible = (values - center) <= envelope
+    admissible = (profile - center) <= envelope
     last = indices.size - 1 - np.argmax(admissible[..., ::-1], axis=-1)
     index = np.where(admissible.any(axis=-1), indices[last], mhat)
     return int(index) if index.ndim == 0 else index

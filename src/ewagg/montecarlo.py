@@ -185,7 +185,7 @@ def _replicate_losses(config: ScenarioConfig) -> dict[str, np.ndarray]:
         profile = risk_profile(obs, config.sigma, models)
         weights = {"URE": ure_weights(profile), "EW": exponential_weights(profile, config.sigma)}
         for name, w in weights.items():
-            losses[name][reps] = squared_loss(aggregate(obs, w), mu)
+            losses[name][reps] = squared_loss(aggregate(obs, models, w), mu)
     return losses
 
 
@@ -375,16 +375,16 @@ def m_epsilon_budget(oracle_value: float, sigma: NoiseLevel, epsilon: float) -> 
 def m_epsilon_study(config: ScenarioConfig, epsilon: float) -> MEpsilonReport:
     """MC estimate of the expected envelope index under both centerings."""
     epsilon = float(epsilon)
-    mu = config.mu
-    report = oracle_risk(mu, config.sigma, config.models)
-    budget = m_epsilon_budget(report.oracle_risk, config.sigma, epsilon)  # checks epsilon
+    mu, sigma, models = config.mu, config.sigma, config.models
+    report = oracle_risk(mu, sigma, models)
+    budget = m_epsilon_budget(report.oracle_risk, sigma, epsilon)  # checks epsilon
     by_profile = np.empty(config.replicates)
     by_oracle = np.empty(config.replicates)
     prefix = (config.base_seed, _stable_key(config.scenario_id))
-    for reps, obs in _observation_blocks(mu, config.sigma, config.replicates, prefix):
-        profile = risk_profile(obs, config.sigma, config.models)
-        by_profile[reps] = m_epsilon(profile, config.sigma, epsilon)
-        by_oracle[reps] = m_epsilon(profile, config.sigma, epsilon, report.oracle_risk)
+    for reps, obs in _observation_blocks(mu, sigma, config.replicates, prefix):
+        profile = risk_profile(obs, sigma, models)
+        by_profile[reps] = m_epsilon(profile, models, sigma, epsilon)
+        by_oracle[reps] = m_epsilon(profile, models, sigma, epsilon, report.oracle_risk)
     return MEpsilonReport(
         epsilon=epsilon,
         profile_centered=RiskEstimate.from_samples(by_profile),

@@ -7,16 +7,12 @@ import pytest
 
 from ewagg import estimators
 from ewagg.estimators import (
-    RiskProfile,
-    WeightVector,
     aggregate,
     exponential_weights,
     m_epsilon,
     profile_values,
     projection_estimate,
     risk_profile,
-    softmax_weights,
-    suffix_weights,
     unbiased_risk,
     ure_weights,
 )
@@ -59,7 +55,7 @@ class TestUnbiasedRisk:
         for _ in range(20):
             y = rng.normal(0.0, 3.0, size=40)
             sigma = NoiseLevel(float(rng.uniform(0.1, 2.0)))
-            profile = risk_profile(y, sigma, M).values
+            profile = risk_profile(y, sigma, M)
             assert [unbiased_risk(y, sigma, m) for m in M] == profile.tolist()
 
     def test_m_beyond_support_rejected(self):
@@ -81,22 +77,44 @@ class TestUnbiasedRisk:
         assert abs(vals.mean() - target) <= 4.0 * se
 
 
+def argmin_model(profile, M):
+    """The argmin model as m_epsilon reports it, per row.
+
+    A center far below every value empties the envelope, so m_epsilon falls
+    back to the argmin model.
+    """
+    return m_epsilon(profile, M, SIGMA1, 0.1, center=-1e9)
+
+
+def default_center_is(profile, M, value):
+    """Whether m_epsilon's default center is value, at every epsilon tried."""
+    return all(
+        m_epsilon(profile, M, SIGMA1, eps) == m_epsilon(profile, M, SIGMA1, eps, center=value)
+        for eps in (0.05, 0.5, 0.95)
+    )
+
+
 class TestRiskProfile:
     def test_direct_arithmetic(self):
-        prof = risk_profile([3.0, 0.1], SIGMA1, ModelIndexSet.from_range(1, 2))
-        np.testing.assert_allclose(prof.values, [-7.0, -5.01])
-        assert prof.argmin_index == 1
-        assert prof.min_value == -7.0
+        M = ModelIndexSet.from_range(1, 2)
+        prof = risk_profile([3.0, 0.1], SIGMA1, M)
+        np.testing.assert_allclose(prof, [-7.0, -5.01])
+        assert np.array_equal(ure_weights(prof), [1.0, 0.0])
+        assert argmin_model(prof, M) == 1
+        assert default_center_is(prof, M, -7.0)
 
     def test_zero_data(self):
-        prof = risk_profile([0.0, 0.0], SIGMA1, ModelIndexSet.from_range(1, 2))
-        np.testing.assert_allclose(prof.values, [2.0, 4.0])
-        assert prof.argmin_index == 1
+        M = ModelIndexSet.from_range(1, 2)
+        prof = risk_profile([0.0, 0.0], SIGMA1, M)
+        np.testing.assert_allclose(prof, [2.0, 4.0])
+        assert argmin_model(prof, M) == 1
 
     def test_tie_breaks_toward_smallest_m(self):
-        prof = RiskProfile(ModelIndexSet.from_range(1, 2), [3.0, 3.0])
-        assert prof.argmin_index == 1
-        assert prof.min_value == 3.0
+        M = ModelIndexSet.from_range(1, 2)
+        prof = np.array([3.0, 3.0])
+        assert np.array_equal(ure_weights(prof), [1.0, 0.0])
+        assert argmin_model(prof, M) == 1
+        assert default_center_is(prof, M, 3.0)
 
     def test_requires_support(self):
         with pytest.raises(ValueError):
@@ -105,35 +123,27 @@ class TestRiskProfile:
 
 class TestUreWeights:
     def test_point_mass_on_argmin(self):
-        prof = RiskProfile(ModelIndexSet.from_range(1, 2), [3.0, 5.0])
-        np.testing.assert_allclose(ure_weights(prof).weights, [1.0, 0.0])
+        np.testing.assert_allclose(ure_weights([3.0, 5.0]), [1.0, 0.0])
 
     def test_argmin_in_last_position(self):
-        prof = RiskProfile(ModelIndexSet.from_range(1, 3), [3.0, 2.0, 1.0])
-        np.testing.assert_allclose(ure_weights(prof).weights, [0.0, 0.0, 1.0])
+        np.testing.assert_allclose(ure_weights([3.0, 2.0, 1.0]), [0.0, 0.0, 1.0])
 
     def test_all_ties_pick_smallest(self):
-        prof = RiskProfile(ModelIndexSet.from_range(1, 3), [2.0, 2.0, 2.0])
-        np.testing.assert_allclose(ure_weights(prof).weights, [1.0, 0.0, 0.0])
+        np.testing.assert_allclose(ure_weights([2.0, 2.0, 2.0]), [1.0, 0.0, 0.0])
 
 
 class TestExponentialWeights:
     def test_equal_values_give_uniform(self):
-        prof = RiskProfile(ModelIndexSet.from_range(1, 2), [5.0, 5.0])
-        np.testing.assert_allclose(exponential_weights(prof, SIGMA1).weights, [0.5, 0.5])
+        np.testing.assert_allclose(exponential_weights([5.0, 5.0], SIGMA1), [0.5, 0.5])
 
     def test_closed_form_ratio(self):
         # Values (0, 4 sigma^2 ln 3) put weights (3/4, 1/4).
-        prof = RiskProfile(
-            ModelIndexSet.from_range(1, 2), [0.0, 4.0 * np.log(3.0)]
-        )
         np.testing.assert_allclose(
-            exponential_weights(prof, SIGMA1).weights, [0.75, 0.25], atol=1e-15
+            exponential_weights([0.0, 4.0 * np.log(3.0)], SIGMA1), [0.75, 0.25], atol=1e-15
         )
 
     def test_extreme_spread_saturates_cleanly(self):
-        prof = RiskProfile(ModelIndexSet.from_range(1, 3), [0.0, 1e6, 2e6])
-        w = exponential_weights(prof, SIGMA1).weights
+        w = exponential_weights([0.0, 1e6, 2e6], SIGMA1)
         np.testing.assert_array_equal(w, [1.0, 0.0, 0.0])
         assert np.all(np.isfinite(w))
 
@@ -142,33 +152,29 @@ class TestExponentialWeights:
         # shifted profile is exactly representable; the weights then must
         # match far inside the 1e-12 contract.
         rng = np.random.default_rng(7)
-        M = ModelIndexSet.from_range(1, 12)
         for shift in [1.0, 2.0**10, 2.0**16, 2.0**19, 2.0**20]:
             raw = rng.uniform(-50.0, 50.0, size=12)
             vals = np.round(raw * 2.0**20) / 2.0**20
-            w0 = exponential_weights(RiskProfile(M, vals), SIGMA1).weights
-            w1 = exponential_weights(RiskProfile(M, vals + shift), SIGMA1).weights
+            w0 = exponential_weights(vals, SIGMA1)
+            w1 = exponential_weights(vals + shift, SIGMA1)
             assert np.max(np.abs(w0 - w1)) <= 1e-12
 
     def test_argmax_weight_is_profile_argmin(self):
         rng = np.random.default_rng(11)
-        M = ModelIndexSet.from_range(1, 20)
         for _ in range(100):
             vals = rng.normal(0.0, 30.0, size=20)
-            prof = RiskProfile(M, vals)
-            w = exponential_weights(prof, SIGMA1).weights
+            w = exponential_weights(vals, SIGMA1)
             assert np.argmax(w) == np.argmin(vals)
 
     def test_matches_direct_softmax(self):
         # Independent oracle: normalize exponentials directly.
         rng = np.random.default_rng(3)
-        M = ModelIndexSet.from_range(1, 8)
         sig = NoiseLevel(0.7)
         for _ in range(50):
             vals = rng.normal(0.0, 5.0, size=8)
             expected = np.exp(-vals / (4.0 * sig.variance))
             expected /= expected.sum()
-            got = exponential_weights(RiskProfile(M, vals), sig).weights
+            got = exponential_weights(vals, sig)
             np.testing.assert_allclose(got, expected, rtol=1e-12)
 
     def test_underflow_cut_keeps_the_plain_exp_bits(self):
@@ -184,7 +190,7 @@ class TestExponentialWeights:
         )
         profile = -exponents  # variance 1/4: the softmax forms exactly these exponents
         plain = np.exp(exponents)
-        assert np.array_equal(softmax_weights(profile, 0.25), plain / plain.sum())
+        assert np.array_equal(exponential_weights(profile, NoiseLevel(0.5)), plain / plain.sum())
 
     def test_exp_is_zero_at_and_below_the_cut(self):
         # The cut is only exact while this build's exp rounds to 0 there.
@@ -202,35 +208,29 @@ class TestExponentialWeights:
         profile = profile_values(y, sig.variance, M.indices)
         exps = np.exp(-(profile - profile.min()).astype(np.longdouble) / (4.0 * sig.variance))
         expected = np.asarray(exps / math.fsum(exps.astype(float)), dtype=float)
-        got = softmax_weights(profile, sig.variance)
+        got = exponential_weights(profile, sig)
         # Relative accuracy down to the smallest normal float; below it only
         # absolute accuracy is meaningful.
         np.testing.assert_allclose(got, expected, rtol=1e-13, atol=1e-13 * np.finfo(float).tiny)
         assert abs(math.fsum(got) - 1.0) <= 1e-12
 
 
-class TestWeightVector:
-    def test_simplex_validation(self):
-        M = ModelIndexSet.from_range(1, 2)
-        with pytest.raises(ValueError):
-            WeightVector(models=M, weights=np.array([0.5, 0.6]))
-        with pytest.raises(ValueError):
-            WeightVector(models=M, weights=np.array([-0.1, 1.1]))
-        with pytest.raises(ValueError):
-            WeightVector(models=M, weights=np.array([1.0]))
-
-
 class TestAggregate:
     def test_degenerate_weights_give_projection(self):
         y = [3.0, 1.0, 4.0]
         M = ModelIndexSet(np.array([2, 3]))
-        w = WeightVector(models=M, weights=np.array([1.0, 0.0]))
-        np.testing.assert_array_equal(aggregate(y, w), projection_estimate(y, 2))
+        np.testing.assert_array_equal(aggregate(y, M, [1.0, 0.0]), projection_estimate(y, 2))
 
     def test_direct_weighted_sum(self):
         M = ModelIndexSet.from_range(1, 2)
-        w = WeightVector(models=M, weights=np.array([0.5, 0.5]))
-        np.testing.assert_allclose(aggregate([2.0, 2.0], w), [2.0, 1.0])
+        np.testing.assert_allclose(aggregate([2.0, 2.0], M, [0.5, 0.5]), [2.0, 1.0])
+
+    def test_rejects_misaligned_weights(self):
+        M = ModelIndexSet.from_range(1, 2)
+        with pytest.raises(ValueError):
+            aggregate([2.0, 2.0], M, [1.0])
+        with pytest.raises(ValueError):
+            aggregate([[2.0, 2.0], [1.0, 1.0]], M, [[0.2, 0.3, 0.5], [1.0, 0.0, 0.0]])
 
     def test_matches_literal_combination(self):
         # Suffix-sum route equals the O(#M * N) sum of weighted projections.
@@ -242,11 +242,11 @@ class TestAggregate:
             M = ModelIndexSet(indices)
             y = rng.normal(size=n)
             raw = rng.uniform(0.1, 1.0, size=k)
-            w = WeightVector(models=M, weights=raw / raw.sum())
+            w = raw / raw.sum()
             literal = np.zeros(n)
-            for weight, m in zip(w.weights, M):
+            for weight, m in zip(w, M):
                 literal += weight * projection_estimate(y, m)
-            np.testing.assert_allclose(aggregate(y, w), literal, atol=1e-12)
+            np.testing.assert_allclose(aggregate(y, M, w), literal, atol=1e-12)
 
     def test_convexity_bounds_each_coordinate(self):
         rng = np.random.default_rng(6)
@@ -254,8 +254,7 @@ class TestAggregate:
             y = rng.normal(size=15)
             M = ModelIndexSet(np.array([1, 4, 9, 15]))
             raw = rng.uniform(0.0, 1.0, size=4) + 1e-9
-            w = WeightVector(models=M, weights=raw / raw.sum())
-            agg = aggregate(y, w)
+            agg = aggregate(y, M, raw / raw.sum())
             assert np.all(np.abs(agg) <= np.abs(y) + 1e-15)
 
     @pytest.mark.parametrize(
@@ -270,26 +269,25 @@ class TestAggregate:
         rng = np.random.default_rng(12)
         M = ModelIndexSet(np.array(indices))
         raw = rng.uniform(0.0, 1.0, size=(4, len(indices)))
-        w = WeightVector(models=M, weights=raw / raw.sum(axis=-1, keepdims=True))
+        w = raw / raw.sum(axis=-1, keepdims=True)
         y = rng.normal(size=(4, length))
         naive = np.zeros((4, length))
         for b in range(4):
             for i in range(1, length + 1):
                 total = 0.0
-                for m, weight in zip(reversed(indices), w.weights[b][::-1]):
+                for m, weight in zip(reversed(indices), w[b][::-1]):
                     if m >= i:
                         total += weight
                 naive[b, i - 1] = total
-        assert np.array_equal(suffix_weights(M.indices, w.weights, length), naive)
-        assert np.array_equal(aggregate(y, w), y * naive)
+        assert np.array_equal(aggregate(y, M, w), y * naive)
 
     def test_dominant_model_drives_aggregate(self):
         # When one risk value sits far below the rest, the exponential-weight
         # aggregate collapses onto that projection coordinatewise.
         y = [1.0, 2.0, 3.0, 4.0]
-        prof = RiskProfile(ModelIndexSet.from_range(1, 4), [500.0, 0.0, 500.0, 500.0])
-        w = exponential_weights(prof, SIGMA1)
-        np.testing.assert_allclose(aggregate(y, w), projection_estimate(y, 2), atol=1e-20)
+        M = ModelIndexSet.from_range(1, 4)
+        w = exponential_weights([500.0, 0.0, 500.0, 500.0], SIGMA1)
+        np.testing.assert_allclose(aggregate(y, M, w), projection_estimate(y, 2), atol=1e-20)
 
 
 class TestMEpsilon:
@@ -297,23 +295,28 @@ class TestMEpsilon:
         rng = np.random.default_rng(8)
         M = ModelIndexSet.from_range(1, 30)
         for _ in range(100):
-            prof = RiskProfile(M, rng.normal(0, 10, size=30))
-            assert m_epsilon(prof, SIGMA1, 0.1) >= prof.argmin_index
+            prof = rng.normal(0, 10, size=30)
+            assert m_epsilon(prof, M, SIGMA1, 0.1) >= M.indices[np.argmin(prof)]
 
     def test_constant_profile_reaches_the_top(self):
-        prof = RiskProfile(ModelIndexSet.from_range(1, 10), np.full(10, 3.0))
-        assert m_epsilon(prof, SIGMA1, 0.1) == 10
+        assert m_epsilon(np.full(10, 3.0), ModelIndexSet.from_range(1, 10), SIGMA1, 0.1) == 10
 
     def test_direct_scan_example(self):
-        prof = RiskProfile(ModelIndexSet.from_range(1, 3), [0.0, 9.0, 100.0])
-        assert m_epsilon(prof, SIGMA1, 0.25) == 1
+        assert m_epsilon([0.0, 9.0, 100.0], ModelIndexSet.from_range(1, 3), SIGMA1, 0.25) == 1
 
     def test_epsilon_domain(self):
-        prof = RiskProfile(ModelIndexSet.from_range(1, 2), [0.0, 1.0])
+        M = ModelIndexSet.from_range(1, 2)
         with pytest.raises(ValueError):
-            m_epsilon(prof, SIGMA1, 0.0)
+            m_epsilon([0.0, 1.0], M, SIGMA1, 0.0)
         with pytest.raises(ValueError):
-            m_epsilon(prof, SIGMA1, 1.0)
+            m_epsilon([0.0, 1.0], M, SIGMA1, 1.0)
+
+    def test_rejects_misaligned_profile(self):
+        M = ModelIndexSet.from_range(1, 2)
+        with pytest.raises(ValueError):
+            m_epsilon([0.0], M, SIGMA1, 0.1)
+        with pytest.raises(ValueError):
+            m_epsilon([[0.0, 1.0, 2.0], [2.0, 1.0, 0.0]], M, SIGMA1, 0.1)
 
     def test_matches_brute_force_scan(self):
         # Library result equals a literal loop over the defining inequality.
@@ -325,26 +328,26 @@ class TestMEpsilon:
             vals = rng.normal(0.0, 20.0, size=size)
             sig = NoiseLevel(float(rng.uniform(0.2, 3.0)))
             eps = float(rng.uniform(0.01, 0.9))
-            prof = RiskProfile(M, vals)
+            mhat, low = list(M)[int(np.argmin(vals))], vals.min()
             best = None
-            for m, value in zip(M, prof.values):
-                rhs = 4 * eps * sig.variance * (m - prof.argmin_index) + 4 * sig.variance
-                if value - prof.min_value <= rhs:
+            for m, value in zip(M, vals):
+                rhs = 4 * eps * sig.variance * (m - mhat) + 4 * sig.variance
+                if value - low <= rhs:
                     best = m
-            assert m_epsilon(prof, sig, eps) == best
+            assert m_epsilon(vals, M, sig, eps) == best
 
     def test_nondecreasing_in_epsilon(self):
         rng = np.random.default_rng(10)
         M = ModelIndexSet.from_range(1, 40)
         for _ in range(50):
-            prof = RiskProfile(M, rng.normal(0, 15, size=40))
-            results = [m_epsilon(prof, SIGMA1, e) for e in (0.05, 0.2, 0.5, 0.9)]
+            prof = rng.normal(0, 15, size=40)
+            results = [m_epsilon(prof, M, SIGMA1, e) for e in (0.05, 0.2, 0.5, 0.9)]
             assert all(b >= a for a, b in zip(results, results[1:]))
 
     def test_custom_center_falls_back_to_argmin_when_empty(self):
-        prof = RiskProfile(ModelIndexSet.from_range(1, 3), [10.0, 20.0, 30.0])
+        M = ModelIndexSet.from_range(1, 3)
         # Center far below every value empties the admissible set.
-        assert m_epsilon(prof, SIGMA1, 0.1, center=-1e9) == prof.argmin_index
+        assert m_epsilon([10.0, 20.0, 30.0], M, SIGMA1, 0.1, center=-1e9) == 1
 
 
 class TestBlocks:
@@ -362,24 +365,20 @@ class TestBlocks:
             values = rng.normal(0.0, 2.0, size=(6, length))
             profile = risk_profile(values, sigma, M)
             weights = {"URE": ure_weights(profile), "EW": exponential_weights(profile, sigma)}
-            f_ordered = softmax_weights(np.asfortranarray(profile.values), sigma.variance)
+            f_ordered = exponential_weights(np.asfortranarray(profile), sigma)
             for b, row in enumerate(values):
                 one = risk_profile(row, sigma, M)
-                assert np.array_equal(profile.values[b], one.values)
-                assert profile.min_value[b] == one.min_value
-                assert profile.argmin_index[b] == one.argmin_index
+                assert np.array_equal(profile[b], one)
+                assert argmin_model(profile, M)[b] == argmin_model(one, M)
                 assert unbiased_risk(values, sigma, 9)[b] == unbiased_risk(row, sigma, 9)
                 assert np.array_equal(projection_estimate(values, 5)[b], projection_estimate(row, 5))
-                assert m_epsilon(profile, sigma, 0.1)[b] == m_epsilon(one, sigma, 0.1)
-                assert np.array_equal(f_ordered[b], softmax_weights(one.values, sigma.variance))
+                assert m_epsilon(profile, M, sigma, 0.1)[b] == m_epsilon(one, M, sigma, 0.1)
+                assert np.array_equal(f_ordered[b], exponential_weights(one, sigma))
                 for name, w_one in (
                     ("URE", ure_weights(one)),
                     ("EW", exponential_weights(one, sigma)),
                 ):
-                    assert np.array_equal(weights[name].weights[b], w_one.weights)
-                    assert np.array_equal(aggregate(values, weights[name])[b], aggregate(row, w_one))
-
-    def test_block_validation_checks_every_row(self):
-        M = ModelIndexSet.from_range(1, 2)
-        with pytest.raises(ValueError):
-            WeightVector(models=M, weights=np.array([[0.5, 0.5], [0.5, 0.6]]))
+                    assert np.array_equal(weights[name][b], w_one)
+                    assert np.array_equal(
+                        aggregate(values, M, weights[name])[b], aggregate(row, M, w_one)
+                    )

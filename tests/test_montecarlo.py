@@ -129,8 +129,8 @@ class TestMcRisk:
         for rep in range(cfg.replicates):
             obs = generate_observation(mu, cfg.sigma, (cfg.base_seed, key, rep))
             profile = risk_profile(obs, cfg.sigma, cfg.models)
-            ure_est = aggregate(obs, ure_weights(profile))
-            ew_est = aggregate(obs, exponential_weights(profile, cfg.sigma))
+            ure_est = aggregate(obs, cfg.models, ure_weights(profile))
+            ew_est = aggregate(obs, cfg.models, exponential_weights(profile, cfg.sigma))
             assert losses["URE"][rep] == squared_loss(ure_est, mu)
             assert losses["EW"][rep] == squared_loss(ew_est, mu)
 

@@ -1,5 +1,5 @@
 """Property tests for the risk profile, the weight kernels, the block pipeline,
-the CLI's exit codes and the canonical text of model sets.
+the minimizer of psi, the CLI's exit codes and the canonical text of model sets.
 
 Examples are derandomized and no example database is written, so the suite
 stays deterministic and leaves nothing in the working tree.  Profiles are
@@ -22,13 +22,12 @@ from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
 
 from ewagg import cli
+from ewagg.bounds import PSI_EPSILON_HI, PSI_EPSILON_LO, psi
 from ewagg.estimators import (
-    RiskProfile,
     aggregate,
     exponential_weights,
     m_epsilon,
     risk_profile,
-    softmax_weights,
     unbiased_risk,
     ure_weights,
 )
@@ -67,20 +66,28 @@ def integer_profiles(draw, spread=20):
     return models, np.array(values, dtype=float)
 
 
-variances = st.floats(0.01, 100.0)
+sigmas = st.floats(0.1, 10.0).map(NoiseLevel)
+SIGMA1 = NoiseLevel(1.0)
+
+
+def argmin_model(profile, models):
+    """m_epsilon's argmin model: a center below every value empties the envelope."""
+    return m_epsilon(profile, models, SIGMA1, 0.5, center=-1e9)
 
 
 @SETTINGS
 @given(integer_profiles())
 def test_block_minima_are_the_first_occurrence_scan(case):
     models, block = case
-    profile = RiskProfile(models, block)
+    by_block = argmin_model(block, models)
+    centered = m_epsilon(block, models, SIGMA1, 0.5)
     for b, row in enumerate(block):
         first = first_minimum(row)
-        assert profile.min_value[b] == row[first]
-        assert profile.argmin_index[b] == models.indices[first]
-        one = RiskProfile(models, row)
-        assert (one.min_value, one.argmin_index) == (row[first], models.indices[first])
+        # The default center is the row minimum, and the argmin its first occurrence.
+        assert centered[b] == m_epsilon(row, models, SIGMA1, 0.5, center=row[first])
+        assert by_block[b] == models.indices[first]
+        assert argmin_model(row, models) == models.indices[first]
+        assert np.array_equal(ure_weights(row), np.eye(row.size)[first])
 
 
 @SETTINGS
@@ -90,24 +97,25 @@ def test_ure_weights_are_a_point_mass_on_the_argmin(case):
     expected = np.zeros_like(block)
     for b, row in enumerate(block):
         expected[b, first_minimum(row)] = 1.0
-    assert np.array_equal(ure_weights(RiskProfile(models, block)).weights, expected)
+    assert np.array_equal(ure_weights(block), expected)
 
 
 @SETTINGS
-@given(integer_profiles(spread=10**6), variances)
-def test_softmax_rows_lie_on_the_simplex(case, variance):
+@given(integer_profiles(spread=10**6), sigmas)
+def test_softmax_rows_lie_on_the_simplex(case, sigma):
     _, block = case
-    weights = softmax_weights(block, variance)
+    weights = exponential_weights(block, sigma)
     assert np.all(weights >= 0.0)
     assert np.all(np.abs(weights.sum(axis=-1) - 1.0) <= 1e-12)
 
 
 @SETTINGS
-@given(integer_profiles(spread=10**6), variances, st.integers(-10**9, 10**9))
-def test_softmax_is_bitwise_invariant_under_an_integer_shift(case, variance, shift):
+@given(integer_profiles(spread=10**6), sigmas, st.integers(-10**9, 10**9))
+def test_softmax_is_bitwise_invariant_under_an_integer_shift(case, sigma, shift):
     # Integers below 2**53 shift exactly, so the max-shifted exponents agree.
     _, block = case
-    assert np.array_equal(softmax_weights(block, variance), softmax_weights(block + shift, variance))
+    shifted = exponential_weights(block + shift, sigma)
+    assert np.array_equal(exponential_weights(block, sigma), shifted)
 
 
 @SETTINGS
@@ -171,20 +179,19 @@ def test_block_rows_get_the_bits_of_the_row_alone(case):
     models, block, sigma, mu, m, epsilon = case
     profile = risk_profile(block, sigma, models)
     weights = (ure_weights(profile), exponential_weights(profile, sigma))
-    estimates = [aggregate(block, w) for w in weights]
+    estimates = [aggregate(block, models, w) for w in weights]
     losses = [squared_loss(estimate, mu) for estimate in estimates]
+    by_block = m_epsilon(profile, models, sigma, epsilon)
     for b, row in enumerate(block):
         one = risk_profile(row, sigma, models)
-        assert np.array_equal(profile.values[b], one.values)
-        assert profile.min_value[b] == one.min_value
-        assert profile.argmin_index[b] == one.argmin_index
+        assert np.array_equal(profile[b], one)
         assert unbiased_risk(block, sigma, m)[b] == unbiased_risk(row, sigma, m)
-        assert m_epsilon(profile, sigma, epsilon)[b] == m_epsilon(one, sigma, epsilon)
+        assert by_block[b] == m_epsilon(one, models, sigma, epsilon)
         single = (ure_weights(one), exponential_weights(one, sigma))
         for w, w_one, estimate, loss in zip(weights, single, estimates, losses):
-            assert np.array_equal(w.weights[b], w_one.weights)
-            assert np.array_equal(estimate[b], aggregate(row, w_one))
-            assert loss[b] == squared_loss(aggregate(row, w_one), mu)
+            assert np.array_equal(w[b], w_one)
+            assert np.array_equal(estimate[b], aggregate(row, models, w_one))
+            assert loss[b] == squared_loss(aggregate(row, models, w_one), mu)
 
 
 @SETTINGS
@@ -201,6 +208,24 @@ def test_substream_words_are_seed_sequence_words(prefix, first, count):
     for row, rep in zip(words, range(first, first + count)):
         oracle = np.random.SeedSequence(_seed_entropy((*prefix, rep)))
         assert np.array_equal(row, oracle.generate_state(4, np.uint64))
+
+
+def psi_objective(eps, r):
+    """49 eps + r (105/eps + exp(c/eps)), c = 2/e, its exponential term in the log domain."""
+    return 49.0 * eps + 105.0 * r / eps + math.exp(math.log(r) + 2.0 / (math.e * eps))
+
+
+@SETTINGS
+@given(st.floats(5e-324, 1.0))
+@example(5e-324)
+@example(1.0)
+def test_psi_is_no_larger_than_at_neighbouring_epsilon(r):
+    ev = psi(r)
+    assert PSI_EPSILON_LO <= ev.epsilon_star <= PSI_EPSILON_HI
+    for step in (1e-9, 1e-6, 1e-3):
+        for eps in (ev.epsilon_star * (1.0 - step), ev.epsilon_star * (1.0 + step)):
+            if PSI_EPSILON_LO <= eps <= PSI_EPSILON_HI:
+                assert ev.psi <= psi_objective(eps, r) * (1.0 + 1e-15), (r, eps)
 
 
 def _reject_constant(name):

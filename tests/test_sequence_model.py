@@ -19,6 +19,12 @@ from ewagg import substreams
 from ewagg.substreams import SubstreamSeed, substream_words
 
 
+def substream_block(mu, sigma, prefix, reps):
+    """Rows generate_observation(mu, sigma, (*prefix, rep)) for rep < reps, seeded in one pass."""
+    words = substream_words(prefix, np.arange(reps, dtype=np.uint64))
+    return draw_observations(mu, sigma, map(SubstreamSeed, words))
+
+
 class TestTypes:
     def test_mean_vector_rejects_non_finite(self):
         with pytest.raises(ValueError):
@@ -116,10 +122,7 @@ class TestGenerateObservation:
         mu = MeanVector(np.array([1.0, 2.0]))
         sig = NoiseLevel(1.0)
         reps = 100_000
-        total = np.zeros(2)
-        for seed in range(reps):
-            total += generate_observation(mu, sig, (555, seed))
-        means = total / reps
+        means = substream_block(mu, sig, (555,), reps).sum(axis=0) / reps
         tol = 3.0 / np.sqrt(reps)
         assert abs(means[0] - 1.0) <= tol
         assert abs(means[1] - 2.0) <= tol
@@ -230,11 +233,8 @@ class TestTrueProjectionRisk:
         sig = NoiseLevel(1.0)
         reps = 100_000
         m_values = [1, 5, 20]
-        losses = {m: np.empty(reps) for m in m_values}
-        for rep in range(reps):
-            obs = generate_observation(mu, sig, (9090, rep))
-            for m in m_values:
-                losses[m][rep] = squared_loss(projection_estimate(obs, m), mu)
+        obs = substream_block(mu, sig, (9090,), reps)
+        losses = {m: squared_loss(projection_estimate(obs, m), mu) for m in m_values}
         for m in m_values:
             sample = losses[m]
             se = sample.std(ddof=1) / np.sqrt(reps)
