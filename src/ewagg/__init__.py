@@ -6,9 +6,6 @@ verification of the associated oracle inequalities and special-function bounds.
 __version__ = "0.1.0"
 
 from .sequence_model import (
-    MeanVector,
-    ModelIndexSet,
-    NoiseLevel,
     generate_observation,
     mean_vector_from_spec,
     squared_loss,
@@ -52,9 +49,6 @@ from .montecarlo import (
 
 __all__ = [
     "__version__",
-    "MeanVector",
-    "NoiseLevel",
-    "ModelIndexSet",
     "generate_observation",
     "true_projection_risk",
     "squared_loss",

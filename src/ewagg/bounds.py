@@ -10,12 +10,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-
-from .sequence_model import NoiseLevel
 
 __all__ = [
     "PsiEvaluation",
@@ -72,6 +69,10 @@ def u_alpha(alpha: float) -> float:
     return -(alpha + math.log1p(-2.0 * alpha) / 2.0) / alpha
 
 
+# U at the largest float below 1/2: no float alpha in U's domain reaches above it.
+_U_MAX = u_alpha(math.nextafter(0.5, 0.0))
+
+
 def u_star_alpha(alpha: float) -> float:
     """Downward drift rate U*(alpha) = (alpha - log(1 + 2 alpha)/2) / alpha.
 
@@ -103,10 +104,13 @@ def _bisect_increasing(func, lo: float, hi: float, target: float) -> float:
 
 
 def u_inverse(y: float) -> float:
-    """Inverse of U on (0, 1/2), solved by bisection to float resolution."""
+    """Inverse of U on (0, 1/2), solved by bisection to float resolution.
+
+    Defined for 0 < y <= 35.7368..., U's value at the largest float below 1/2.
+    """
     y = float(y)
-    if not (math.isfinite(y) and y > 0.0):
-        raise ValueError(f"u_inverse needs y > 0, got {y}")
+    if not 0.0 < y <= _U_MAX:
+        raise ValueError(f"u_inverse needs 0 < y <= {_U_MAX!r}, got {y}")
     # a <= U(a) <= a / (1 - 2a) puts the root in [y / (1 + 2y), y], a bracket
     # whose width scales with y, so bisection resolves a tiny root as finely as
     # a large one.  From y = 1/2 on, the upper end walks to the pole instead.
@@ -182,8 +186,7 @@ def lemma4_bound(K: int, rho: float) -> float:
     return float(np.logaddexp(math.log(K - 1.0), r_val))
 
 
-@dataclass(frozen=True)
-class PsiEvaluation:
+class PsiEvaluation(NamedTuple):
     """Result of the Psi minimization at one argument r in [0, 1]."""
 
     r: float
@@ -242,7 +245,7 @@ class RegretBudgets(NamedTuple):
     t3: float
 
 
-def theorem_bounds(oracle_risk: float, sigma: NoiseLevel, model_count: int) -> RegretBudgets:
+def theorem_bounds(oracle_risk: float, sigma: float, model_count: int) -> RegretBudgets:
     """The three regret budgets at oracle risk r over #M = model_count models.
 
     t2 is 4 sigma^2 log(#M); t3 is 4 sigma^2 log{(r/sigma^2)[1 + Psi(sigma^2/r)]};
@@ -250,7 +253,7 @@ def theorem_bounds(oracle_risk: float, sigma: NoiseLevel, model_count: int) -> R
     multiplier is left to the Monte Carlo harness to back-solve empirically.
     The arithmetic runs on numpy scalars, so an overflow obeys np.errstate.
     """
-    variance = np.float64(sigma.variance)
+    variance = np.float64(sigma * sigma)
     r = np.float64(oracle_risk)
     ratio = variance / r
     if ratio > 1.0:

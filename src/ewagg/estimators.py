@@ -7,14 +7,15 @@ all m, so every consumer here (argmin selection, softmax weighting,
 profile differences) is shift invariant.
 
 An observation Y is a float64 array: (N,) for one draw, (B, N) for a block
-with one draw per row.  The pipeline passes plain float64 arrays between its
-steps: risk_profile gives the profile (..., #M) of risk estimates over a model
-index set M, ure_weights and exponential_weights turn a profile into weights
-of the same shape, and aggregate combines the projections of Y under them.
-Entry j of a profile or weight row belongs to model M.indices[j].  Each
-formula has one implementation over the last axis, so a block and a single
-row get the same bits per row, and one call per block runs the whole
-pipeline over it.
+with one draw per row.  sigma is a float and a model index set M a strictly
+increasing int64 array, both checked where they enter (see sequence_model).
+The pipeline passes plain float64 arrays between its steps: risk_profile gives
+the profile (..., #M) of risk estimates over M, ure_weights and
+exponential_weights turn a profile into weights of the same shape, and
+aggregate combines the projections of Y under them.  Entry j of a profile or
+weight row belongs to model M[j].  Each formula has one implementation over
+the last axis, so a block and a single row get the same bits per row, and one
+call per block runs the whole pipeline over it.
 
 Everything runs in float64.  numpy sums a contiguous row pairwise but a
 strided one sequentially, so the kernels that reduce along a row (the softmax
@@ -25,8 +26,6 @@ same bits whether it arrives alone, inside a block, or in a transposed view.
 from __future__ import annotations
 
 import numpy as np
-
-from .sequence_model import ModelIndexSet, NoiseLevel
 
 __all__ = [
     "profile_values",
@@ -59,7 +58,7 @@ def projection_estimate(Y: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
-def unbiased_risk(Y: np.ndarray, sigma: NoiseLevel, m: int) -> float | np.ndarray:
+def unbiased_risk(Y: np.ndarray, sigma: float, m: int) -> float | np.ndarray:
     """Unbiased risk estimate -sum_{i<=m} Y_i^2 + 2 sigma^2 m of the m-projection."""
     Y = np.asarray(Y, dtype=float)
     m = int(m)
@@ -70,18 +69,16 @@ def unbiased_risk(Y: np.ndarray, sigma: NoiseLevel, m: int) -> float | np.ndarra
             f"m={m} exceeds the observation length {Y.shape[-1]}; "
             "coordinates beyond the support would be silently dropped"
         )
-    values = profile_values(Y, sigma.variance, np.array([m]))[..., 0]
+    values = profile_values(Y, sigma * sigma, np.array([m]))[..., 0]
     return float(values) if values.ndim == 0 else values
 
 
-def risk_profile(Y: np.ndarray, sigma: NoiseLevel, M: ModelIndexSet) -> np.ndarray:
+def risk_profile(Y: np.ndarray, sigma: float, M: np.ndarray) -> np.ndarray:
     """Unbiased risk estimates rbar(Y, m) for every m in M, shape (..., #M)."""
     Y = np.asarray(Y, dtype=float)
-    if M.max_index > Y.shape[-1]:
-        raise ValueError(
-            f"max model index {M.max_index} exceeds the observation length {Y.shape[-1]}"
-        )
-    return profile_values(Y, sigma.variance, M.indices)
+    if M[-1] > Y.shape[-1]:
+        raise ValueError(f"max model index {M[-1]} exceeds the observation length {Y.shape[-1]}")
+    return profile_values(Y, sigma * sigma, M)
 
 
 def ure_weights(profile: np.ndarray) -> np.ndarray:
@@ -97,7 +94,7 @@ def ure_weights(profile: np.ndarray) -> np.ndarray:
 _EXP_UNDERFLOW_CUT = -746.0
 
 
-def exponential_weights(profile: np.ndarray, sigma: NoiseLevel) -> np.ndarray:
+def exponential_weights(profile: np.ndarray, sigma: float) -> np.ndarray:
     """Softmax weights proportional to exp(-rbar / (4 sigma^2)) over each profile row."""
     profile = np.asarray(profile, dtype=float)
     # Max-shift before exponentiating: the largest exponent is exactly 0, so the
@@ -108,17 +105,17 @@ def exponential_weights(profile: np.ndarray, sigma: NoiseLevel) -> np.ndarray:
     # numpy's pairwise path and a row gets the same bits in any block layout.
     with np.errstate(over="ignore"):
         exponents = np.ascontiguousarray(
-            -(profile - profile.min(axis=-1, keepdims=True)) / (4.0 * sigma.variance)
+            -(profile - profile.min(axis=-1, keepdims=True)) / (4.0 * (sigma * sigma))
         )
     expd = np.exp(exponents, out=np.zeros_like(exponents), where=exponents > _EXP_UNDERFLOW_CUT)
     return expd / expd.sum(axis=-1, keepdims=True)
 
 
-def aggregate(Y: np.ndarray, M: ModelIndexSet, w: np.ndarray) -> np.ndarray:
+def aggregate(Y: np.ndarray, M: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Convex combination sum_m w_m P_m Y of the projections of Y over the models in M."""
     Y = np.asarray(Y, dtype=float)
     w = np.asarray(w, dtype=float)
-    if w.shape[-1:] != M.indices.shape:
+    if w.shape[-1:] != M.shape:
         raise ValueError("weights must align with the model index set")
     # Coordinate i of the aggregate is Y_i times the total weight of the models
     # with m >= i.  Scatter each model's weight to coordinate m, then one
@@ -126,15 +123,15 @@ def aggregate(Y: np.ndarray, M: ModelIndexSet, w: np.ndarray) -> np.ndarray:
     # sequential and the added entries are exact zeros, so each suffix has the
     # bits of the sum over the models alone.
     length = Y.shape[-1]
-    dense = np.zeros(w.shape[:-1] + (max(length, M.max_index),))
-    dense[..., M.indices - 1] = w
+    dense = np.zeros(w.shape[:-1] + (max(length, M[-1]),))
+    dense[..., M - 1] = w
     return Y * np.cumsum(dense[..., ::-1], axis=-1)[..., ::-1][..., :length]
 
 
 def m_epsilon(
     profile: np.ndarray,
-    M: ModelIndexSet,
-    sigma: NoiseLevel,
+    M: np.ndarray,
+    sigma: float,
     epsilon: float,
     center: float | None = None,
 ) -> int | np.ndarray:
@@ -151,14 +148,14 @@ def m_epsilon(
     if not 0.0 < epsilon < 1.0:
         raise ValueError("epsilon must lie strictly between 0 and 1")
     profile = np.asarray(profile, dtype=float)
-    if profile.shape[-1:] != M.indices.shape:
+    if profile.shape[-1:] != M.shape:
         raise ValueError("the profile must align with the model index set")
-    indices, variance = M.indices, sigma.variance
+    variance = sigma * sigma
     if center is None:
         center = profile.min(axis=-1, keepdims=True)
-    mhat = indices[np.argmin(profile, axis=-1)]
-    envelope = 4.0 * epsilon * variance * (indices - mhat[..., None]) + 4.0 * variance
+    mhat = M[np.argmin(profile, axis=-1)]
+    envelope = 4.0 * epsilon * variance * (M - mhat[..., None]) + 4.0 * variance
     admissible = (profile - center) <= envelope
-    last = indices.size - 1 - np.argmax(admissible[..., ::-1], axis=-1)
-    index = np.where(admissible.any(axis=-1), indices[last], mhat)
+    last = M.size - 1 - np.argmax(admissible[..., ::-1], axis=-1)
+    index = np.where(admissible.any(axis=-1), M[last], mhat)
     return int(index) if index.ndim == 0 else index

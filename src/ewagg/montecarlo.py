@@ -11,6 +11,9 @@ the same bits as that pipeline gives it alone, and losses are stored in
 fixed index order, so a given configuration reproduces bit-identical
 estimates whatever the block size.
 
+A ScenarioConfig checks its sigma and model set and resolves its mean once;
+the kernels then take them as a float, an int64 array and a float64 array.
+
 The lemma-2 walks run on worker threads, one per CPU in the affinity mask
 (capped at the replicate count).  Nearly all of a walk's time is numpy
 drawing and summing normals with the interpreter lock released, so the
@@ -41,13 +44,14 @@ from .estimators import (
 )
 from .risk import OracleReport, oracle_risk
 from .sequence_model import (
-    MeanVector,
-    ModelIndexSet,
-    NoiseLevel,
+    check_mean,
+    check_models,
+    check_sigma,
     draw_observations,
     mean_vector_from_spec,
     squared_loss,
     standard_normals,
+    tail_squared_norms,
     true_projection_risk,
 )
 
@@ -89,7 +93,7 @@ def _stable_key(label: str) -> int:
     return int.from_bytes(hashlib.sha256(label.encode("utf-8")).digest()[:8], "big")
 
 
-def _observation_blocks(mu: MeanVector, sigma: NoiseLevel, replicates: int, prefix: tuple):
+def _observation_blocks(mu: np.ndarray, sigma: float, replicates: int, prefix: tuple):
     """Yield (replicate slice, observation block) in index order; rep uses (*prefix, rep).
 
     The seed words of every replicate are derived once, up front; a row is
@@ -99,37 +103,52 @@ def _observation_blocks(mu: MeanVector, sigma: NoiseLevel, replicates: int, pref
     # that out of the commands that draw nothing (psi, bounds).
     from .substreams import SubstreamSeed, substream_words
 
-    rows = max(1, _BLOCK_VALUES // mu.declared_length)
+    rows = max(1, _BLOCK_VALUES // mu.size)
     words = substream_words(prefix, np.arange(replicates, dtype=np.uint64))
     for first in range(0, replicates, rows):
         block = slice(first, min(replicates, first + rows))
         yield block, draw_observations(mu, sigma, map(SubstreamSeed, words[block]))
 
 
+def _read_only(values: np.ndarray) -> np.ndarray:
+    """A copy of values that cannot be written through."""
+    values = values.copy()
+    values.flags.writeable = False
+    return values
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Full description of one experiment; mu is the mean vector mu_spec resolves to."""
+    """Full description of one experiment; mu is the mean vector mu_spec resolves to.
+
+    sigma is checked by check_sigma and models by check_models.  models and mu
+    are stored as read-only copies, so a validated config cannot be changed
+    through the caller's array.
+    """
 
     scenario_id: str
     mu_spec: str
-    sigma: NoiseLevel
-    models: ModelIndexSet
+    sigma: float
+    models: np.ndarray
     replicates: int
     base_seed: int
-    mu: MeanVector = field(init=False, repr=False, compare=False)
+    mu: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "sigma", check_sigma(self.sigma))
+        models = _read_only(check_models(self.models))
+        object.__setattr__(self, "models", models)
         if int(self.replicates) < 2:
             raise ValueError("replicates must be >= 2, so that a standard error exists")
         object.__setattr__(self, "replicates", int(self.replicates))
         object.__setattr__(self, "base_seed", int(self.base_seed))
-        mu = mean_vector_from_spec(self.mu_spec, default_length=self.models.max_index)
-        if mu.declared_length < self.models.max_index:
+        mu = mean_vector_from_spec(self.mu_spec, default_length=int(models[-1]))
+        if mu.size < models[-1]:
             raise ValueError(
-                f"mean spec {self.mu_spec!r} has length {mu.declared_length}, "
-                f"below the max model index {self.models.max_index}"
+                f"mean spec {self.mu_spec!r} has length {mu.size}, "
+                f"below the max model index {models[-1]}"
             )
-        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "mu", _read_only(mu))
 
 
 @dataclass(frozen=True)
@@ -200,7 +219,7 @@ def mc_risk(config: ScenarioConfig) -> dict[str, RiskEstimate]:
 def verify_oracle_inequalities(config: ScenarioConfig) -> ComparisonRow:
     """Run both estimators and check their risks against the regret budgets."""
     oracle = oracle_risk(config.mu, config.sigma, config.models)
-    budgets = theorem_bounds(oracle.oracle_risk, config.sigma, len(config.models))
+    budgets = theorem_bounds(oracle.oracle_risk, config.sigma, config.models.size)
     risks = mc_risk(config)
     ure_est, ew_est = risks["URE"], risks["EW"]
     slack = PASS_TOLERANCE_SE * ew_est.std_error
@@ -224,7 +243,7 @@ def verify_oracle_inequalities(config: ScenarioConfig) -> ComparisonRow:
 def lemma2_empirical(
     alpha: float,
     which: str,
-    mu: MeanVector | None = None,
+    mu: np.ndarray | None = None,
     k_max: int = 10_000,
     replicates: int = 10_000,
     seed: int = 0,
@@ -252,6 +271,8 @@ def lemma2_empirical(
         drift = u_star_alpha(alpha)
     elif mu is None:
         raise ValueError("the linear variant needs a mean vector")
+    else:
+        mu = check_mean(mu)
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     if replicates < 2:
@@ -264,12 +285,11 @@ def lemma2_empirical(
     # coefficient squares and the drift line, the only steps that can overflow
     # for finite mu and alpha, run here under it.
     if which == "linear":
-        coeffs = mu.coefficients
-        drift_line = 0.5 * alpha * np.cumsum((coeffs * coeffs)[::-1])[::-1]
+        drift_line = 0.5 * alpha * tail_squared_norms(mu)[:-1]
 
         def walk(rep: int) -> float:
-            xi = standard_normals((seed, key, rep), coeffs.size)
-            suffix_dot = np.cumsum((coeffs * xi)[::-1])[::-1]
+            xi = standard_normals((seed, key, rep), mu.size)
+            suffix_dot = np.cumsum((mu * xi)[::-1])[::-1]
             return max(float((suffix_dot - drift_line).max()), 0.0)  # empty suffixes give 0
     else:
         drift_line = drift * np.arange(1, k_max + 1, dtype=float)
@@ -327,22 +347,23 @@ def _run_replicates(walk: Callable[[int], float], replicates: int) -> np.ndarray
 
 
 def unbiasedness_check(
-    mu: MeanVector,
-    sigma: NoiseLevel,
+    mu: np.ndarray,
+    sigma: float,
     m_values,
     replicates: int,
     base_seed: int,
 ) -> dict[int, RiskEstimate]:
     """MC estimate of rbar(Y, m) + ||mu||^2 - true risk, per m; all means should be ~0."""
+    mu, sigma = check_mean(mu), check_sigma(sigma)
     m_values = [int(m) for m in m_values]
-    if any(m > mu.declared_length for m in m_values):
-        raise ValueError(f"every m must be <= the mean vector length {mu.declared_length}")
+    if any(m > mu.size for m in m_values):
+        raise ValueError(f"every m must be <= the mean vector length {mu.size}")
     indices = np.array(m_values, dtype=np.int64)
-    offsets = mu.squared_norm - true_projection_risk(mu, sigma, indices)
+    offsets = tail_squared_norms(mu)[0] - true_projection_risk(mu, sigma, indices)
     stats = np.empty((len(m_values), replicates))
     prefix = (base_seed, _stable_key("unbiasedness"))
     for reps, obs in _observation_blocks(mu, sigma, replicates, prefix):
-        stats[:, reps] = (profile_values(obs, sigma.variance, indices) + offsets).T
+        stats[:, reps] = (profile_values(obs, sigma * sigma, indices) + offsets).T
     return {m: RiskEstimate.from_samples(row) for m, row in zip(m_values, stats)}
 
 
@@ -362,12 +383,12 @@ class MEpsilonReport:
     oracle: OracleReport
 
 
-def m_epsilon_budget(oracle_value: float, sigma: NoiseLevel, epsilon: float) -> float:
+def m_epsilon_budget(oracle_value: float, sigma: float, epsilon: float) -> float:
     """Analytic budget r/sigma^2 + 7 eps r / ((1-6 eps) sigma^2) + 15 / ((1-6 eps) eps)."""
     epsilon = float(epsilon)
     if not 0.0 < epsilon <= 1.0 / 7.0:
         raise ValueError("epsilon must lie in (0, 1/7]")
-    ratio = oracle_value / sigma.variance
+    ratio = oracle_value / (sigma * sigma)
     shrink = 1.0 - 6.0 * epsilon
     return ratio + 7.0 * epsilon * ratio / shrink + 15.0 / (shrink * epsilon)
 

@@ -1,26 +1,33 @@
 """Gaussian sequence model: mean vectors, noise, observation draws, and exact projection risks.
 
 The model observes Y_i = mu_i + sigma * xi_i with i.i.d. standard normal xi_i.
-An observation is a plain float64 array: shape (N,) for one draw, (B, N) for a
-block of B draws, one per row.  Each draw comes from a PCG64 substream keyed
-through numpy's SeedSequence.  Mean vectors are stored with finite support:
-coordinates beyond the declared length are exactly zero, so every risk
-quantity is computable in closed form with no truncation error.
+The noise level sigma is a float, a model index set M is a strictly increasing
+1-D int64 array, and a mean vector mu is a 1-D float64 array.  An observation
+is a plain float64 array: shape (N,) for one draw, (B, N) for a block of B
+draws, one per row.  Each draw comes from a PCG64 substream keyed through
+numpy's SeedSequence.  Mean vectors have finite support: coordinates beyond
+mu's length are exactly zero, so every risk quantity is computable in closed
+form with no truncation error.
+
+The kernels trust their sigma, M and mu.  Those are checked once, where they
+enter: check_sigma, check_models and check_mean hold the checks, and
+ScenarioConfig, mean_vector_from_spec, the CLI's model-set parser and the
+Monte Carlo entry points call them.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
 
 __all__ = [
-    "MeanVector",
-    "NoiseLevel",
-    "ModelIndexSet",
     "SeedLike",
+    "check_sigma",
+    "check_models",
+    "check_mean",
+    "tail_squared_norms",
     "standard_normals",
     "draw_observations",
     "generate_observation",
@@ -32,99 +39,42 @@ __all__ = [
 SeedLike = Union[int, Sequence[int]]
 
 
-def _frozen_array(values, dtype) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
-    arr.flags.writeable = False
-    return arr
+def check_sigma(sigma) -> float:
+    """sigma as a float; ValueError unless sigma > 0 and sigma^2 is a normal float."""
+    value = float(sigma)
+    # sigma^2 turns subnormal below about 1.5e-154 and overflows above 1.3e154.
+    variance = value * value
+    if not (value > 0.0 and sys.float_info.min <= variance < np.inf):
+        raise ValueError(f"sigma^2 must be a normal positive float, got sigma={sigma!r}")
+    return value
 
 
-@dataclass(frozen=True)
-class MeanVector:
-    """Mean vector with finite support; coordinates beyond the stored ones are exactly 0."""
-
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        coeffs = np.asarray(self.coefficients, dtype=float)
-        if coeffs.ndim != 1 or coeffs.size == 0:
-            raise ValueError("coefficients must be a non-empty 1-D sequence of reals")
-        if not np.all(np.isfinite(coeffs)):
-            raise ValueError("coefficients must all be finite")
-        object.__setattr__(self, "coefficients", _frozen_array(coeffs, float))
-
-    @property
-    def declared_length(self) -> int:
-        return int(self.coefficients.size)
-
-    @property
-    def squared_norm(self) -> float:
-        return self.tail_squared_norm(0)
-
-    def tail_squared_norms(self) -> np.ndarray:
-        """Sums of squared coordinates strictly beyond position m, for m = 0..N (entry N is 0)."""
-        squares = self.coefficients * self.coefficients
-        return np.append(np.cumsum(squares[::-1])[::-1], 0.0)
-
-    def tail_squared_norm(self, m: int) -> float:
-        """Sum of squared coordinates strictly beyond position m (exact: zero tail)."""
-        if m < 0:
-            raise ValueError("m must be nonnegative")
-        return float(self.tail_squared_norms()[min(m, self.declared_length)])
+def check_models(models) -> np.ndarray:
+    """models as an int64 array; ValueError unless non-empty, >= 1 and strictly increasing."""
+    idx = np.asarray(models, dtype=np.int64)
+    if idx.ndim != 1 or idx.size == 0:
+        raise ValueError("indices must be a non-empty 1-D sequence of integers")
+    if idx[0] < 1:
+        raise ValueError("all model indices must be >= 1")
+    if idx.size > 1 and not np.all(np.diff(idx) > 0):
+        raise ValueError("model indices must be strictly increasing")
+    return idx
 
 
-@dataclass(frozen=True)
-class NoiseLevel:
-    """Known standard deviation of the per-coordinate Gaussian noise."""
-
-    sigma: float
-
-    def __post_init__(self):
-        sigma = float(self.sigma)
-        # sigma^2 turns subnormal below about 1.5e-154 and overflows above 1.3e154.
-        variance = sigma * sigma
-        if not (sigma > 0.0 and sys.float_info.min <= variance < np.inf):
-            raise ValueError(f"sigma^2 must be a normal positive float, got sigma={self.sigma!r}")
-        object.__setattr__(self, "sigma", sigma)
-
-    @property
-    def variance(self) -> float:
-        return self.sigma * self.sigma
+def check_mean(mu) -> np.ndarray:
+    """mu as a float64 array; ValueError unless it is non-empty, 1-D and finite."""
+    coeffs = np.asarray(mu, dtype=float)
+    if coeffs.ndim != 1 or coeffs.size == 0:
+        raise ValueError("coefficients must be a non-empty 1-D sequence of reals")
+    if not np.all(np.isfinite(coeffs)):
+        raise ValueError("coefficients must all be finite")
+    return coeffs
 
 
-@dataclass(frozen=True)
-class ModelIndexSet:
-    """Bounded set of candidate projection dimensions, kept strictly increasing."""
-
-    indices: np.ndarray
-
-    def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.int64)
-        if idx.ndim != 1 or idx.size == 0:
-            raise ValueError("indices must be a non-empty 1-D sequence of integers")
-        if idx[0] < 1:
-            raise ValueError("all model indices must be >= 1")
-        if idx.size > 1 and not np.all(np.diff(idx) > 0):
-            raise ValueError("model indices must be strictly increasing")
-        object.__setattr__(self, "indices", _frozen_array(idx, np.int64))
-
-    def __len__(self) -> int:
-        return int(self.indices.size)
-
-    def __iter__(self):
-        return iter(int(m) for m in self.indices)
-
-    @property
-    def max_index(self) -> int:
-        return int(self.indices[-1])
-
-    @property
-    def min_index(self) -> int:
-        return int(self.indices[0])
-
-    @classmethod
-    def from_range(cls, lo: int, hi: int) -> "ModelIndexSet":
-        """All integers lo..hi inclusive."""
-        return cls(np.arange(lo, hi + 1, dtype=np.int64))
+def tail_squared_norms(mu: np.ndarray) -> np.ndarray:
+    """Sums of squared coordinates strictly beyond position m, for m = 0..N (entry N is 0)."""
+    squares = mu * mu
+    return np.append(np.cumsum(squares[::-1])[::-1], 0.0)
 
 
 def _seed_entropy(seed: SeedLike) -> list[int]:
@@ -153,18 +103,18 @@ def standard_normals(
 
 
 def generate_observation(
-    mu: MeanVector, sigma: NoiseLevel, seed: SeedLike | np.random.bit_generator.ISeedSequence
+    mu: np.ndarray, sigma: float, seed: SeedLike | np.random.bit_generator.ISeedSequence
 ) -> np.ndarray:
     """Draw Y = mu + sigma * Z with Z i.i.d. standard normal (see standard_normals)."""
-    return mu.coefficients + sigma.sigma * standard_normals(seed, mu.declared_length)
+    return mu + sigma * standard_normals(seed, mu.size)
 
 
-def draw_observations(mu: MeanVector, sigma: NoiseLevel, seeds) -> np.ndarray:
+def draw_observations(mu: np.ndarray, sigma: float, seeds) -> np.ndarray:
     """A (B, N) block of observations, one row per seed, each drawn by generate_observation."""
     return np.stack([generate_observation(mu, sigma, seed) for seed in seeds])
 
 
-def true_projection_risk(mu: MeanVector, sigma: NoiseLevel, m) -> float | np.ndarray:
+def true_projection_risk(mu: np.ndarray, sigma: float, m) -> float | np.ndarray:
     """Exact risk of the projection estimator keeping the first m coordinates.
 
     Equals the squared-bias tail beyond m (zero beyond the support) plus the
@@ -173,19 +123,19 @@ def true_projection_risk(mu: MeanVector, sigma: NoiseLevel, m) -> float | np.nda
     m = np.asarray(m, dtype=np.int64)
     if np.any(m < 1):
         raise ValueError("m must be >= 1")
-    risk = mu.tail_squared_norms()[np.minimum(m, mu.declared_length)] + sigma.variance * m
+    risk = tail_squared_norms(mu)[np.minimum(m, mu.size)] + sigma * sigma * m
     return float(risk) if risk.ndim == 0 else risk
 
 
-def squared_loss(estimate: Sequence[float] | np.ndarray, mu: MeanVector) -> float | np.ndarray:
+def squared_loss(estimate: Sequence[float] | np.ndarray, mu: np.ndarray) -> float | np.ndarray:
     """Squared l2 distance to the mean vector, zero-padded tails; one per row of a block."""
     est = np.asarray(estimate, dtype=float)
     if est.ndim == 0:
         raise ValueError("estimate must be a sequence of reals")
-    n = max(est.shape[-1], mu.declared_length)
+    n = max(est.shape[-1], mu.size)
     diff = np.zeros(est.shape[:-1] + (n,))
     diff[..., : est.shape[-1]] = est
-    diff[..., : mu.declared_length] -= mu.coefficients
+    diff[..., : mu.size] -= mu
     loss = np.sum(diff * diff, axis=-1)
     return float(loss) if loss.ndim == 0 else loss
 
@@ -199,7 +149,10 @@ def _parse_params(body: str, spec: str) -> dict[str, str]:
         if "=" not in item:
             raise ValueError(f"malformed parameter {item!r} in mean spec {spec!r}")
         key, _, value = item.partition("=")
-        params[key.strip().lower()] = value.strip()
+        key = key.strip().lower()
+        if key in params:
+            raise ValueError(f"repeated parameter {key!r} in mean spec {spec!r}")
+        params[key] = value.strip()
     return params
 
 
@@ -215,7 +168,7 @@ def _resolve_length(params: dict[str, str], default_length: int | None, spec: st
     return n
 
 
-def mean_vector_from_spec(spec: str, default_length: int | None = None) -> MeanVector:
+def mean_vector_from_spec(spec: str, default_length: int | None = None) -> np.ndarray:
     """Build a mean vector from its textual family description.
 
     Supported families:
@@ -236,9 +189,8 @@ def mean_vector_from_spec(spec: str, default_length: int | None = None) -> MeanV
         n = _resolve_length(params, default_length, spec)
         if params:
             raise ValueError(f"unexpected parameters {sorted(params)} in mean spec {spec!r}")
-        return MeanVector(np.zeros(n))
-
-    if family == "poly":
+        coeffs = np.zeros(n)
+    elif family == "poly":
         params = _parse_params(body, spec)
         n = _resolve_length(params, default_length, spec)
         beta = float(params.pop("beta", "1"))
@@ -246,9 +198,8 @@ def mean_vector_from_spec(spec: str, default_length: int | None = None) -> MeanV
         if params:
             raise ValueError(f"unexpected parameters {sorted(params)} in mean spec {spec!r}")
         i = np.arange(1, n + 1, dtype=float)
-        return MeanVector(scale * i ** (-beta))
-
-    if family == "sparse":
+        coeffs = scale * i ** (-beta)
+    elif family == "sparse":
         params = _parse_params(body, spec)
         if "k" not in params:
             raise ValueError(f"sparse mean spec {spec!r} needs k=<count>")
@@ -263,12 +214,11 @@ def mean_vector_from_spec(spec: str, default_length: int | None = None) -> MeanV
             raise ValueError(f"sparse mean spec {spec!r}: N={n} is smaller than k={k}")
         coeffs = np.zeros(n)
         coeffs[:k] = amp
-        return MeanVector(coeffs)
-
-    if family == "explicit":
+    elif family == "explicit":
         values = [float(v) for v in body.split(",") if v.strip()]
         if not values:
             raise ValueError(f"explicit mean spec {spec!r} lists no coordinates")
-        return MeanVector(np.asarray(values))
-
-    raise ValueError(f"unknown mean vector family {family!r} in spec {spec!r}")
+        coeffs = np.asarray(values)
+    else:
+        raise ValueError(f"unknown mean vector family {family!r} in spec {spec!r}")
+    return check_mean(coeffs)

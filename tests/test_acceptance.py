@@ -31,7 +31,7 @@ from ewagg.montecarlo import (
     unbiasedness_check,
     verify_oracle_inequalities,
 )
-from ewagg.sequence_model import ModelIndexSet, NoiseLevel, mean_vector_from_spec
+from ewagg.sequence_model import mean_vector_from_spec
 
 GRID_SEED = 20250808
 GRID_REPLICATES = 100_000
@@ -60,8 +60,8 @@ def scenario_grid():
             config = ScenarioConfig(
                 scenario_id=f"{family}-sigma{sigma}",
                 mu_spec=spec,
-                sigma=NoiseLevel(sigma),
-                models=ModelIndexSet.from_range(1, 100),
+                sigma=sigma,
+                models=np.arange(1, 101),
                 replicates=GRID_REPLICATES,
                 base_seed=GRID_SEED,
             )
@@ -74,7 +74,7 @@ def test_criterion_01_unbiased_risk_identity():
     started = time.perf_counter()
     mu = mean_vector_from_spec("poly:beta=1,scale=1,N=50")
     results = unbiasedness_check(
-        mu, NoiseLevel(1.0), [1, 5, 20], replicates=100_000, base_seed=GRID_SEED
+        mu, 1.0, [1, 5, 20], replicates=100_000, base_seed=GRID_SEED
     )
     elapsed = time.perf_counter() - started
     gaps = {m: (abs(est.mean), 4.0 * est.std_error) for m, est in results.items()}
@@ -309,8 +309,8 @@ def test_criterion_09_weighting_beats_selection():
     config = ScenarioConfig(
         scenario_id="ew-vs-ure",
         mu_spec="poly:beta=1,scale=1",
-        sigma=NoiseLevel(0.05),
-        models=ModelIndexSet.from_range(1, 200),
+        sigma=0.05,
+        models=np.arange(1, 201),
         replicates=GRID_REPLICATES,
         base_seed=GRID_SEED,
     )
@@ -343,7 +343,7 @@ def test_criterion_10_softmax_simplex_invariants():
     nonneg_ok = True
     for _ in range(trials):
         k = int(rng.integers(2, 51))
-        sigma = NoiseLevel(float(rng.uniform(0.2, 2.0)))
+        sigma = float(rng.uniform(0.2, 2.0))
         values = np.round(rng.uniform(-100.0, 100.0, size=k) / quantum) * quantum
         shift = round(float(rng.uniform(0.0, 1e6)) / quantum) * quantum
         w0 = exponential_weights(values, sigma)

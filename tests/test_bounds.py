@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from ewagg import bounds
 from ewagg.bounds import (
     PSI_EPSILON_HI,
     PSI_EPSILON_LO,
@@ -19,7 +20,6 @@ from ewagg.bounds import (
     u_star_alpha,
     u_star_inverse,
 )
-from ewagg.sequence_model import NoiseLevel
 
 
 def tail_decay_weights(rng, K, rho):
@@ -187,6 +187,12 @@ class TestInverses:
             u_inverse(0.0)
         with pytest.raises(ValueError):
             u_inverse(-1.0)
+        # Above U at the largest float below 1/2 (35.7368...) no alpha solves U(alpha) = y.
+        for y in (math.nextafter(bounds._U_MAX, math.inf), 36.0, 100.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="u_inverse needs 0 < y <= 35.7368"):
+                u_inverse(y)
+        for y in (35.0, 35.7, bounds._U_MAX):
+            assert u_inverse(y) == 0.4999999999999999
         with pytest.raises(ValueError):
             u_star_inverse(0.0)
         with pytest.raises(ValueError):
@@ -334,32 +340,32 @@ class TestPsi:
 
 class TestTheoremBounds:
     def test_t2_arithmetic(self):
-        budgets = theorem_bounds(1.0, NoiseLevel(1.0), 100)
+        budgets = theorem_bounds(1.0, 1.0, 100)
         assert budgets.t2 == pytest.approx(4.0 * math.log(100.0), rel=1e-15)
 
     def test_t3_at_ratio_one(self):
-        budgets = theorem_bounds(1.0, NoiseLevel(1.0), 10)
+        budgets = theorem_bounds(1.0, 1.0, 10)
         expected = 4.0 * math.log(1.0 + psi(1.0).psi)
         assert budgets.t3 == pytest.approx(expected, rel=1e-12)
 
     def test_t1_shape_and_combined(self):
-        sigma = NoiseLevel(0.5)
+        sigma = 0.5
         budgets = theorem_bounds(1.0, sigma, 100)
-        assert budgets.t1 == pytest.approx(sigma.variance * math.sqrt(1.0 / sigma.variance))
+        assert budgets.t1 == pytest.approx((sigma * sigma) * math.sqrt(1.0 / (sigma * sigma)))
 
     def test_t3_ratio_tends_to_one_for_large_risk(self):
         ratios = []
         for r in (1e3, 1e6, 1e9):
-            ratios.append(theorem_bounds(r, NoiseLevel(1.0), 100).t3 / (4.0 * math.log(r)))
+            ratios.append(theorem_bounds(r, 1.0, 100).t3 / (4.0 * math.log(r)))
         assert all(b < a for a, b in zip(ratios, ratios[1:]))
         assert ratios[-1] < 1.06
 
     def test_finite_and_positive_across_scenarios(self):
         rng = np.random.default_rng(41)
         for _ in range(50):
-            sigma = NoiseLevel(float(rng.uniform(0.05, 2.0)))
+            sigma = float(rng.uniform(0.05, 2.0))
             count = int(rng.integers(1, 500))
-            risk = sigma.variance * float(rng.uniform(1.0, 1e6))
+            risk = sigma * sigma * float(rng.uniform(1.0, 1e6))
             budgets = theorem_bounds(risk, sigma, count)
             assert all(math.isfinite(b) for b in budgets)
             assert budgets.t1 > 0.0
@@ -368,4 +374,4 @@ class TestTheoremBounds:
 
     def test_risk_below_variance_rejected(self):
         with pytest.raises(ValueError):
-            theorem_bounds(0.5, NoiseLevel(1.0), 3)
+            theorem_bounds(0.5, 1.0, 3)

@@ -154,6 +154,7 @@ class TestSimulate:
             ("sigma = 1.0", "sigma = 1e-160"),  # sigma^2 is subnormal
             ("sigma = 1.0", "sigma = 1e-200"),  # sigma^2 underflows to 0
             ("sigma = 1.0", "sigma = 1e200"),  # sigma^2 overflows to inf
+            ("mu = zero", "mu = poly:beta=1,beta=3"),  # repeated mean parameter
             ("replicates = 300", "replicates = 1"),  # no standard error
             ("models = 1..10", "models = 99999999999999999999"),  # beyond int64
             ("[DEFAULT]\n", ""),  # configparser's message spans three lines
@@ -344,6 +345,13 @@ class TestLemmaCheck:
     def test_linear_needs_mu(self):
         code = cli.main(["lemma-check", "--which", "linear", "--alpha", "0.5"])
         assert code == 2
+
+    def test_repeated_mu_parameter_is_domain_error(self, capsys):
+        code = cli.main(["lemma-check", "--which", "linear", "--alpha", "0.5",
+                         "--mu", "poly:N=5,N=50", "--reps", "10"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "repeated parameter" in err, err
 
     def test_linear_with_mu(self, capsys):
         code = cli.main(

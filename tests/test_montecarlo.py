@@ -28,14 +28,12 @@ from ewagg.montecarlo import (
     verify_oracle_inequalities,
 )
 from ewagg.sequence_model import (
-    ModelIndexSet,
-    NoiseLevel,
     generate_observation,
     mean_vector_from_spec,
     squared_loss,
 )
 
-SIGMA1 = NoiseLevel(1.0)
+SIGMA1 = 1.0
 
 
 def make_config(**overrides):
@@ -43,7 +41,7 @@ def make_config(**overrides):
         scenario_id="unit",
         mu_spec="zero",
         sigma=SIGMA1,
-        models=ModelIndexSet.from_range(1, 10),
+        models=np.arange(1, 11),
         replicates=2000,
         base_seed=4242,
     )
@@ -60,11 +58,11 @@ class TestScenarioConfig:
 
     def test_mean_support_must_cover_models(self):
         with pytest.raises(ValueError):
-            make_config(mu_spec="explicit:1,2", models=ModelIndexSet.from_range(1, 5))
+            make_config(mu_spec="explicit:1,2", models=np.arange(1, 6))
 
     def test_mean_vector_defaults_to_model_support(self):
-        cfg = make_config(mu_spec="zero", models=ModelIndexSet.from_range(1, 7))
-        assert cfg.mu.declared_length == 7
+        cfg = make_config(mu_spec="zero", models=np.arange(1, 8))
+        assert cfg.mu.size == 7
 
     def test_mean_spec_is_resolved_once(self, monkeypatch):
         calls = []
@@ -81,7 +79,7 @@ class TestScenarioConfig:
 class TestMcRisk:
     def test_single_model_family(self):
         # With one candidate both estimators are that projection; true risk is 1.
-        cfg = make_config(models=ModelIndexSet(np.array([1])), replicates=10_000)
+        cfg = make_config(models=np.array([1]), replicates=10_000)
         losses = _replicate_losses(cfg)
         np.testing.assert_array_equal(losses["URE"], losses["EW"])
         risks = mc_risk(cfg)
@@ -120,7 +118,7 @@ class TestMcRisk:
         # Recompute a few replicates through the public operations directly.
         cfg = make_config(
             mu_spec="poly:beta=1,scale=1",
-            models=ModelIndexSet(np.array([1, 3, 8])),
+            models=np.array([1, 3, 8]),
             replicates=25,
         )
         losses = _replicate_losses(cfg)
@@ -135,7 +133,7 @@ class TestMcRisk:
             assert losses["EW"][rep] == squared_loss(ew_est, mu)
 
     def test_ew_respects_log_cardinality_budget(self):
-        cfg = make_config(models=ModelIndexSet.from_range(1, 100), replicates=10_000)
+        cfg = make_config(models=np.arange(1, 101), replicates=10_000)
         est = mc_risk(cfg)["EW"]
         budget = 1.0 + 4.0 * math.log(100.0)
         assert est.mean <= budget + 4.0 * est.std_error
@@ -146,8 +144,8 @@ class TestMcRisk:
         cfg = ScenarioConfig(
             scenario_id="poly-lowsigma",
             mu_spec="poly:beta=1,scale=1",
-            sigma=NoiseLevel(0.05),
-            models=ModelIndexSet.from_range(1, 200),
+            sigma=0.05,
+            models=np.arange(1, 201),
             replicates=2000,
             base_seed=20240501,
         )
@@ -162,13 +160,13 @@ class TestMcRisk:
         "cfg, mean_hex, se_hex",
         [
             (
-                ScenarioConfig("poly", "poly:beta=1,scale=1", NoiseLevel(0.3),
-                               ModelIndexSet.from_range(1, 40), 3000, 2**70 + 3),
+                ScenarioConfig("poly", "poly:beta=1,scale=1", 0.3,
+                               np.arange(1, 41), 3000, 2**70 + 3),
                 "0x1.994f84cb38dd3p-1", "0x1.3b40a725e2b5fp-7",
             ),
             (
                 ScenarioConfig("sparse", "sparse:k=5,amp=1", SIGMA1,
-                               ModelIndexSet(np.array([2, 3, 5, 8, 13, 21, 34])), 2000, -1),
+                               np.array([2, 3, 5, 8, 13, 21, 34]), 2000, -1),
                 "0x1.9d593ca8e9a66p+2", "0x1.a7d649a7546adp-4",
             ),
         ],
@@ -184,7 +182,7 @@ class TestMcRisk:
 
 class TestVerifyOracleInequalities:
     def test_two_model_scenario_passes_t2(self):
-        cfg = make_config(models=ModelIndexSet.from_range(1, 2), replicates=5000)
+        cfg = make_config(models=np.arange(1, 3), replicates=5000)
         row = verify_oracle_inequalities(cfg)
         slack = 4.0 * row.ew_se
         assert row.oracle_risk == 1.0
@@ -358,13 +356,13 @@ class TestUnbiasednessCheck:
 
 class TestMEpsilonStudy:
     def test_singleton_family_is_constant_one(self):
-        cfg = make_config(models=ModelIndexSet(np.array([1])), replicates=300)
+        cfg = make_config(models=np.array([1]), replicates=300)
         report = m_epsilon_study(cfg, 0.1)
         assert report.profile_centered.mean == 1.0
         assert report.profile_centered.std_error == 0.0
 
     def test_bounded_by_max_model(self):
-        cfg = make_config(models=ModelIndexSet.from_range(1, 10), replicates=500)
+        cfg = make_config(models=np.arange(1, 11), replicates=500)
         report = m_epsilon_study(cfg, 0.05)
         assert report.profile_centered.mean <= 10.0
         assert report.oracle_centered.mean <= 10.0
@@ -374,7 +372,7 @@ class TestMEpsilonStudy:
             scenario_id="zero-menv",
             mu_spec="zero",
             sigma=SIGMA1,
-            models=ModelIndexSet.from_range(1, 50),
+            models=np.arange(1, 51),
             replicates=1000,
             base_seed=777,
         )

@@ -1,5 +1,6 @@
 """Property tests for the risk profile, the weight kernels, the block pipeline,
-the minimizer of psi, the CLI's exit codes and the canonical text of model sets.
+the minimizer of psi, the CLI's exit codes, the canonical text of model sets
+and the text of mean specs.
 
 Examples are derandomized and no example database is written, so the suite
 stays deterministic and leaves nothing in the working tree.  Profiles are
@@ -13,10 +14,12 @@ import json
 import math
 import os
 import shutil
+import sys
 import tempfile
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.configuration import set_hypothesis_home_dir
@@ -32,7 +35,7 @@ from ewagg.estimators import (
     ure_weights,
 )
 from ewagg.montecarlo import LEMMA2_VARIANTS
-from ewagg.sequence_model import MeanVector, ModelIndexSet, NoiseLevel, _seed_entropy, squared_loss
+from ewagg.sequence_model import _seed_entropy, mean_vector_from_spec, squared_loss
 from ewagg.substreams import substream_words
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None)
@@ -54,7 +57,7 @@ def first_minimum(row):
 def integer_profiles(draw, spread=20):
     """A model index set and a (B, #M) block of integer profile values."""
     indices = draw(st.lists(st.integers(1, 60), min_size=1, max_size=30, unique=True))
-    models = ModelIndexSet(np.array(sorted(indices)))
+    models = np.array(sorted(indices))
     rows = draw(st.integers(1, 5))
     values = draw(
         st.lists(
@@ -66,8 +69,8 @@ def integer_profiles(draw, spread=20):
     return models, np.array(values, dtype=float)
 
 
-sigmas = st.floats(0.1, 10.0).map(NoiseLevel)
-SIGMA1 = NoiseLevel(1.0)
+sigmas = st.floats(0.1, 10.0)
+SIGMA1 = 1.0
 
 
 def argmin_model(profile, models):
@@ -85,8 +88,8 @@ def test_block_minima_are_the_first_occurrence_scan(case):
         first = first_minimum(row)
         # The default center is the row minimum, and the argmin its first occurrence.
         assert centered[b] == m_epsilon(row, models, SIGMA1, 0.5, center=row[first])
-        assert by_block[b] == models.indices[first]
-        assert argmin_model(row, models) == models.indices[first]
+        assert by_block[b] == models[first]
+        assert argmin_model(row, models) == models[first]
         assert np.array_equal(ure_weights(row), np.eye(row.size)[first])
 
 
@@ -161,14 +164,14 @@ def observation_blocks(draw):
     length = draw(st.integers(1, 300))
     density = draw(st.floats(0.01, 1.0))
     scale = draw(st.floats(1e-3, 1e3))
-    sigma = NoiseLevel(draw(st.floats(1e-3, 1e3)))
+    sigma = draw(st.floats(1e-3, 1e3))
     epsilon = draw(st.floats(1e-3, 0.999))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     keep = rng.random(length) < density
     keep[rng.integers(length)] = True
-    models = ModelIndexSet(np.flatnonzero(keep) + 1)
+    models = np.flatnonzero(keep) + 1
     block = scale * rng.standard_normal((rows, length))
-    mu = MeanVector(scale * rng.standard_normal(int(rng.integers(1, length + 1))))
+    mu = scale * rng.standard_normal(int(rng.integers(1, length + 1)))
     m = int(rng.integers(1, length + 1))
     return models, block, sigma, mu, m, epsilon
 
@@ -269,7 +272,64 @@ def scenario_digest(models_text):
 @given(st.lists(st.integers(1, 200), min_size=1, max_size=60, unique=True))
 @example([1, 2, 3, 4, 5])  # text "1..5", list "1,2,3,4,5"
 def test_model_set_text_parses_back_to_the_same_indices(indices):
-    models = ModelIndexSet(np.array(sorted(indices)))
+    models = np.array(sorted(indices))
     text = cli.model_set_text(models)
-    assert np.array_equal(cli.parse_model_set_text(text).indices, models.indices)
+    assert np.array_equal(cli.parse_model_set_text(text), models)
     assert scenario_digest(text) == scenario_digest(",".join(map(str, indices)))
+
+
+@SETTINGS
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=20))
+@example([-0.0, 0.0, 5e-324, -2.2250738585072014e-308, sys.float_info.max, -sys.float_info.max])
+def test_explicit_mean_spec_parses_back_to_the_same_bits(values):
+    mu = mean_vector_from_spec("explicit:" + ",".join(map(repr, values)))
+    assert mu.dtype == np.float64
+    assert mu.tobytes() == np.array(values, dtype=np.float64).tobytes()  # -0.0 keeps its sign
+
+
+@st.composite
+def family_specs(draw):
+    """A zero, poly or sparse spec text and its parameters, as the docstring defines them.
+
+    Numbers are written by repr; the text then gets any letter case and any
+    spacing around the separators.
+    """
+    n = draw(st.integers(1, 50))
+    family = draw(st.sampled_from(["zero", "poly", "sparse"]))
+    if family == "zero":
+        params = {"N": n}
+    elif family == "poly":
+        params = {"beta": draw(st.floats()), "scale": draw(st.floats()), "N": n}
+    else:
+        params = {"k": draw(st.integers(0, n)), "amp": draw(st.floats()), "N": n}
+    space = st.sampled_from(["", " ", "\t", "  "])
+    items = [f"{draw(space)}{key}{draw(space)}={draw(space)}{value!r}{draw(space)}"
+             for key, value in draw(st.permutations(list(params.items())))]
+    text = f"{draw(space)}{family}{draw(space)}:" + ",".join(items)
+    upper = draw(st.lists(st.booleans(), min_size=len(text), max_size=len(text)))
+    text = "".join(c.upper() if up else c.lower() for c, up in zip(text, upper))
+    return text, family, params
+
+
+@SETTINGS
+@given(family_specs())
+@example(("POLY: Beta = -400.0 , scale=1.0,n=3", "poly", {"beta": -400.0, "scale": 1.0, "N": 3}))
+@example(("sparse:k=1,amp=inf,N=2", "sparse", {"k": 1, "amp": math.inf, "N": 2}))
+def test_family_mean_spec_gives_the_documented_formula(case):
+    text, family, params = case
+    n = params["N"]
+    # The formula may overflow or meet inf * 0; the spec must then be rejected.
+    with np.errstate(all="ignore"):
+        if family == "zero":
+            expected = np.zeros(n)
+        elif family == "poly":
+            expected = params["scale"] * np.arange(1, n + 1, dtype=float) ** (-params["beta"])
+        else:
+            expected = np.zeros(n)
+            expected[: params["k"]] = params["amp"]
+        if not np.all(np.isfinite(expected)):
+            with pytest.raises(ValueError, match="finite"):
+                mean_vector_from_spec(text)
+            return
+        mu = mean_vector_from_spec(text)
+    assert mu.tobytes() == expected.tobytes(), text

@@ -3,16 +3,18 @@
 import numpy as np
 import pytest
 
+from ewagg.montecarlo import ScenarioConfig
 from ewagg.sequence_model import (
-    MeanVector,
-    ModelIndexSet,
-    NoiseLevel,
     _seed_entropy,
+    check_mean,
+    check_models,
+    check_sigma,
     draw_observations,
     generate_observation,
     mean_vector_from_spec,
     squared_loss,
     standard_normals,
+    tail_squared_norms,
     true_projection_risk,
 )
 from ewagg import substreams
@@ -25,70 +27,69 @@ def substream_block(mu, sigma, prefix, reps):
     return draw_observations(mu, sigma, map(SubstreamSeed, words))
 
 
+def scenario(sigma=1.0, models=(1, 2)):
+    """A ScenarioConfig over a zero mean that runs check_sigma and check_models."""
+    return ScenarioConfig("s", "zero", sigma, np.asarray(models), replicates=2, base_seed=0)
+
+
 class TestTypes:
     def test_mean_vector_rejects_non_finite(self):
         with pytest.raises(ValueError):
-            MeanVector(np.array([1.0, np.inf]))
+            check_mean(np.array([1.0, np.inf]))
         with pytest.raises(ValueError):
-            MeanVector(np.array([np.nan]))
+            check_mean(np.array([np.nan]))
         with pytest.raises(ValueError):
-            MeanVector(np.array([]))
+            check_mean(np.array([]))
 
     def test_mean_vector_norms(self):
-        mu = MeanVector(np.array([3.0, 4.0]))
-        assert mu.declared_length == 2
-        assert mu.squared_norm == 25.0
-        assert mu.tail_squared_norm(1) == 16.0
-        assert mu.tail_squared_norm(2) == 0.0
-        assert mu.tail_squared_norm(100) == 0.0
+        tails = tail_squared_norms(np.array([3.0, 4.0]))
+        assert tails.tolist() == [25.0, 16.0, 0.0]
 
     def test_noise_level_must_be_positive(self):
-        with pytest.raises(ValueError):
-            NoiseLevel(0.0)
-        with pytest.raises(ValueError):
-            NoiseLevel(-1.0)
-        with pytest.raises(ValueError):
-            NoiseLevel(float("nan"))
         # sigma^2 subnormal, underflowing to 0, or overflowing to inf
-        for sigma in (1e-160, 1e-200, 1e200, float("inf")):
+        for sigma in (0.0, -1.0, float("nan"), 1e-160, 1e-200, 1e200, float("inf")):
             with pytest.raises(ValueError):
-                NoiseLevel(sigma)
-        assert NoiseLevel(0.5).variance == 0.25
-        assert NoiseLevel(1e-150).variance > 0.0
+                check_sigma(sigma)
+            with pytest.raises(ValueError):
+                scenario(sigma=sigma)
+        assert check_sigma(0.5) == 0.5
+        assert check_sigma(1e-150) == 1e-150
+        assert scenario(sigma=1e-150).sigma == 1e-150
 
     def test_model_index_set_validation(self):
-        with pytest.raises(ValueError):
-            ModelIndexSet(np.array([0, 1]))
-        with pytest.raises(ValueError):
-            ModelIndexSet(np.array([2, 2]))
-        with pytest.raises(ValueError):
-            ModelIndexSet(np.array([3, 1]))
-        with pytest.raises(ValueError):
-            ModelIndexSet(np.array([], dtype=int))
-        M = ModelIndexSet.from_range(1, 5)
-        assert len(M) == 5
-        assert M.min_index == 1
-        assert M.max_index == 5
+        for models in ([0, 1], [2, 2], [3, 1], np.array([], dtype=int)):
+            with pytest.raises(ValueError):
+                check_models(np.array(models))
+            with pytest.raises(ValueError):
+                scenario(models=models)
+        M = check_models(np.arange(1, 6))
+        assert M.dtype == np.int64
+        assert M.tolist() == [1, 2, 3, 4, 5]
 
     def test_arrays_are_immutable(self):
-        mu = MeanVector(np.array([1.0, 2.0]))
+        models = np.array([1, 2])
+        cfg = scenario(models=models)
+        models[0] = 9  # the config keeps its own copy
+        assert cfg.models.tolist() == [1, 2]
         with pytest.raises(ValueError):
-            mu.coefficients[0] = 9.0
+            cfg.models[0] = 9
+        with pytest.raises(ValueError):
+            cfg.mu[0] = 9.0
 
 
 class TestGenerateObservation:
     """The observation draw is a pure function of (mu, sigma, seed)."""
 
     def test_identical_seed_reproduces_bit_for_bit(self):
-        mu = MeanVector(np.zeros(3))
-        sig = NoiseLevel(1.0)
+        mu = np.zeros(3)
+        sig = 1.0
         a = generate_observation(mu, sig, 12345)
         b = generate_observation(mu, sig, 12345)
         assert np.array_equal(a, b)
 
     def test_different_seeds_differ(self):
-        mu = MeanVector(np.zeros(3))
-        sig = NoiseLevel(1.0)
+        mu = np.zeros(3)
+        sig = 1.0
         a = generate_observation(mu, sig, 1)
         b = generate_observation(mu, sig, 2)
         assert not np.array_equal(a, b)
@@ -96,12 +97,12 @@ class TestGenerateObservation:
     def test_recorded_draw_for_fixed_seed(self):
         # Frozen reference draw; numpy guarantees Generator stream stability,
         # so a change here means the sampling path changed.
-        obs = generate_observation(MeanVector(np.array([1.0, 2.0])), NoiseLevel(1.0), 42)
+        obs = generate_observation(np.array([1.0, 2.0]), 1.0, 42)
         np.testing.assert_allclose(obs, [1.3047170797544314, 0.9600158937595045], rtol=1e-15)
 
     def test_sequence_seed_addresses_substreams(self):
-        mu = MeanVector(np.zeros(4))
-        sig = NoiseLevel(1.0)
+        mu = np.zeros(4)
+        sig = 1.0
         a = generate_observation(mu, sig, (7, 0, 3))
         b = generate_observation(mu, sig, (7, 0, 3))
         c = generate_observation(mu, sig, (7, 0, 4))
@@ -109,8 +110,8 @@ class TestGenerateObservation:
         assert not np.array_equal(a, c)
 
     def test_block_rows_are_the_single_draws(self):
-        mu = MeanVector(np.linspace(1.0, 0.1, 7))
-        sig = NoiseLevel(0.3)
+        mu = np.linspace(1.0, 0.1, 7)
+        sig = 0.3
         seeds = [(5, 1, rep) for rep in range(4)]
         block = draw_observations(mu, sig, seeds)
         assert block.shape == (4, 7)
@@ -119,8 +120,8 @@ class TestGenerateObservation:
 
     def test_law_of_large_numbers_on_coordinate_means(self):
         # Means over many independent seeds must approach mu at the MC rate.
-        mu = MeanVector(np.array([1.0, 2.0]))
-        sig = NoiseLevel(1.0)
+        mu = np.array([1.0, 2.0])
+        sig = 1.0
         reps = 100_000
         means = substream_block(mu, sig, (555,), reps).sum(axis=0) / reps
         tol = 3.0 / np.sqrt(reps)
@@ -170,8 +171,8 @@ class TestSubstreamWords:
         assert substream_words((1, 2), np.array([], dtype=np.uint64)).shape == (0, 4)
 
     def test_block_rows_are_the_tuple_seed_draws(self):
-        mu = MeanVector(np.linspace(1.0, 0.1, 7))
-        sig = NoiseLevel(0.3)
+        mu = np.linspace(1.0, 0.1, 7)
+        sig = 0.3
         words = substream_words((5, 1), np.arange(4, dtype=np.uint64))
         block = draw_observations(mu, sig, map(SubstreamSeed, words))
         for rep, row in enumerate(block):
@@ -191,37 +192,37 @@ class TestSubstreamWords:
 
 class TestTrueProjectionRisk:
     def test_zero_mean(self):
-        mu = MeanVector(np.zeros(10))
-        assert true_projection_risk(mu, NoiseLevel(1.0), 3) == 3.0
+        mu = np.zeros(10)
+        assert true_projection_risk(mu, 1.0, 3) == 3.0
 
     def test_empty_tail(self):
-        mu = MeanVector(np.array([2.0, 2.0]))
-        assert true_projection_risk(mu, NoiseLevel(1.0), 2) == 2.0
+        mu = np.array([2.0, 2.0])
+        assert true_projection_risk(mu, 1.0, 2) == 2.0
 
     def test_direct_summation(self):
         # Independent oracle: sum the tail by hand.
-        mu = MeanVector(np.array([2.0, 2.0]))
+        mu = np.array([2.0, 2.0])
         expected = sum(c * c for c in [2.0]) + 1.0 * 1
-        assert true_projection_risk(mu, NoiseLevel(1.0), 1) == expected == 5.0
+        assert true_projection_risk(mu, 1.0, 1) == expected == 5.0
 
     def test_requires_m_at_least_one(self):
-        mu = MeanVector(np.zeros(3))
+        mu = np.zeros(3)
         with pytest.raises(ValueError):
-            true_projection_risk(mu, NoiseLevel(1.0), 0)
+            true_projection_risk(mu, 1.0, 0)
 
     def test_index_array_gives_each_index_risk(self):
-        mu = MeanVector(np.array([1.0, 0.5, 0.25]))
-        sig = NoiseLevel(0.3)
+        mu = np.array([1.0, 0.5, 0.25])
+        sig = 0.3
         m = np.array([1, 2, 3, 7])
         risks = true_projection_risk(mu, sig, m)
         assert np.array_equal(risks, [true_projection_risk(mu, sig, k) for k in m])
-        assert risks[3] == sig.variance * 7  # the tail beyond the support is 0
+        assert risks[3] == sig * sig * 7  # the tail beyond the support is 0
         with pytest.raises(ValueError):
             true_projection_risk(mu, sig, np.array([2, 0]))
 
     def test_strictly_increasing_beyond_support(self):
-        mu = MeanVector(np.array([1.0, 0.5, 0.25]))
-        sig = NoiseLevel(0.3)
+        mu = np.array([1.0, 0.5, 0.25])
+        sig = 0.3
         risks = [true_projection_risk(mu, sig, m) for m in range(3, 12)]
         assert all(b > a for a, b in zip(risks, risks[1:]))
 
@@ -230,7 +231,7 @@ class TestTrueProjectionRisk:
         from ewagg.estimators import projection_estimate
 
         mu = mean_vector_from_spec("poly:beta=1,scale=1,N=20")
-        sig = NoiseLevel(1.0)
+        sig = 1.0
         reps = 100_000
         m_values = [1, 5, 20]
         obs = substream_block(mu, sig, (9090,), reps)
@@ -243,22 +244,22 @@ class TestTrueProjectionRisk:
 
 class TestSquaredLoss:
     def test_identity_is_zero(self):
-        mu = MeanVector(np.array([1.0, -2.0, 3.0]))
-        assert squared_loss(mu.coefficients, mu) == 0.0
+        mu = np.array([1.0, -2.0, 3.0])
+        assert squared_loss(mu, mu) == 0.0
 
     def test_zero_estimate(self):
-        assert squared_loss([0.0, 0.0], MeanVector(np.array([3.0, 4.0]))) == 25.0
+        assert squared_loss([0.0, 0.0], np.array([3.0, 4.0])) == 25.0
 
     def test_direct_summation(self):
-        assert squared_loss([1.0, 1.0], MeanVector(np.array([2.0, 2.0]))) == 2.0
+        assert squared_loss([1.0, 1.0], np.array([2.0, 2.0])) == 2.0
 
     def test_tails_are_zero_padded(self):
-        mu = MeanVector(np.array([1.0]))
+        mu = np.array([1.0])
         assert squared_loss([1.0, 3.0], mu) == 9.0
-        assert squared_loss([0.0], MeanVector(np.array([1.0, 2.0]))) == 5.0
+        assert squared_loss([0.0], np.array([1.0, 2.0])) == 5.0
 
     def test_block_gives_one_loss_per_row(self):
-        mu = MeanVector(np.array([1.0, 2.0]))
+        mu = np.array([1.0, 2.0])
         block = np.array([[1.0, 3.0, 0.5], [0.0, 0.0, 0.0]])
         np.testing.assert_array_equal(
             squared_loss(block, mu), [squared_loss(row, mu) for row in block]
@@ -268,23 +269,23 @@ class TestSquaredLoss:
 class TestMeanVectorFromSpec:
     def test_zero_family(self):
         mu = mean_vector_from_spec("zero", default_length=4)
-        assert np.array_equal(mu.coefficients, np.zeros(4))
+        assert np.array_equal(mu, np.zeros(4))
         mu = mean_vector_from_spec("zero:N=3")
-        assert mu.declared_length == 3
+        assert mu.size == 3
 
     def test_poly_family(self):
         mu = mean_vector_from_spec("poly:beta=1,scale=2,N=4")
-        np.testing.assert_allclose(mu.coefficients, [2.0, 1.0, 2.0 / 3.0, 0.5])
+        np.testing.assert_allclose(mu, [2.0, 1.0, 2.0 / 3.0, 0.5])
 
     def test_sparse_family(self):
         mu = mean_vector_from_spec("sparse:k=2,amp=3,N=5")
-        np.testing.assert_allclose(mu.coefficients, [3.0, 3.0, 0.0, 0.0, 0.0])
+        np.testing.assert_allclose(mu, [3.0, 3.0, 0.0, 0.0, 0.0])
         mu = mean_vector_from_spec("sparse:k=2,amp=3")
-        assert mu.declared_length == 2
+        assert mu.size == 2
 
     def test_explicit_family(self):
         mu = mean_vector_from_spec("explicit:1,0.5,0.25")
-        np.testing.assert_allclose(mu.coefficients, [1.0, 0.5, 0.25])
+        np.testing.assert_allclose(mu, [1.0, 0.5, 0.25])
 
     def test_errors(self):
         with pytest.raises(ValueError):
@@ -297,3 +298,6 @@ class TestMeanVectorFromSpec:
             mean_vector_from_spec("poly:beta=1,junk=2,N=3")
         with pytest.raises(ValueError):
             mean_vector_from_spec("explicit:")
+        for spec in ("poly:beta=1,beta=3", "poly:N=5,N=50", "sparse:k=1,K=2"):
+            with pytest.raises(ValueError, match="repeated parameter"):
+                mean_vector_from_spec(spec)
