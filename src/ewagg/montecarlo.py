@@ -1,25 +1,20 @@
 """Reproducible Monte Carlo engine for risk estimation and bound verification.
 
-Every replicate draws its observation from its own substream keyed by
-(base seed, scenario, replicate index), so results are independent of
-execution order.  The seed words of all of a call's substreams are derived
-in one vectorised pass before the first block is drawn.  Replicates are
-processed in blocks: each block is one (B, N) observation array with a
-replicate per row, and the public pipeline (risk profile, weights,
-aggregate, loss) runs once per block over the last axis.  Every row gets
-the same bits as that pipeline gives it alone, and losses are stored in
-fixed index order, so a given configuration reproduces bit-identical
-estimates whatever the block size.
+Every replicate draws from its own substream keyed by (base seed, scenario
+or walk, replicate index).  One engine, _per_replicate, runs every Monte
+Carlo entry point in blocks of replicates, one (B, N) array per block; every
+row gets the same bits as it would alone and results are kept in replicate
+order, so estimates are bit-identical whatever the block size, worker count
+or execution order.
 
 A ScenarioConfig checks its sigma and model set and resolves its mean once;
 the kernels then take them as a float, an int64 array and a float64 array.
 
-The lemma-2 walks run on worker threads, one per CPU in the affinity mask
-(capped at the replicate count).  Nearly all of a walk's time is numpy
-drawing and summing normals with the interpreter lock released, so the
-threads overlap.  Each replicate still draws from its own substream and
-writes its own slot of the result, so the estimates have the same bits for
-any worker count.
+Only the lemma-2 walks run on worker threads, one per CPU in the affinity
+mask: nearly all of a walk's time is numpy drawing and summing normals with
+the interpreter lock released, so the threads overlap.  The simulation
+pipeline stays on the calling thread, where threads gave no speed-up and a
+single call stack keeps its traced layers nested.
 """
 
 from __future__ import annotations
@@ -80,7 +75,7 @@ LEMMA2_VARIANTS = ("chi2_upper", "linear", "chi2_lower")
 _BLOCK_VALUES = 1 << 12
 
 
-# Threads that run the lemma-2 walks of one call (at most one per replicate):
+# Threads that run the lemma-2 walks of one call (at most one per block):
 # the CPUs this process may run on.  Outputs do not depend on it.
 if hasattr(os, "sched_getaffinity"):
     _WORKERS = len(os.sched_getaffinity(0))
@@ -93,21 +88,53 @@ def _stable_key(label: str) -> int:
     return int.from_bytes(hashlib.sha256(label.encode("utf-8")).digest()[:8], "big")
 
 
-def _observation_blocks(mu: np.ndarray, sigma: float, replicates: int, prefix: tuple):
-    """Yield (replicate slice, observation block) in index order; rep uses (*prefix, rep).
+def _per_replicate(kernel: Callable, replicates: int, width: int, prefix: tuple, workers=1):
+    """kernel's results for replicates 0..replicates-1, joined along the last axis.
 
-    The seed words of every replicate are derived once, up front; a row is
-    wrapped as a SubstreamSeed only when its block is drawn.
+    Replicate rep draws from the substream (*prefix, rep).  The replicates
+    run in blocks of max(1, _BLOCK_VALUES // width) rows; kernel(seeds) gets
+    one SubstreamSeed per row of a block and returns an array (..., B).
+    Block i runs on worker i mod workers, under the caller's numpy error
+    state; the calling thread is worker 0.  The first exception, in a kernel
+    or in starting a thread, stops every worker at its next block and is
+    raised once all started threads have joined.
     """
     # substreams imports numpy.random, about 17 ms; importing it here keeps
     # that out of the commands that draw nothing (psi, bounds).
     from .substreams import SubstreamSeed, substream_words
 
-    rows = max(1, _BLOCK_VALUES // mu.size)
     words = substream_words(prefix, np.arange(replicates, dtype=np.uint64))
-    for first in range(0, replicates, rows):
-        block = slice(first, min(replicates, first + rows))
-        yield block, draw_observations(mu, sigma, map(SubstreamSeed, words[block]))
+    rows = max(1, _BLOCK_VALUES // width)
+    blocks = [words[first : first + rows] for first in range(0, replicates, rows)]
+    results: list = [None] * len(blocks)
+    workers = min(workers, len(blocks))
+    errstate = np.geterr()
+    errors: list[BaseException] = []
+
+    def run(first: int) -> None:
+        try:
+            with np.errstate(**errstate):
+                for i in range(first, len(blocks), workers):
+                    if errors:
+                        return
+                    results[i] = kernel(list(map(SubstreamSeed, blocks[i])))
+        except BaseException as exc:  # re-raised in the calling thread below
+            errors.append(exc)
+
+    started = []
+    try:
+        for w in range(1, workers):
+            thread = threading.Thread(target=run, args=(w,))
+            thread.start()
+            started.append(thread)
+    except BaseException as exc:
+        errors.append(exc)
+    run(0)
+    for thread in started:
+        thread.join()
+    if errors:
+        raise errors[0]
+    return np.concatenate(results, axis=-1)
 
 
 def _read_only(values: np.ndarray) -> np.ndarray:
@@ -117,13 +144,13 @@ def _read_only(values: np.ndarray) -> np.ndarray:
     return values
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScenarioConfig:
     """Full description of one experiment; mu is the mean vector mu_spec resolves to.
 
     sigma is checked by check_sigma and models by check_models.  models and mu
     are stored as read-only copies, so a validated config cannot be changed
-    through the caller's array.
+    through the caller's array.  Equality and hashing are by identity.
     """
 
     scenario_id: str
@@ -132,7 +159,7 @@ class ScenarioConfig:
     models: np.ndarray
     replicates: int
     base_seed: int
-    mu: np.ndarray = field(init=False, repr=False, compare=False)
+    mu: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "sigma", check_sigma(self.sigma))
@@ -196,16 +223,21 @@ class ComparisonRow:
 
 def _replicate_losses(config: ScenarioConfig) -> dict[str, np.ndarray]:
     """Per-replicate squared losses of both estimators, in index order."""
-    mu = config.mu
-    models = config.models
-    losses = {"URE": np.empty(config.replicates), "EW": np.empty(config.replicates)}
+    mu, sigma, models = config.mu, config.sigma, config.models
+    # Keep each block's arrays until the next block has allocated its own; freed
+    # together at N=20,000 they let glibc trim the heap and re-fault it per block.
+    held = []
+
+    def losses(seeds) -> np.ndarray:
+        obs = draw_observations(mu, sigma, seeds)
+        profile = risk_profile(obs, sigma, models)
+        weights = (ure_weights(profile), exponential_weights(profile, sigma))
+        held[:] = obs, profile, weights
+        return np.stack([squared_loss(aggregate(obs, models, w), mu) for w in weights])
+
     prefix = (config.base_seed, _stable_key(config.scenario_id))
-    for reps, obs in _observation_blocks(mu, config.sigma, config.replicates, prefix):
-        profile = risk_profile(obs, config.sigma, models)
-        weights = {"URE": ure_weights(profile), "EW": exponential_weights(profile, config.sigma)}
-        for name, w in weights.items():
-            losses[name][reps] = squared_loss(aggregate(obs, models, w), mu)
-    return losses
+    ure, ew = _per_replicate(losses, config.replicates, mu.size, prefix)
+    return {"URE": ure, "EW": ew}
 
 
 def mc_risk(config: ScenarioConfig) -> dict[str, RiskEstimate]:
@@ -278,72 +310,31 @@ def lemma2_empirical(
     if replicates < 2:
         raise ValueError("replicates must be >= 2, so that a standard error exists")
 
-    key = _stable_key(f"lemma2:{which}:{alpha!r}")
     # The drift line, sized by k_max or by the support of mu, is built here
     # before any worker starts, so an oversized input fails in the caller.
-    # The caller's numpy error state does not reach the workers; the
-    # coefficient squares and the drift line, the only steps that can overflow
-    # for finite mu and alpha, run here under it.
     if which == "linear":
-        drift_line = 0.5 * alpha * tail_squared_norms(mu)[:-1]
-
-        def walk(rep: int) -> float:
-            xi = standard_normals((seed, key, rep), mu.size)
-            suffix_dot = np.cumsum((mu * xi)[::-1])[::-1]
-            return max(float((suffix_dot - drift_line).max()), 0.0)  # empty suffixes give 0
+        width, drift_line = mu.size, 0.5 * alpha * tail_squared_norms(mu)[:-1]
     else:
-        drift_line = drift * np.arange(1, k_max + 1, dtype=float)
-        upper = which == "chi2_upper"
+        width, drift_line = k_max, drift * np.arange(1, k_max + 1, dtype=float)
 
-        def walk(rep: int) -> float:
-            steps = standard_normals((seed, key, rep), k_max)
+    def walks(seeds) -> np.ndarray:
+        steps = np.stack([standard_normals(seed, width) for seed in seeds])
+        if which == "linear":
+            steps *= mu
+            np.cumsum(steps[:, ::-1], axis=-1, out=steps[:, ::-1])  # suffix sums
+        else:
             steps *= steps
-            if upper:
+            if which == "chi2_upper":
                 steps -= 1.0
             else:
                 np.subtract(1.0, steps, out=steps)
-            np.cumsum(steps, out=steps)
-            steps -= drift_line
-            return float(steps.max())
+            np.cumsum(steps, axis=-1, out=steps)
+        steps -= drift_line
+        top = steps.max(axis=-1)
+        return np.where(top < 0.0, 0.0, top) if which == "linear" else top
 
-    return RiskEstimate.from_samples(_run_replicates(walk, replicates))
-
-
-def _run_replicates(walk: Callable[[int], float], replicates: int) -> np.ndarray:
-    """[walk(rep) for rep in range(replicates)] as an array, over _WORKERS threads.
-
-    Worker w runs the replicates congruent to w modulo the worker count; the
-    calling thread is worker 0.  The first exception, in a walk or in starting
-    a thread, stops every worker at its next replicate and is raised once all
-    started threads have joined.
-    """
-    stats = np.empty(replicates)
-    workers = min(_WORKERS, replicates)
-    errors: list[BaseException] = []
-
-    def run(first: int) -> None:
-        try:
-            for rep in range(first, replicates, workers):
-                if errors:
-                    return
-                stats[rep] = walk(rep)
-        except BaseException as exc:  # re-raised in the calling thread below
-            errors.append(exc)
-
-    started = []
-    try:
-        for w in range(1, workers):
-            thread = threading.Thread(target=run, args=(w,))
-            thread.start()
-            started.append(thread)
-    except BaseException as exc:
-        errors.append(exc)
-    run(0)
-    for thread in started:
-        thread.join()
-    if errors:
-        raise errors[0]
-    return stats
+    prefix = (seed, _stable_key(f"lemma2:{which}:{alpha!r}"))
+    return RiskEstimate.from_samples(_per_replicate(walks, replicates, width, prefix, _WORKERS))
 
 
 def unbiasedness_check(
@@ -355,15 +346,19 @@ def unbiasedness_check(
 ) -> dict[int, RiskEstimate]:
     """MC estimate of rbar(Y, m) + ||mu||^2 - true risk, per m; all means should be ~0."""
     mu, sigma = check_mean(mu), check_sigma(sigma)
+    if replicates < 2:
+        raise ValueError("replicates must be >= 2, so that a standard error exists")
     m_values = [int(m) for m in m_values]
     if any(m > mu.size for m in m_values):
         raise ValueError(f"every m must be <= the mean vector length {mu.size}")
     indices = np.array(m_values, dtype=np.int64)
     offsets = tail_squared_norms(mu)[0] - true_projection_risk(mu, sigma, indices)
-    stats = np.empty((len(m_values), replicates))
-    prefix = (base_seed, _stable_key("unbiasedness"))
-    for reps, obs in _observation_blocks(mu, sigma, replicates, prefix):
-        stats[:, reps] = (profile_values(obs, sigma * sigma, indices) + offsets).T
+
+    def centered(seeds) -> np.ndarray:
+        obs = draw_observations(mu, sigma, seeds)
+        return (profile_values(obs, sigma * sigma, indices) + offsets).T
+
+    stats = _per_replicate(centered, replicates, mu.size, (base_seed, _stable_key("unbiasedness")))
     return {m: RiskEstimate.from_samples(row) for m, row in zip(m_values, stats)}
 
 
@@ -399,13 +394,14 @@ def m_epsilon_study(config: ScenarioConfig, epsilon: float) -> MEpsilonReport:
     mu, sigma, models = config.mu, config.sigma, config.models
     report = oracle_risk(mu, sigma, models)
     budget = m_epsilon_budget(report.oracle_risk, sigma, epsilon)  # checks epsilon
-    by_profile = np.empty(config.replicates)
-    by_oracle = np.empty(config.replicates)
+
+    def envelope_indices(seeds) -> np.ndarray:
+        profile = risk_profile(draw_observations(mu, sigma, seeds), sigma, models)
+        centers = (None, report.oracle_risk)
+        return np.stack([m_epsilon(profile, models, sigma, epsilon, c) for c in centers])
+
     prefix = (config.base_seed, _stable_key(config.scenario_id))
-    for reps, obs in _observation_blocks(mu, sigma, config.replicates, prefix):
-        profile = risk_profile(obs, sigma, models)
-        by_profile[reps] = m_epsilon(profile, models, sigma, epsilon)
-        by_oracle[reps] = m_epsilon(profile, models, sigma, epsilon, report.oracle_risk)
+    by_profile, by_oracle = _per_replicate(envelope_indices, config.replicates, mu.size, prefix)
     return MEpsilonReport(
         epsilon=epsilon,
         profile_centered=RiskEstimate.from_samples(by_profile),

@@ -50,10 +50,14 @@ def check_sigma(sigma) -> float:
 
 
 def check_models(models) -> np.ndarray:
-    """models as an int64 array; ValueError unless non-empty, >= 1 and strictly increasing."""
-    idx = np.asarray(models, dtype=np.int64)
-    if idx.ndim != 1 or idx.size == 0:
+    """models as an int64 array; ValueError unless non-empty whole numbers, >= 1, increasing."""
+    values = np.asarray(models)
+    if values.ndim != 1 or values.size == 0:
         raise ValueError("indices must be a non-empty 1-D sequence of integers")
+    whole = values.dtype.kind != "f" or (values == np.floor(values)) & (np.abs(values) < 2.0**63)
+    if not np.all(whole):  # a cast would truncate 1.5 and turn nan and inf into garbage
+        raise ValueError(f"model indices must be integers, got {float(values[~whole][0])}")
+    idx = values.astype(np.int64)
     if idx[0] < 1:
         raise ValueError("all model indices must be >= 1")
     if idx.size > 1 and not np.all(np.diff(idx) > 0):

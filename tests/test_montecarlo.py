@@ -32,6 +32,7 @@ from ewagg.sequence_model import (
     mean_vector_from_spec,
     squared_loss,
 )
+from ewagg.substreams import substream_words
 
 SIGMA1 = 1.0
 
@@ -75,6 +76,11 @@ class TestScenarioConfig:
         verify_oracle_inequalities(make_config(replicates=20))
         assert len(calls) == 1
 
+    def test_equality_is_identity(self):
+        a, b = make_config(models=[1, 2]), make_config(models=[1, 2])
+        assert a == a and a != b
+        assert hash(a) == hash(a) and {a, b} == {a, b}
+
 
 class TestMcRisk:
     def test_single_model_family(self):
@@ -96,15 +102,18 @@ class TestMcRisk:
                 _replicate_losses(cfg),
                 m_epsilon_study(cfg, 0.1),
                 unbiasedness_check(mu, cfg.sigma, [1, 4, 10], replicates=97, base_seed=5),
+                [lemma2_empirical(**lemma_case(w), replicates=97, seed=5)
+                 for w in LEMMA2_VARIANTS],
             )
 
-        losses, study, unbiased = run()
+        losses, study, unbiased, walks = run()
         monkeypatch.setattr(montecarlo, "_BLOCK_VALUES", block_values)
-        other_losses, other_study, other_unbiased = run()
+        other_losses, other_study, other_unbiased, other_walks = run()
         for name in ("URE", "EW"):
             np.testing.assert_array_equal(other_losses[name], losses[name])
         assert other_study == study
         assert other_unbiased == unbiased
+        assert other_walks == walks
 
     def test_bit_identical_reruns(self):
         cfg = make_config(replicates=500)
@@ -245,6 +254,11 @@ def lemma_case(which):
     return dict(alpha=0.25 if which == "chi2_upper" else 0.5, which=which, k_max=500)
 
 
+def walk_words(rep):
+    """Seed words of walk rep of lemma2_empirical(0.25, "chi2_upper", seed=1)."""
+    return substream_words((1, _stable_key(f"lemma2:chi2_upper:{0.25!r}")), np.array([rep]))[0]
+
+
 class TestLemma2Workers:
     """The walks run on _WORKERS threads with the same bits for any count."""
 
@@ -297,6 +311,7 @@ class TestLemma2Workers:
 
         monkeypatch.setattr(montecarlo.threading, "Thread", OneStartOnly)
         monkeypatch.setattr(montecarlo, "_WORKERS", 3)
+        monkeypatch.setattr(montecarlo, "_BLOCK_VALUES", 1)  # one walk per block
         with pytest.raises(RuntimeError, match="can't start new thread"):
             lemma2_empirical(0.25, "chi2_upper", k_max=100, replicates=20, seed=1)
         assert threading.active_count() == baseline
@@ -309,11 +324,14 @@ class TestLemma2Workers:
         ]
         outputs = {}
         for workers in (1, 2):
-            monkeypatch.setattr(montecarlo, "_WORKERS", workers)
-            for argv in commands:
-                assert cli.main(["lemma-check", *argv, "--reps", "99", "--seed", "3"]) == 0
-            outputs[workers] = capsys.readouterr().out
-        assert outputs[1] == outputs[2]
+            for block_values in (1, montecarlo._BLOCK_VALUES):
+                monkeypatch.setattr(montecarlo, "_WORKERS", workers)
+                monkeypatch.setattr(montecarlo, "_BLOCK_VALUES", block_values)
+                for argv in commands:
+                    assert cli.main(["lemma-check", *argv, "--reps", "99", "--seed", "3"]) == 0
+                outputs[workers, block_values] = capsys.readouterr().out
+                monkeypatch.undo()
+        assert len(set(outputs.values())) == 1
 
     def test_walks_run_on_two_threads(self, monkeypatch):
         # Recorded through the draw, so a one-CPU machine runs the path too.
@@ -326,6 +344,7 @@ class TestLemma2Workers:
 
         monkeypatch.setattr(montecarlo, "standard_normals", recording)
         monkeypatch.setattr(montecarlo, "_WORKERS", 2)
+        monkeypatch.setattr(montecarlo, "_BLOCK_VALUES", 1)
         lemma2_empirical(0.25, "chi2_upper", k_max=100, replicates=20, seed=1)
         assert len(idents) == 2
 
@@ -333,17 +352,32 @@ class TestLemma2Workers:
     def test_a_walk_exception_reaches_the_caller(self, monkeypatch, failing_rep):
         baseline = threading.active_count()
         draw = montecarlo.standard_normals
+        words = walk_words(failing_rep)
 
         def failing(seed, n):
-            if seed[-1] == failing_rep:
+            if np.array_equal(seed.words, words):
                 raise RuntimeError(f"walk {failing_rep} failed")
             return draw(seed, n)
 
         monkeypatch.setattr(montecarlo, "standard_normals", failing)
         monkeypatch.setattr(montecarlo, "_WORKERS", 2)
+        monkeypatch.setattr(montecarlo, "_BLOCK_VALUES", 1)
         with pytest.raises(RuntimeError, match=f"walk {failing_rep} failed"):
             lemma2_empirical(0.25, "chi2_upper", k_max=100, replicates=20, seed=1)
         assert threading.active_count() == baseline
+
+    def test_the_callers_error_state_reaches_the_workers(self, monkeypatch):
+        draw = montecarlo.standard_normals
+        words = walk_words(7)  # block 7 of 20 runs on worker 1 of 2
+
+        def overflowing(seed, n):
+            return np.full(n, 1e200) if np.array_equal(seed.words, words) else draw(seed, n)
+
+        monkeypatch.setattr(montecarlo, "standard_normals", overflowing)
+        monkeypatch.setattr(montecarlo, "_WORKERS", 2)
+        monkeypatch.setattr(montecarlo, "_BLOCK_VALUES", 1)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            lemma2_empirical(0.25, "chi2_upper", k_max=100, replicates=20, seed=1)
 
 
 class TestUnbiasednessCheck:
@@ -352,6 +386,12 @@ class TestUnbiasednessCheck:
         results = unbiasedness_check(mu, SIGMA1, [1, 5, 20], replicates=5000, base_seed=3)
         for est in results.values():
             assert abs(est.mean) <= 4.0 * est.std_error
+
+    def test_replicates_must_give_a_standard_error(self):
+        mu = mean_vector_from_spec("zero:N=3")
+        for replicates in (1, 0, -3):
+            with pytest.raises(ValueError, match="replicates"):
+                unbiasedness_check(mu, SIGMA1, [1], replicates=replicates, base_seed=0)
 
 
 class TestMEpsilonStudy:

@@ -57,14 +57,20 @@ class TestTypes:
         assert scenario(sigma=1e-150).sigma == 1e-150
 
     def test_model_index_set_validation(self):
-        for models in ([0, 1], [2, 2], [3, 1], np.array([], dtype=int)):
+        # Non-integer values are rejected, not truncated, and raise no RuntimeWarning.
+        non_integers = ([1.5, 2.9], [1.0, np.nan], [1.0, np.inf], [1.0, 2.0**63])
+        for models in ([0, 1], [2, 2], [3, 1], np.array([], dtype=int), *non_integers):
             with pytest.raises(ValueError):
                 check_models(np.array(models))
             with pytest.raises(ValueError):
                 scenario(models=models)
+        with pytest.raises(ValueError, match="must be integers, got 1.5"):
+            scenario(models=[1.5, 2.9])
         M = check_models(np.arange(1, 6))
         assert M.dtype == np.int64
         assert M.tolist() == [1, 2, 3, 4, 5]
+        assert check_models(range(1, 6)).tolist() == M.tolist()
+        assert check_models(np.array([1.0, 3.0])).tolist() == [1, 3]
 
     def test_arrays_are_immutable(self):
         models = np.array([1, 2])
