@@ -26,6 +26,7 @@ from .bounds import (
     RegretBudgets,
     entropy,
     lemma4_bound,
+    m_epsilon_budget,
     psi,
     r_rho,
     theorem_bounds,
@@ -36,13 +37,9 @@ from .bounds import (
 )
 from .montecarlo import (
     ComparisonRow,
-    MEpsilonReport,
     RiskEstimate,
     ScenarioConfig,
     lemma2_empirical,
-    m_epsilon_budget,
-    m_epsilon_study,
-    mc_risk,
     unbiasedness_check,
     verify_oracle_inequalities,
 )
@@ -73,14 +70,11 @@ __all__ = [
     "lemma4_bound",
     "psi",
     "theorem_bounds",
+    "m_epsilon_budget",
     "ScenarioConfig",
     "RiskEstimate",
     "ComparisonRow",
-    "MEpsilonReport",
-    "mc_risk",
     "verify_oracle_inequalities",
     "lemma2_empirical",
     "unbiasedness_check",
-    "m_epsilon_study",
-    "m_epsilon_budget",
 ]

@@ -2,8 +2,9 @@
 
 Covers the drift functions U and U* of the maximal inequalities and their
 inverses, Shannon entropy with its geometric-tail bound, the remainder
-function Psi defined through a one-dimensional minimization, and the
-right-hand-side budgets of the three oracle inequalities.
+function Psi defined through a one-dimensional minimization, the
+right-hand-side budgets of the three oracle inequalities, and the analytic
+budget for the expected envelope index m_epsilon.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ __all__ = [
     "lemma4_bound",
     "psi",
     "theorem_bounds",
+    "m_epsilon_budget",
     "PSI_EPSILON_LO",
     "PSI_EPSILON_HI",
 ]
@@ -268,3 +270,13 @@ def theorem_bounds(oracle_risk: float, sigma: float, model_count: int) -> Regret
         t2=float(4.0 * variance * math.log(model_count)),
         t3=float(4.0 * variance * math.log((r / variance) * (1.0 + psi(ratio).psi))),
     )
+
+
+def m_epsilon_budget(oracle_value: float, sigma: float, epsilon: float) -> float:
+    """Analytic budget r/sigma^2 + 7 eps r / ((1-6 eps) sigma^2) + 15 / ((1-6 eps) eps)."""
+    epsilon = float(epsilon)
+    if not 0.0 < epsilon <= 1.0 / 7.0:
+        raise ValueError("epsilon must lie in (0, 1/7]")
+    ratio = oracle_value / (sigma * sigma)
+    shrink = 1.0 - 6.0 * epsilon
+    return ratio + 7.0 * epsilon * ratio / shrink + 15.0 / (shrink * epsilon)

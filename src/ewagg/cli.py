@@ -101,9 +101,8 @@ def _scenario_from_section(name: str, options: dict[str, str]) -> ScenarioConfig
     missing = sorted(required - options.keys())
     if missing:
         raise ConfigError(f"scenario [{name}] is missing keys: {', '.join(missing)}")
-    if "base_seed" in options:
-        base_seed = int(options["base_seed"])
-    else:
+    base_seed = options.get("base_seed")
+    if base_seed is None:
         base_seed = _default_seed()
         if base_seed is None:
             raise ConfigError(
@@ -120,7 +119,7 @@ def _scenario_from_section(name: str, options: dict[str, str]) -> ScenarioConfig
             sigma=float(options["sigma"]),
             models=parse_model_set_text(options["models"]),
             replicates=int(options["replicates"]),
-            base_seed=base_seed,
+            base_seed=int(base_seed),
         )
     except (ValueError, KeyError, OverflowError) as exc:
         raise ConfigError(f"scenario [{name}]: {exc}") from exc
@@ -207,7 +206,7 @@ def cmd_simulate(config_path: str, out_dir: str) -> int:
     try:
         with open(config_path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {config_path!r}: {exc}") from exc
     scenarios = parse_scenarios(text)
 

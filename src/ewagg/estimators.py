@@ -28,7 +28,6 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "profile_values",
     "projection_estimate",
     "unbiased_risk",
     "risk_profile",
@@ -37,14 +36,6 @@ __all__ = [
     "aggregate",
     "m_epsilon",
 ]
-
-
-def profile_values(values: np.ndarray, variance: float, indices: np.ndarray) -> np.ndarray:
-    """Risk estimates 2 sigma^2 m - sum_{i<=m} Y_i^2 for each m in indices, per row."""
-    cum2 = np.cumsum(values * values, axis=-1)
-    # np.take keeps the result C-ordered; fancy indexing on the last axis of a
-    # block returns an F-ordered array.
-    return 2.0 * variance * indices - np.take(cum2, indices - 1, axis=-1)
 
 
 def projection_estimate(Y: np.ndarray, m: int) -> np.ndarray:
@@ -60,16 +51,10 @@ def projection_estimate(Y: np.ndarray, m: int) -> np.ndarray:
 
 def unbiased_risk(Y: np.ndarray, sigma: float, m: int) -> float | np.ndarray:
     """Unbiased risk estimate -sum_{i<=m} Y_i^2 + 2 sigma^2 m of the m-projection."""
-    Y = np.asarray(Y, dtype=float)
     m = int(m)
     if m < 1:
         raise ValueError("m must be >= 1")
-    if m > Y.shape[-1]:
-        raise ValueError(
-            f"m={m} exceeds the observation length {Y.shape[-1]}; "
-            "coordinates beyond the support would be silently dropped"
-        )
-    values = profile_values(Y, sigma * sigma, np.array([m]))[..., 0]
+    values = risk_profile(Y, sigma, np.array([m]))[..., 0]
     return float(values) if values.ndim == 0 else values
 
 
@@ -78,7 +63,10 @@ def risk_profile(Y: np.ndarray, sigma: float, M: np.ndarray) -> np.ndarray:
     Y = np.asarray(Y, dtype=float)
     if M[-1] > Y.shape[-1]:
         raise ValueError(f"max model index {M[-1]} exceeds the observation length {Y.shape[-1]}")
-    return profile_values(Y, sigma * sigma, M)
+    cum2 = np.cumsum(Y * Y, axis=-1)
+    # np.take keeps the result C-ordered; fancy indexing on the last axis of a
+    # block returns an F-ordered array.
+    return 2.0 * (sigma * sigma) * M - np.take(cum2, M - 1, axis=-1)
 
 
 def ure_weights(profile: np.ndarray) -> np.ndarray:
@@ -128,21 +116,12 @@ def aggregate(Y: np.ndarray, M: np.ndarray, w: np.ndarray) -> np.ndarray:
     return Y * np.cumsum(dense[..., ::-1], axis=-1)[..., ::-1][..., :length]
 
 
-def m_epsilon(
-    profile: np.ndarray,
-    M: np.ndarray,
-    sigma: float,
-    epsilon: float,
-    center: float | None = None,
-) -> int | np.ndarray:
+def m_epsilon(profile: np.ndarray, M: np.ndarray, sigma: float, epsilon: float) -> int | np.ndarray:
     """Largest model whose risk estimate stays under the linear-in-m envelope.
 
-    Returns max{m in M : rbar(m) - center <= 4 epsilon sigma^2 (m - mhat) + 4 sigma^2},
-    where mhat is the argmin model of the profile (the smallest on ties).
-    With the default centering at the profile minimum the set always contains
-    mhat, so the scan is well defined.  A custom center (for diagnostics that
-    compare against an externally computed risk level) may empty the set, in
-    which case the argmin model is returned.
+    Returns max{m in M : rbar(m) - min rbar <= 4 epsilon sigma^2 (m - mhat) + 4 sigma^2}
+    per profile row, where mhat is the row's argmin model (the smallest on
+    ties).  mhat itself satisfies the inequality, so the set is never empty.
     """
     epsilon = float(epsilon)
     if not 0.0 < epsilon < 1.0:
@@ -151,11 +130,8 @@ def m_epsilon(
     if profile.shape[-1:] != M.shape:
         raise ValueError("the profile must align with the model index set")
     variance = sigma * sigma
-    if center is None:
-        center = profile.min(axis=-1, keepdims=True)
     mhat = M[np.argmin(profile, axis=-1)]
     envelope = 4.0 * epsilon * variance * (M - mhat[..., None]) + 4.0 * variance
-    admissible = (profile - center) <= envelope
-    last = M.size - 1 - np.argmax(admissible[..., ::-1], axis=-1)
-    index = np.where(admissible.any(axis=-1), M[last], mhat)
+    admissible = (profile - profile.min(axis=-1, keepdims=True)) <= envelope
+    index = M[M.size - 1 - np.argmax(admissible[..., ::-1], axis=-1)]
     return int(index) if index.ndim == 0 else index

@@ -1,11 +1,16 @@
 """Reproducible Monte Carlo engine for risk estimation and bound verification.
 
+Each Monte Carlo result has one entry point: verify_oracle_inequalities gives
+a scenario's URE and EW risks checked against the regret budgets (one
+ComparisonRow), lemma2_empirical the mean of one maximal statistic of Lemma 2,
+and unbiasedness_check the centred risk estimates per model.
+
 Every replicate draws from its own substream keyed by (base seed, scenario
-or walk, replicate index).  One engine, _per_replicate, runs every Monte
-Carlo entry point in blocks of replicates, one (B, N) array per block; every
-row gets the same bits as it would alone and results are kept in replicate
-order, so estimates are bit-identical whatever the block size, worker count
-or execution order.
+or walk, replicate index).  One engine, _per_replicate, runs every entry
+point in blocks of replicates, one (B, N) array per block; every row gets
+the same bits as it would alone and results are kept in replicate order, so
+estimates are bit-identical whatever the block size, worker count or
+execution order.
 
 A ScenarioConfig checks its sigma and model set and resolves its mean once;
 the kernels then take them as a float, an int64 array and a float64 array.
@@ -29,15 +34,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import theorem_bounds, u_alpha, u_star_alpha
-from .estimators import (
-    aggregate,
-    exponential_weights,
-    m_epsilon,
-    profile_values,
-    risk_profile,
-    ure_weights,
-)
-from .risk import OracleReport, oracle_risk
+from .estimators import aggregate, exponential_weights, risk_profile, ure_weights
+from .risk import oracle_risk
 from .sequence_model import (
     check_mean,
     check_models,
@@ -54,13 +52,9 @@ __all__ = [
     "ScenarioConfig",
     "RiskEstimate",
     "ComparisonRow",
-    "MEpsilonReport",
-    "mc_risk",
     "verify_oracle_inequalities",
     "lemma2_empirical",
     "unbiasedness_check",
-    "m_epsilon_study",
-    "m_epsilon_budget",
     "PASS_TOLERANCE_SE",
 ]
 
@@ -221,8 +215,8 @@ class ComparisonRow:
     t3_pass: bool
 
 
-def _replicate_losses(config: ScenarioConfig) -> dict[str, np.ndarray]:
-    """Per-replicate squared losses of both estimators, in index order."""
+def _replicate_losses(config: ScenarioConfig) -> np.ndarray:
+    """Per-replicate squared losses, shape (2, replicates): row 0 URE, row 1 EW."""
     mu, sigma, models = config.mu, config.sigma, config.models
     # Keep each block's arrays until the next block has allocated its own; freed
     # together at N=20,000 they let glibc trim the heap and re-fault it per block.
@@ -236,24 +230,14 @@ def _replicate_losses(config: ScenarioConfig) -> dict[str, np.ndarray]:
         return np.stack([squared_loss(aggregate(obs, models, w), mu) for w in weights])
 
     prefix = (config.base_seed, _stable_key(config.scenario_id))
-    ure, ew = _per_replicate(losses, config.replicates, mu.size, prefix)
-    return {"URE": ure, "EW": ew}
-
-
-def mc_risk(config: ScenarioConfig) -> dict[str, RiskEstimate]:
-    """Monte Carlo risk of both estimators, keyed "URE" / "EW"."""
-    return {
-        name: RiskEstimate.from_samples(losses)
-        for name, losses in _replicate_losses(config).items()
-    }
+    return _per_replicate(losses, config.replicates, mu.size, prefix)
 
 
 def verify_oracle_inequalities(config: ScenarioConfig) -> ComparisonRow:
-    """Run both estimators and check their risks against the regret budgets."""
+    """Run both estimators and check their Monte Carlo risks against the regret budgets."""
     oracle = oracle_risk(config.mu, config.sigma, config.models)
     budgets = theorem_bounds(oracle.oracle_risk, config.sigma, config.models.size)
-    risks = mc_risk(config)
-    ure_est, ew_est = risks["URE"], risks["EW"]
+    ure_est, ew_est = map(RiskEstimate.from_samples, _replicate_losses(config))
     slack = PASS_TOLERANCE_SE * ew_est.std_error
     return ComparisonRow(
         scenario_id=config.scenario_id,
@@ -356,56 +340,7 @@ def unbiasedness_check(
 
     def centered(seeds) -> np.ndarray:
         obs = draw_observations(mu, sigma, seeds)
-        return (profile_values(obs, sigma * sigma, indices) + offsets).T
+        return (risk_profile(obs, sigma, indices) + offsets).T
 
     stats = _per_replicate(centered, replicates, mu.size, (base_seed, _stable_key("unbiasedness")))
     return {m: RiskEstimate.from_samples(row) for m, row in zip(m_values, stats)}
-
-
-@dataclass(frozen=True)
-class MEpsilonReport:
-    """Diagnostic study of the random envelope index.
-
-    The scan is reported under both centerings (the profile minimum and the
-    externally computed oracle risk), together with the analytic budget for
-    its expectation.
-    """
-
-    epsilon: float
-    profile_centered: RiskEstimate
-    oracle_centered: RiskEstimate
-    analytic_budget: float
-    oracle: OracleReport
-
-
-def m_epsilon_budget(oracle_value: float, sigma: float, epsilon: float) -> float:
-    """Analytic budget r/sigma^2 + 7 eps r / ((1-6 eps) sigma^2) + 15 / ((1-6 eps) eps)."""
-    epsilon = float(epsilon)
-    if not 0.0 < epsilon <= 1.0 / 7.0:
-        raise ValueError("epsilon must lie in (0, 1/7]")
-    ratio = oracle_value / (sigma * sigma)
-    shrink = 1.0 - 6.0 * epsilon
-    return ratio + 7.0 * epsilon * ratio / shrink + 15.0 / (shrink * epsilon)
-
-
-def m_epsilon_study(config: ScenarioConfig, epsilon: float) -> MEpsilonReport:
-    """MC estimate of the expected envelope index under both centerings."""
-    epsilon = float(epsilon)
-    mu, sigma, models = config.mu, config.sigma, config.models
-    report = oracle_risk(mu, sigma, models)
-    budget = m_epsilon_budget(report.oracle_risk, sigma, epsilon)  # checks epsilon
-
-    def envelope_indices(seeds) -> np.ndarray:
-        profile = risk_profile(draw_observations(mu, sigma, seeds), sigma, models)
-        centers = (None, report.oracle_risk)
-        return np.stack([m_epsilon(profile, models, sigma, epsilon, c) for c in centers])
-
-    prefix = (config.base_seed, _stable_key(config.scenario_id))
-    by_profile, by_oracle = _per_replicate(envelope_indices, config.replicates, mu.size, prefix)
-    return MEpsilonReport(
-        epsilon=epsilon,
-        profile_centered=RiskEstimate.from_samples(by_profile),
-        oracle_centered=RiskEstimate.from_samples(by_oracle),
-        analytic_budget=budget,
-        oracle=report,
-    )

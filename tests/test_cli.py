@@ -151,6 +151,8 @@ class TestSimulate:
         "old, new",
         [
             ("base_seed = 90210\n", "base_seed = 90210\nestimator = URE\n"),  # removed key
+            ("base_seed = 90210", "base_seed = abc"),  # not a number
+            ("base_seed = 90210", "base_seed = 1e3"),  # not an integer literal
             ("sigma = 1.0", "sigma = 1e-160"),  # sigma^2 is subnormal
             ("sigma = 1.0", "sigma = 1e-200"),  # sigma^2 underflows to 0
             ("sigma = 1.0", "sigma = 1e200"),  # sigma^2 overflows to inf
@@ -167,6 +169,14 @@ class TestSimulate:
         )
         assert code == 2
         assert_one_line_error(capsys)
+
+    def test_config_that_is_not_utf8_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "latin.cfg"
+        cfg.write_bytes(b"[a]\nmu = zero\xff\n")
+        code = cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read config") and err.count("\n") == 1, err
 
     def test_empty_scenario_list_is_config_error(self, tmp_path, capsys):
         cfg = write_config(tmp_path, text="# nothing here\n")

@@ -10,7 +10,6 @@ from ewagg.estimators import (
     aggregate,
     exponential_weights,
     m_epsilon,
-    profile_values,
     projection_estimate,
     risk_profile,
     unbiased_risk,
@@ -77,20 +76,13 @@ class TestUnbiasedRisk:
 
 
 def argmin_model(profile, M):
-    """The argmin model as m_epsilon reports it, per row.
-
-    A center far below every value empties the envelope, so m_epsilon falls
-    back to the argmin model.
-    """
-    return m_epsilon(profile, M, SIGMA1, 0.1, center=-1e9)
+    """The argmin model per row, the smallest on ties."""
+    return M[np.argmin(profile, axis=-1)]
 
 
-def default_center_is(profile, M, value):
-    """Whether m_epsilon's default center is value, at every epsilon tried."""
-    return all(
-        m_epsilon(profile, M, SIGMA1, eps) == m_epsilon(profile, M, SIGMA1, eps, center=value)
-        for eps in (0.05, 0.5, 0.95)
-    )
+def envelope_indices(profile, M):
+    """m_epsilon at a small, a middle and a large epsilon."""
+    return [m_epsilon(profile, M, SIGMA1, eps) for eps in (0.05, 0.5, 0.95)]
 
 
 class TestRiskProfile:
@@ -100,7 +92,7 @@ class TestRiskProfile:
         np.testing.assert_allclose(prof, [-7.0, -5.01])
         assert np.array_equal(ure_weights(prof), [1.0, 0.0])
         assert argmin_model(prof, M) == 1
-        assert default_center_is(prof, M, -7.0)
+        assert envelope_indices(prof, M) == [2, 2, 2]  # -5.01 - (-7) <= 4 + 4 eps
 
     def test_zero_data(self):
         M = np.arange(1, 3)
@@ -113,7 +105,7 @@ class TestRiskProfile:
         prof = np.array([3.0, 3.0])
         assert np.array_equal(ure_weights(prof), [1.0, 0.0])
         assert argmin_model(prof, M) == 1
-        assert default_center_is(prof, M, 3.0)
+        assert envelope_indices(prof, M) == [2, 2, 2]
 
     def test_requires_support(self):
         with pytest.raises(ValueError):
@@ -204,7 +196,7 @@ class TestExponentialWeights:
         sig = 0.05
         y = generate_observation(mu, sig, (2024, 0))
         M = np.arange(1, 20001)
-        profile = profile_values(y, sig * sig, M)
+        profile = risk_profile(y, sig, M)
         exps = np.exp(-(profile - profile.min()).astype(np.longdouble) / (4.0 * (sig * sig)))
         expected = np.asarray(exps / math.fsum(exps.astype(float)), dtype=float)
         got = exponential_weights(profile, sig)
@@ -343,11 +335,6 @@ class TestMEpsilon:
             results = [m_epsilon(prof, M, SIGMA1, e) for e in (0.05, 0.2, 0.5, 0.9)]
             assert all(b >= a for a, b in zip(results, results[1:]))
 
-    def test_custom_center_falls_back_to_argmin_when_empty(self):
-        M = np.arange(1, 4)
-        # Center far below every value empties the admissible set.
-        assert m_epsilon([10.0, 20.0, 30.0], M, SIGMA1, 0.1, center=-1e9) == 1
-
 
 class TestBlocks:
     """A (B, N) observation block runs the whole pipeline row by row with the same bits."""
@@ -368,7 +355,6 @@ class TestBlocks:
             for b, row in enumerate(values):
                 one = risk_profile(row, sigma, M)
                 assert np.array_equal(profile[b], one)
-                assert argmin_model(profile, M)[b] == argmin_model(one, M)
                 assert unbiased_risk(values, sigma, 9)[b] == unbiased_risk(row, sigma, 9)
                 assert np.array_equal(projection_estimate(values, 5)[b], projection_estimate(row, 5))
                 assert m_epsilon(profile, M, sigma, 0.1)[b] == m_epsilon(one, M, sigma, 0.1)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from ewagg import cli, montecarlo
+from ewagg.bounds import m_epsilon_budget
 from ewagg.estimators import (
     aggregate,
     exponential_weights,
@@ -21,9 +22,6 @@ from ewagg.montecarlo import (
     _replicate_losses,
     _stable_key,
     lemma2_empirical,
-    m_epsilon_budget,
-    m_epsilon_study,
-    mc_risk,
     unbiasedness_check,
     verify_oracle_inequalities,
 )
@@ -83,14 +81,16 @@ class TestScenarioConfig:
 
 
 class TestMcRisk:
+    """The Monte Carlo risks of both estimators: the losses and the row's means and SEs."""
+
     def test_single_model_family(self):
         # With one candidate both estimators are that projection; true risk is 1.
         cfg = make_config(models=np.array([1]), replicates=10_000)
-        losses = _replicate_losses(cfg)
-        np.testing.assert_array_equal(losses["URE"], losses["EW"])
-        risks = mc_risk(cfg)
-        for est in risks.values():
-            assert abs(est.mean - 1.0) <= 4.0 * est.std_error
+        ure, ew = _replicate_losses(cfg)
+        np.testing.assert_array_equal(ure, ew)
+        row = verify_oracle_inequalities(cfg)
+        for mean, se in ((row.ure_mean, row.ure_se), (row.ew_mean, row.ew_se)):
+            assert abs(mean - 1.0) <= 4.0 * se
 
     @pytest.mark.parametrize("block_values", [1, 30, 1 << 20])
     def test_results_do_not_depend_on_the_block_size(self, monkeypatch, block_values):
@@ -100,28 +100,21 @@ class TestMcRisk:
         def run():
             return (
                 _replicate_losses(cfg),
-                m_epsilon_study(cfg, 0.1),
                 unbiasedness_check(mu, cfg.sigma, [1, 4, 10], replicates=97, base_seed=5),
                 [lemma2_empirical(**lemma_case(w), replicates=97, seed=5)
                  for w in LEMMA2_VARIANTS],
             )
 
-        losses, study, unbiased, walks = run()
+        losses, unbiased, walks = run()
         monkeypatch.setattr(montecarlo, "_BLOCK_VALUES", block_values)
-        other_losses, other_study, other_unbiased, other_walks = run()
-        for name in ("URE", "EW"):
-            np.testing.assert_array_equal(other_losses[name], losses[name])
-        assert other_study == study
+        other_losses, other_unbiased, other_walks = run()
+        np.testing.assert_array_equal(other_losses, losses)
         assert other_unbiased == unbiased
         assert other_walks == walks
 
     def test_bit_identical_reruns(self):
         cfg = make_config(replicates=500)
-        first = mc_risk(cfg)
-        second = mc_risk(cfg)
-        for key in first:
-            assert first[key].mean == second[key].mean
-            assert first[key].std_error == second[key].std_error
+        assert verify_oracle_inequalities(cfg) == verify_oracle_inequalities(cfg)
 
     def test_matches_manual_op_composition(self):
         # Recompute a few replicates through the public operations directly.
@@ -138,14 +131,14 @@ class TestMcRisk:
             profile = risk_profile(obs, cfg.sigma, cfg.models)
             ure_est = aggregate(obs, cfg.models, ure_weights(profile))
             ew_est = aggregate(obs, cfg.models, exponential_weights(profile, cfg.sigma))
-            assert losses["URE"][rep] == squared_loss(ure_est, mu)
-            assert losses["EW"][rep] == squared_loss(ew_est, mu)
+            assert losses[0, rep] == squared_loss(ure_est, mu)
+            assert losses[1, rep] == squared_loss(ew_est, mu)
 
     def test_ew_respects_log_cardinality_budget(self):
         cfg = make_config(models=np.arange(1, 101), replicates=10_000)
-        est = mc_risk(cfg)["EW"]
+        row = verify_oracle_inequalities(cfg)
         budget = 1.0 + 4.0 * math.log(100.0)
-        assert est.mean <= budget + 4.0 * est.std_error
+        assert row.ew_mean <= budget + 4.0 * row.ew_se
 
     def test_reference_fixture_low_noise_poly(self):
         # Frozen from a reference run of this exact configuration; any drift in
@@ -158,11 +151,11 @@ class TestMcRisk:
             replicates=2000,
             base_seed=20240501,
         )
-        risks = mc_risk(cfg)
-        assert risks["URE"].mean == pytest.approx(0.1063099810883879, rel=1e-12)
-        assert risks["URE"].std_error == pytest.approx(0.0005093825536158197, rel=1e-12)
-        assert risks["EW"].mean == pytest.approx(0.08972521133218031, rel=1e-12)
-        assert risks["EW"].std_error == pytest.approx(0.0004322114956571116, rel=1e-12)
+        row = verify_oracle_inequalities(cfg)
+        assert row.ure_mean == pytest.approx(0.1063099810883879, rel=1e-12)
+        assert row.ure_se == pytest.approx(0.0005093825536158197, rel=1e-12)
+        assert row.ew_mean == pytest.approx(0.08972521133218031, rel=1e-12)
+        assert row.ew_se == pytest.approx(0.0004322114956571116, rel=1e-12)
 
 
     @pytest.mark.parametrize(
@@ -185,8 +178,8 @@ class TestMcRisk:
         # Frozen from the per-replicate SeedSequence draws that preceded the
         # block-derived seed words.  The URE path takes no exp, so these bits
         # hold on any build; a change in seeding or in numpy's streams fails here.
-        ure = mc_risk(cfg)["URE"]
-        assert (ure.mean.hex(), ure.std_error.hex()) == (mean_hex, se_hex)
+        row = verify_oracle_inequalities(cfg)
+        assert (row.ure_mean.hex(), row.ure_se.hex()) == (mean_hex, se_hex)
 
 
 class TestVerifyOracleInequalities:
@@ -395,33 +388,7 @@ class TestUnbiasednessCheck:
 
 
 class TestMEpsilonStudy:
-    def test_singleton_family_is_constant_one(self):
-        cfg = make_config(models=np.array([1]), replicates=300)
-        report = m_epsilon_study(cfg, 0.1)
-        assert report.profile_centered.mean == 1.0
-        assert report.profile_centered.std_error == 0.0
-
-    def test_bounded_by_max_model(self):
-        cfg = make_config(models=np.arange(1, 11), replicates=500)
-        report = m_epsilon_study(cfg, 0.05)
-        assert report.profile_centered.mean <= 10.0
-        assert report.oracle_centered.mean <= 10.0
-
-    def test_reference_fixture(self):
-        cfg = ScenarioConfig(
-            scenario_id="zero-menv",
-            mu_spec="zero",
-            sigma=SIGMA1,
-            models=np.arange(1, 51),
-            replicates=1000,
-            base_seed=777,
-        )
-        report = m_epsilon_study(cfg, 0.1)
-        assert report.profile_centered.mean == pytest.approx(10.044, rel=1e-12)
-        assert report.oracle_centered.mean == pytest.approx(11.201, rel=1e-12)
-        assert report.analytic_budget == pytest.approx(
-            m_epsilon_budget(1.0, SIGMA1, 0.1), rel=1e-15
-        )
+    """The analytic budget for the expected envelope index."""
 
     def test_budget_formula(self):
         # r/s^2 + 7 eps r / ((1-6 eps) s^2) + 15 / ((1-6 eps) eps) at r=2, eps=0.1
@@ -429,8 +396,7 @@ class TestMEpsilonStudy:
         assert m_epsilon_budget(2.0, SIGMA1, 0.1) == pytest.approx(expected, rel=1e-15)
 
     def test_epsilon_domain(self):
-        cfg = make_config(replicates=10)
         with pytest.raises(ValueError):
-            m_epsilon_study(cfg, 0.0)
+            m_epsilon_budget(1.0, SIGMA1, 0.0)
         with pytest.raises(ValueError):
-            m_epsilon_study(cfg, 0.2)
+            m_epsilon_budget(1.0, SIGMA1, 0.2)

@@ -73,24 +73,28 @@ sigmas = st.floats(0.1, 10.0)
 SIGMA1 = 1.0
 
 
-def argmin_model(profile, models):
-    """m_epsilon's argmin model: a center below every value empties the envelope."""
-    return m_epsilon(profile, models, SIGMA1, 0.5, center=-1e9)
-
-
 @SETTINGS
 @given(integer_profiles())
+# Tied minima at models 1 and 5: 40 lies under the envelope that pivots on 1
+# (42) and above the one that pivots on 5 (34).
+@example((np.array([1, 5, 20]), np.array([[-20.0, -20.0, 20.0]])))
 def test_block_minima_are_the_first_occurrence_scan(case):
     models, block = case
-    by_block = argmin_model(block, models)
-    centered = m_epsilon(block, models, SIGMA1, 0.5)
+    epsilon = 0.5
+    by_block = models[np.argmin(block, axis=-1)]
+    envelope = m_epsilon(block, models, SIGMA1, epsilon)
     for b, row in enumerate(block):
         first = first_minimum(row)
-        # The default center is the row minimum, and the argmin its first occurrence.
-        assert centered[b] == m_epsilon(row, models, SIGMA1, 0.5, center=row[first])
         assert by_block[b] == models[first]
-        assert argmin_model(row, models) == models[first]
         assert np.array_equal(ure_weights(row), np.eye(row.size)[first])
+        # The envelope is centred at the row minimum and pivots on its first
+        # occurrence: a literal scan of the defining inequality.
+        mhat, lowest = models[first], row[first]
+        admissible = [
+            m for m, value in zip(models, row)
+            if value - lowest <= 4 * epsilon * SIGMA1**2 * (m - mhat) + 4 * SIGMA1**2
+        ]
+        assert envelope[b] == max(admissible)
 
 
 @SETTINGS
