@@ -91,14 +91,19 @@ def u_star_alpha(alpha: float) -> float:
     return (alpha - math.log1p(2.0 * alpha) / 2.0) / alpha
 
 
-def _bisect_increasing(func, lo: float, hi: float, target: float) -> float:
+def _bisect_increasing(
+    func, lo: float, hi: float, target: float, below: float = -math.inf, above: float = math.inf
+) -> float:
     # Strict monotonicity makes the root unique; iterate until the bracket
-    # collapses to adjacent floats (well past the 1e-12 contract).
+    # collapses to adjacent floats (well past the 1e-12 contract).  A caller
+    # that has certified func < target on every float <= below and
+    # func >= target on every float >= above spares those calls: the
+    # midpoints, and so the result, are those of the plain bisection.
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
-        if func(mid) < target:
+        if mid <= below or (mid < above and func(mid) < target):
             lo = mid
         else:
             hi = mid
@@ -196,22 +201,90 @@ class PsiEvaluation(NamedTuple):
     epsilon_star: float
 
 
+_LOG_105 = math.log(105.0)
+_LOG_C = math.log(_PSI_C)
+_LOG_49 = math.log(49.0)
+
+
 def _psi_log_descent(eps: float, log_r: float) -> float:
     # log of r (105 + c exp(c/eps)) / eps^2, the falling part of the objective's
     # derivative 49 - r (105 + c exp(c/eps)) / eps^2; decreasing in eps.
-    a, b = math.log(105.0), math.log(_PSI_C) + _PSI_C / eps
+    a, b = _LOG_105, _LOG_C + _PSI_C / eps
     log_sum = max(a, b) + math.log1p(math.exp(-abs(a - b)))
     return log_r + log_sum - 2.0 * math.log(eps)
+
+
+# Rounding bound of _psi_log_descent.  Write F(eps) for its exact value: the
+# same formula in real arithmetic on the same float constants and log_r,
+# strictly decreasing in eps.  On the domain q = c/eps >= 7c > 5.15, so b > a,
+# and y = exp(-|a - b|) <= exp(-0.19), y q <= 4.27.  With u = 2^-53 and exp,
+# log and log1p within 1 ulp (2u relative), the absolute errors are:
+#   b = log(c) + c/eps                     u q + u (q + 1)
+#   log1p(exp(-|a - b|)), slope y in b:    y u (3q + 3) + 2u log 2 <= 17u
+#   max(a, b) + log1p(...)                 u (q + 1)
+#   log_r + log_sum                        u (|log_r| + q + 1)
+#   2 log eps, |log eps| <= 13.9           56u
+#   the final subtraction                  u (|log_r| + q + 29)
+# in all u (5q + 2 |log_r| + 105), below E(eps) = 2^-50 (q + |log_r| + 18) by
+# a factor 1.4 or more, which covers second-order terms and the certificate's
+# own rounding.  A float eps with fl(F(eps)) - log 49 > 2 E(eps) is then
+# certified for every float eps' <= eps in the domain: F falls with slope at
+# least 0.54 c/eps^2 (c e^q/(105 + c e^q) >= 0.54 for q >= 5.15) and E rises
+# with slope 2^-50 c/eps^2, so fl(F(eps')) >= F(eps') - E(eps') >= F(eps) -
+# E(eps) > log 49.  One with log 49 - fl(F(eps)) > 2 E(eps) is certified for every
+# eps' >= eps in the domain, where F and E are both smaller.
+def _psi_certified(eps: float, log_r: float, side: float) -> bool:
+    """Whether side * (fl(F(eps)) - log 49) clears 2 E(eps); side is +1 or -1."""
+    margin = side * (_psi_log_descent(eps, log_r) - _LOG_49)
+    return margin > 2.0**-49 * (_PSI_C / eps + abs(log_r) + 18.0)
+
+
+def _psi_window(log_r: float) -> tuple[float, float]:
+    """(below, above) around the Psi minimizer for _bisect_increasing; see psi."""
+    # Newton on q = c/eps for q + 2 log q + log1p(105/(c e^q)) = k, the
+    # minimizer's condition, from k - 2 log k, near the root of its
+    # first-order part q + 2 log q = k.  An interior minimizer has k > 9.
+    k = _LOG_49 - log_r + _LOG_C
+    q = k - 2.0 * math.log(k)
+    for _ in range(8):
+        w = math.exp(_LOG_105 - _LOG_C - q)
+        slope = 1.0 / (1.0 + w) + 2.0 / q
+        step = (q + 2.0 * math.log(q) + math.log1p(w) - k) / slope
+        q -= step
+        if abs(step) < 1e-8 * q:  # Newton squares the error: this leaves q to ~1e-16
+            break
+    eps = _PSI_C / q
+    # F(eps') - log 49 is about slope q (eps - eps') / eps, so this half width
+    # gives either edge a margin near 4 E(eps): room for E of rounding in the
+    # certificate and as much again of error in the Newton root.
+    half = 4.0 * 2.0**-50 * (q + abs(log_r) + 18.0) * eps / (slope * q)
+    below = above = None
+    for _ in range(3):
+        a, b = eps - half, eps + half
+        if below is None and (a <= PSI_EPSILON_LO or _psi_certified(a, log_r, 1.0)):
+            below = a
+        if above is None and (b >= PSI_EPSILON_HI or _psi_certified(b, log_r, -1.0)):
+            above = b
+        if below is not None and above is not None:
+            return below, above
+        half *= 4.0
+    return -math.inf, math.inf
 
 
 def psi(r: float) -> PsiEvaluation:
     """Minimize 49 eps + r (105/eps + exp(c/eps)), c = 2/e, over eps in (0, 1/7].
 
     Both 105/eps and exp(c/eps) are strictly convex, so the objective is, and
-    its minimizer is the root of the increasing derivative, found by bisection
-    on the derivative's sign to adjacent floats; when the derivative is still
-    negative at 1/7 the minimizer is that boundary.  psi(0) is the infimum 0,
-    reported at PSI_EPSILON_LO.
+    its minimizer is the root of the increasing derivative; when the
+    derivative is still negative at 1/7 the minimizer is that boundary.  An
+    interior minimizer is the float that bisection on the derivative's sign
+    from [PSI_EPSILON_LO, 1/7] to adjacent floats returns, bit for bit.  The
+    bisection asks for the sign only near the root: a few Newton steps place
+    a bracket [a, b] around it, whose edges are certified against a written
+    bound on the rounding error of the sign test, so every midpoint below a
+    or above b takes the branch its evaluation would take.  When the
+    certificate fails, the bisection asks everywhere.  psi(0) is the infimum
+    0, reported at PSI_EPSILON_LO.
 
     As r -> 0, Psi(r) ~ 98 / (e log(49/r)): the product
     P = Psi(r) (e/98) L, L = log(49/r), falls to 1 from above, slowly (1.548
@@ -227,12 +300,15 @@ def psi(r: float) -> PsiEvaluation:
         return PsiEvaluation(r=0.0, psi=0.0, epsilon_star=PSI_EPSILON_LO)
 
     log_r = math.log(r)
-    target = math.log(49.0)
-    if _psi_log_descent(PSI_EPSILON_HI, log_r) > target:
+    if _psi_log_descent(PSI_EPSILON_HI, log_r) > _LOG_49:
         eps_star = PSI_EPSILON_HI
     else:
         eps_star = _bisect_increasing(
-            lambda eps: -_psi_log_descent(eps, log_r), PSI_EPSILON_LO, PSI_EPSILON_HI, -target
+            lambda eps: -_psi_log_descent(eps, log_r),
+            PSI_EPSILON_LO,
+            PSI_EPSILON_HI,
+            -_LOG_49,
+            *_psi_window(log_r),
         )
     # r exp(c/eps) is formed in the log domain, where it cannot overflow.
     value = 49.0 * eps_star + 105.0 * r / eps_star + math.exp(log_r + _PSI_C / eps_star)

@@ -20,6 +20,7 @@ from ewagg.bounds import (
     u_star_alpha,
     u_star_inverse,
 )
+from psi_reference import bisection_psi, seam_r
 
 
 def tail_decay_weights(rng, K, rho):
@@ -336,6 +337,80 @@ class TestPsi:
         assert all(p > 1.0 for p in products)
         gaps = [abs(p - 1.0) for p in products]
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
+
+
+def seam_arguments():
+    """Floats on both sides of the r where epsilon_star leaves 1/7."""
+    seam = seam_r()
+    values = [seam * (1.0 + j * 1e-4) for j in range(-100, 101)]
+    down = up = seam
+    for _ in range(32):
+        down, up = math.nextafter(down, 0.0), math.nextafter(up, 1.0)
+        values += [down, up]
+    return values
+
+
+PSI_SWEEPS = {
+    "decades": [10.0**-k for k in range(324)] + [5e-324],
+    "log_spaced": [float(r) for r in np.logspace(-300, 0, 2000)],
+    "seam": seam_arguments(),
+}
+
+
+def checks_psi_arguments():
+    """The shape of the benchmark's psi call: 400 r log-spaced over [1e-12, 1]."""
+    return [10.0 ** (-12.0 + 12.0 * (j + 0.5) / 400) for j in range(400)]
+
+
+def assert_bisection_bits(values):
+    for r in values:
+        ev = psi(r)
+        assert (ev.psi, ev.epsilon_star) == bisection_psi(r), (r, ev)
+
+
+class TestPsiIsTheBisection:
+    """psi returns the float of the plain bisection, whatever the window."""
+
+    @pytest.mark.parametrize("sweep", sorted(PSI_SWEEPS))
+    def test_same_bits_as_the_full_bracket_bisection(self, sweep):
+        assert_bisection_bits(PSI_SWEEPS[sweep])
+
+    def test_seam_sweep_crosses_the_boundary(self):
+        eps = [psi(r).epsilon_star for r in PSI_SWEEPS["seam"]]
+        assert PSI_EPSILON_HI in eps
+        assert any(e < PSI_EPSILON_HI for e in eps)
+
+    @pytest.mark.parametrize("r", [1e-3, 1e-12, 1e-100, 5e-324])
+    def test_certificate_refuses_the_root_and_accepts_its_sides(self, r):
+        log_r = math.log(r)
+        root = psi(r).epsilon_star
+        assert not bounds._psi_certified(root, log_r, 1.0)
+        assert not bounds._psi_certified(root, log_r, -1.0)
+        assert bounds._psi_certified(root * (1.0 - 1e-9), log_r, 1.0)
+        assert bounds._psi_certified(root * (1.0 + 1e-9), log_r, -1.0)
+        assert not bounds._psi_certified(root * (1.0 - 1e-9), log_r, -1.0)
+        assert not bounds._psi_certified(root * (1.0 + 1e-9), log_r, 1.0)
+
+    def test_failed_certificate_falls_back_to_the_same_bits(self, monkeypatch):
+        monkeypatch.setattr(bounds, "_psi_certified", lambda eps, log_r, side: False)
+        assert bounds._psi_window(math.log(1e-6)) == (-math.inf, math.inf)
+        values = PSI_SWEEPS["decades"] + PSI_SWEEPS["seam"] + checks_psi_arguments()
+        assert_bisection_bits(values)
+
+    def test_objective_is_evaluated_near_the_root_only(self, monkeypatch):
+        # The plain bisection takes about 44 evaluations per call on these arguments.
+        calls = []
+        descent = bounds._psi_log_descent
+
+        def counted(eps, log_r):
+            calls.append(eps)
+            return descent(eps, log_r)
+
+        monkeypatch.setattr(bounds, "_psi_log_descent", counted)
+        arguments = checks_psi_arguments()
+        for r in arguments:
+            psi(r)
+        assert len(calls) / len(arguments) <= 20.0
 
 
 class TestTheoremBounds:

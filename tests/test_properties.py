@@ -37,6 +37,7 @@ from ewagg.estimators import (
 from ewagg.montecarlo import LEMMA2_VARIANTS
 from ewagg.sequence_model import _seed_entropy, mean_vector_from_spec, squared_loss
 from ewagg.substreams import substream_words
+from psi_reference import bisection_psi, seam_r
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None)
 
@@ -233,6 +234,17 @@ def test_psi_is_no_larger_than_at_neighbouring_epsilon(r):
         for eps in (ev.epsilon_star * (1.0 - step), ev.epsilon_star * (1.0 + step)):
             if PSI_EPSILON_LO <= eps <= PSI_EPSILON_HI:
                 assert ev.psi <= psi_objective(eps, r) * (1.0 + 1e-15), (r, eps)
+
+
+@SETTINGS
+@given(st.floats(0.0, 1.0))
+@example(0.0)
+@example(5e-324)
+@example(seam_r())
+@example(1.0)
+def test_psi_is_the_full_bracket_bisection(r):
+    ev = psi(r)
+    assert (ev.psi, ev.epsilon_star) == bisection_psi(r)
 
 
 def _reject_constant(name):
