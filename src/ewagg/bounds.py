@@ -258,17 +258,10 @@ def _psi_window(log_r: float) -> tuple[float, float]:
     # gives either edge a margin near 4 E(eps): room for E of rounding in the
     # certificate and as much again of error in the Newton root.
     half = 4.0 * 2.0**-50 * (q + abs(log_r) + 18.0) * eps / (slope * q)
-    below = above = None
-    for _ in range(3):
-        a, b = eps - half, eps + half
-        if below is None and (a <= PSI_EPSILON_LO or _psi_certified(a, log_r, 1.0)):
-            below = a
-        if above is None and (b >= PSI_EPSILON_HI or _psi_certified(b, log_r, -1.0)):
-            above = b
-        if below is not None and above is not None:
-            return below, above
-        half *= 4.0
-    return -math.inf, math.inf
+    a, b = eps - half, eps + half
+    below = a if a <= PSI_EPSILON_LO or _psi_certified(a, log_r, 1.0) else -math.inf
+    above = b if b >= PSI_EPSILON_HI or _psi_certified(b, log_r, -1.0) else math.inf
+    return below, above
 
 
 def psi(r: float) -> PsiEvaluation:
@@ -282,9 +275,10 @@ def psi(r: float) -> PsiEvaluation:
     bisection asks for the sign only near the root: a few Newton steps place
     a bracket [a, b] around it, whose edges are certified against a written
     bound on the rounding error of the sign test, so every midpoint below a
-    or above b takes the branch its evaluation would take.  When the
-    certificate fails, the bisection asks everywhere.  psi(0) is the infimum
-    0, reported at PSI_EPSILON_LO.
+    or above b takes the branch its evaluation would take.  The fallback is
+    per side: when an edge's certificate fails, the bisection asks at every
+    midpoint on that edge's side.  psi(0) is the infimum 0, reported at
+    PSI_EPSILON_LO.
 
     As r -> 0, Psi(r) ~ 98 / (e log(49/r)): the product
     P = Psi(r) (e/98) L, L = log(49/r), falls to 1 from above, slowly (1.548

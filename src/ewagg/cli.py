@@ -63,26 +63,26 @@ def _fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _model_runs(text: str) -> list[tuple[int, int]]:
+    """The (lo, hi) runs that "1..100" / "1,2,5" / "1..10,20" list, as written."""
+    runs = []
+    for item in filter(None, map(str.strip, text.split(","))):
+        lo_text, dots, hi_text = item.partition("..")
+        lo, hi = int(lo_text), int(hi_text if dots else lo_text)
+        if hi < lo:
+            raise ConfigError(f"empty model range {item!r}")
+        runs.append((lo, hi))
+    if not runs:
+        raise ConfigError(f"model set {text!r} lists no indices")
+    return runs
+
+
 def parse_model_set_text(text: str) -> np.ndarray:
     """Parse "1..100" / "1,2,5" / "1..10,20" into a model index set (see check_models)."""
-    values: list[np.ndarray] = []
-    for item in text.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        if ".." in item:
-            lo_text, _, hi_text = item.partition("..")
-            lo, hi = int(lo_text), int(hi_text)
-            if hi < lo:
-                raise ConfigError(f"empty model range {item!r}")
-            values.append(np.arange(lo, hi + 1, dtype=np.int64))
-        else:
-            values.append(np.array([int(item)], dtype=np.int64))
-    if not values:
-        raise ConfigError(f"model set {text!r} lists no indices")
+    runs = [np.arange(lo, hi + 1, dtype=np.int64) for lo, hi in _model_runs(text)]
     # Sort and drop repeats: np.unique takes a hash-table path for integers
     # that is about 15x slower on a 20,000-index range.
-    merged = np.sort(np.concatenate(values))
+    merged = np.sort(np.concatenate(runs))
     return check_models(merged[np.r_[True, np.diff(merged) > 0]])
 
 
@@ -113,14 +113,17 @@ def _scenario_from_section(name: str, options: dict[str, str]) -> ScenarioConfig
     if unknown:
         raise ConfigError(f"scenario [{name}] has unknown keys: {', '.join(unknown)}")
     try:
-        return ScenarioConfig(
+        # Checked against the largest index first: a short mean fails before the set is built.
+        top = max(hi for _, hi in _model_runs(options["models"]))
+        config = ScenarioConfig(
             scenario_id=name,
             mu_spec=options["mu"],
             sigma=float(options["sigma"]),
-            models=parse_model_set_text(options["models"]),
+            models=[top],
             replicates=int(options["replicates"]),
             base_seed=int(base_seed),
         )
+        return dataclasses.replace(config, models=parse_model_set_text(options["models"]))
     except (ValueError, KeyError, OverflowError) as exc:
         raise ConfigError(f"scenario [{name}]: {exc}") from exc
 
@@ -293,17 +296,8 @@ def cmd_lemma_check(
     replicates: int,
     seed: int,
 ) -> int:
-    mu: np.ndarray | None = None
-    if which != "linear" and mu_spec is not None:
-        raise ConfigError("--mu applies to the linear variant only")
-    if which == "linear":
-        if mu_spec is None:
-            raise ConfigError("the linear variant needs --mu <spec>")
-        try:
-            mu = mean_vector_from_spec(mu_spec)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
     try:
+        mu = None if mu_spec is None else mean_vector_from_spec(mu_spec)
         estimate = lemma2_empirical(
             alpha, which, mu=mu, k_max=k_max, replicates=replicates, seed=seed
         )

@@ -39,6 +39,7 @@ from .risk import oracle_risk
 from .sequence_model import (
     check_mean,
     check_models,
+    check_replicates,
     check_sigma,
     draw_observations,
     mean_vector_from_spec,
@@ -159,9 +160,7 @@ class ScenarioConfig:
         object.__setattr__(self, "sigma", check_sigma(self.sigma))
         models = _read_only(check_models(self.models))
         object.__setattr__(self, "models", models)
-        if int(self.replicates) < 2:
-            raise ValueError("replicates must be >= 2, so that a standard error exists")
-        object.__setattr__(self, "replicates", int(self.replicates))
+        object.__setattr__(self, "replicates", check_replicates(self.replicates))
         object.__setattr__(self, "base_seed", int(self.base_seed))
         mu = mean_vector_from_spec(self.mu_spec, default_length=int(models[-1]))
         if mu.size < models[-1]:
@@ -183,9 +182,7 @@ class RiskEstimate:
     @classmethod
     def from_samples(cls, samples: np.ndarray) -> "RiskEstimate":
         samples = np.asarray(samples, dtype=float)
-        n = samples.size
-        if n < 2:
-            raise ValueError(f"a standard error needs at least 2 samples, got {n}")
+        n = check_replicates(samples.size)
         mean = float(samples.mean())
         std_error = float(samples.std(ddof=1) / math.sqrt(n))
         return cls(mean=mean, std_error=std_error, replicates=n)
@@ -273,26 +270,26 @@ def lemma2_empirical(
     The chi-square walks are truncated at k_max, which can only lower the
     maximum, so comparing the mean against 1/alpha stays conservative.  The
     linear statistic is exact: the finite support of mu makes suffixes beyond
-    it empty, contributing the value 0 to the maximum.  alpha must be finite
-    and positive, with 1/alpha finite, so that the budget is a number.
+    it empty, contributing the value 0 to the maximum.  mu is required by the
+    linear variant and rejected by the others.  alpha must be finite and
+    positive, with 1/alpha finite, so that the budget is a number.
     """
     alpha = float(alpha)
     if which not in LEMMA2_VARIANTS:
         raise ValueError(f"which must be one of {LEMMA2_VARIANTS}, got {which!r}")
     if not (alpha > 0.0 and math.isfinite(alpha) and math.isfinite(1.0 / alpha)):
         raise ValueError(f"alpha must be positive and finite, with 1/alpha finite, got {alpha}")
+    if (which == "linear") != (mu is not None):
+        raise ValueError("mu must be given for the linear variant and only for it")
     if which == "chi2_upper":
         drift = u_alpha(alpha)  # validates alpha < 1/2
     elif which == "chi2_lower":
         drift = u_star_alpha(alpha)
-    elif mu is None:
-        raise ValueError("the linear variant needs a mean vector")
     else:
         mu = check_mean(mu)
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
-    if replicates < 2:
-        raise ValueError("replicates must be >= 2, so that a standard error exists")
+    replicates = check_replicates(replicates)
 
     # The drift line, sized by k_max or by the support of mu, is built here
     # before any worker starts, so an oversized input fails in the caller.
@@ -330,8 +327,7 @@ def unbiasedness_check(
 ) -> dict[int, RiskEstimate]:
     """MC estimate of rbar(Y, m) + ||mu||^2 - true risk, per m; all means should be ~0."""
     mu, sigma = check_mean(mu), check_sigma(sigma)
-    if replicates < 2:
-        raise ValueError("replicates must be >= 2, so that a standard error exists")
+    replicates = check_replicates(replicates)
     m_values = [int(m) for m in m_values]
     if any(m > mu.size for m in m_values):
         raise ValueError(f"every m must be <= the mean vector length {mu.size}")

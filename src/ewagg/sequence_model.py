@@ -9,10 +9,11 @@ numpy's SeedSequence.  Mean vectors have finite support: coordinates beyond
 mu's length are exactly zero, so every risk quantity is computable in closed
 form with no truncation error.
 
-The kernels trust their sigma, M and mu.  Those are checked once, where they
-enter: check_sigma, check_models and check_mean hold the checks, and
-ScenarioConfig, mean_vector_from_spec, the CLI's model-set parser and the
-Monte Carlo entry points call them.
+The kernels trust their sigma, M and mu, and the Monte Carlo engine its
+replicate count.  check_sigma, check_models, check_mean and check_replicates
+check them once, where they enter: ScenarioConfig, mean_vector_from_spec, the
+CLI's model-set parser and the Monte Carlo entry points call them (check_replicates:
+ScenarioConfig, lemma2_empirical, unbiasedness_check, RiskEstimate.from_samples).
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ __all__ = [
     "check_sigma",
     "check_models",
     "check_mean",
+    "check_replicates",
     "tail_squared_norms",
     "standard_normals",
     "draw_observations",
@@ -73,6 +75,20 @@ def check_mean(mu) -> np.ndarray:
     if not np.all(np.isfinite(coeffs)):
         raise ValueError("coefficients must all be finite")
     return coeffs
+
+
+# The most replicates whose (R, 4) uint64 seed words one array can index.
+_MAX_REPLICATES = np.iinfo(np.intp).max // 32
+
+
+def check_replicates(replicates) -> int:
+    """replicates as an int; ValueError unless 2 <= replicates <= _MAX_REPLICATES."""
+    count = int(replicates)
+    if count < 2:
+        raise ValueError("replicates must be >= 2, so that a standard error exists")
+    if count > _MAX_REPLICATES:
+        raise ValueError(f"replicates must be <= {_MAX_REPLICATES}, the most one seed array holds")
+    return count
 
 
 def tail_squared_norms(mu: np.ndarray) -> np.ndarray:
@@ -144,6 +160,15 @@ def squared_loss(estimate: Sequence[float] | np.ndarray, mu: np.ndarray) -> floa
     return float(loss) if loss.ndim == 0 else loss
 
 
+# Each family's parameters but N, with their defaults as a spec writes them;
+# sparse's k has none.  explicit lists coordinates instead.
+_FAMILY_DEFAULTS = {
+    "zero": {},
+    "poly": {"beta": "1", "scale": "1"},
+    "sparse": {"k": None, "amp": "1"},
+}
+
+
 def _parse_params(body: str, spec: str) -> dict[str, str]:
     params: dict[str, str] = {}
     for item in body.split(","):
@@ -160,18 +185,6 @@ def _parse_params(body: str, spec: str) -> dict[str, str]:
     return params
 
 
-def _resolve_length(params: dict[str, str], default_length: int | None, spec: str) -> int:
-    if "n" in params:
-        n = int(params.pop("n"))
-    elif default_length is not None:
-        n = int(default_length)
-    else:
-        raise ValueError(f"mean spec {spec!r} needs N=<len> or a default length")
-    if n < 1:
-        raise ValueError(f"mean vector length must be >= 1, got {n}")
-    return n
-
-
 def mean_vector_from_spec(spec: str, default_length: int | None = None) -> np.ndarray:
     """Build a mean vector from its textual family description.
 
@@ -184,45 +197,38 @@ def mean_vector_from_spec(spec: str, default_length: int | None = None) -> np.nd
     Every family except "explicit" accepts an optional N=<len>; when omitted,
     default_length fixes the stored support.
     """
-    text = spec.strip()
-    family, _, body = text.partition(":")
+    family, _, body = spec.strip().partition(":")
     family = family.strip().lower()
-
-    if family == "zero":
-        params = _parse_params(body, spec)
-        n = _resolve_length(params, default_length, spec)
-        if params:
-            raise ValueError(f"unexpected parameters {sorted(params)} in mean spec {spec!r}")
-        coeffs = np.zeros(n)
-    elif family == "poly":
-        params = _parse_params(body, spec)
-        n = _resolve_length(params, default_length, spec)
-        beta = float(params.pop("beta", "1"))
-        scale = float(params.pop("scale", "1"))
-        if params:
-            raise ValueError(f"unexpected parameters {sorted(params)} in mean spec {spec!r}")
-        i = np.arange(1, n + 1, dtype=float)
-        coeffs = scale * i ** (-beta)
-    elif family == "sparse":
-        params = _parse_params(body, spec)
-        if "k" not in params:
-            raise ValueError(f"sparse mean spec {spec!r} needs k=<count>")
-        k = int(params.pop("k"))
-        amp = float(params.pop("amp", "1"))
-        if k < 0:
-            raise ValueError("sparse k must be >= 0")
-        n = _resolve_length(params, default_length if default_length else k, spec)
-        if params:
-            raise ValueError(f"unexpected parameters {sorted(params)} in mean spec {spec!r}")
-        if n < k:
-            raise ValueError(f"sparse mean spec {spec!r}: N={n} is smaller than k={k}")
-        coeffs = np.zeros(n)
-        coeffs[:k] = amp
-    elif family == "explicit":
+    if family == "explicit":
         values = [float(v) for v in body.split(",") if v.strip()]
         if not values:
             raise ValueError(f"explicit mean spec {spec!r} lists no coordinates")
-        coeffs = np.asarray(values)
-    else:
+        return check_mean(np.asarray(values))
+    if family not in _FAMILY_DEFAULTS:
         raise ValueError(f"unknown mean vector family {family!r} in spec {spec!r}")
+
+    params = {**_FAMILY_DEFAULTS[family], **_parse_params(body, spec)}
+    unexpected = sorted(params.keys() - _FAMILY_DEFAULTS[family].keys() - {"n"})
+    if unexpected:
+        raise ValueError(f"unexpected parameters {unexpected} in mean spec {spec!r}")
+    if params.get("k", "") is None:
+        raise ValueError(f"sparse mean spec {spec!r} needs k=<count>")
+    values = {key: (int if key in ("n", "k") else float)(text) for key, text in params.items()}
+    k = values.get("k", 0)
+    if k < 0:
+        raise ValueError("sparse k must be >= 0")
+    # Without N or a default length, a sparse mean stops after its k nonzero coordinates.
+    n = values.get("n", default_length if default_length or "k" not in values else k)
+    if n is None:
+        raise ValueError(f"mean spec {spec!r} needs N=<len> or a default length")
+    if n < 1:
+        raise ValueError(f"mean vector length must be >= 1, got {n}")
+    if n < k:
+        raise ValueError(f"sparse mean spec {spec!r}: N={n} is smaller than k={k}")
+
+    if family == "poly":
+        coeffs = values["scale"] * np.arange(1, n + 1, dtype=float) ** (-values["beta"])
+    else:  # zero, or sparse with its first k coordinates equal to amp
+        coeffs = np.zeros(n)
+        coeffs[:k] = values.get("amp", 0.0)
     return check_mean(coeffs)

@@ -397,6 +397,35 @@ class TestPsiIsTheBisection:
         values = PSI_SWEEPS["decades"] + PSI_SWEEPS["seam"] + checks_psi_arguments()
         assert_bisection_bits(values)
 
+    @pytest.mark.parametrize("failing_side", [1.0, -1.0])
+    def test_one_failed_side_falls_back_on_that_side_only(self, monkeypatch, failing_side):
+        certified = bounds._psi_certified
+        descent = bounds._psi_log_descent
+        calls = []
+
+        def counted(eps, log_r):
+            calls.append(eps)
+            return descent(eps, log_r)
+
+        values = PSI_SWEEPS["decades"] + PSI_SWEEPS["seam"] + checks_psi_arguments()
+        monkeypatch.setattr(bounds, "_psi_certified", lambda eps, log_r, side: False)
+        monkeypatch.setattr(bounds, "_psi_log_descent", counted)
+        for r in values:
+            psi(r)
+        all_failed = len(calls)
+
+        monkeypatch.setattr(
+            bounds, "_psi_certified",
+            lambda eps, log_r, side: side != failing_side and certified(eps, log_r, side),
+        )
+        below, above = bounds._psi_window(math.log(1e-6))
+        assert (below == -math.inf) == (failing_side == 1.0)
+        assert (above == math.inf) == (failing_side == -1.0)
+        assert math.isfinite(below) or math.isfinite(above)
+        calls.clear()
+        assert_bisection_bits(values)  # the reference calls the unpatched objective
+        assert len(calls) < all_failed
+
     def test_objective_is_evaluated_near_the_root_only(self, monkeypatch):
         # The plain bisection takes about 44 evaluations per call on these arguments.
         calls = []

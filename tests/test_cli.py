@@ -387,7 +387,7 @@ class TestLemmaCheck:
         assert code == 2
         captured = capsys.readouterr()
         assert not captured.out
-        assert captured.err == "error: --mu applies to the linear variant only\n"
+        assert captured.err == "error: mu must be given for the linear variant and only for it\n"
 
     @pytest.mark.parametrize("reps", ["1", "0", "-3"])
     def test_fewer_than_two_replicates_is_domain_error(self, capsys, reps):
@@ -443,6 +443,35 @@ class TestOversizedInputs:
         assert proc.returncode == 2, proc.stderr
         assert proc.stderr.startswith("error: input needs more memory than is available: ")
         assert proc.stderr.count("\n") == 1, proc.stderr
+        assert not (tmp_path / "o").exists()
+
+    def test_short_mean_fails_before_the_model_set_is_built(self, tmp_path):
+        # 1..1000000000 would take 7.45 GiB of indices, over the 2 GiB cap.
+        text = GOOD_CONFIG.replace("mu = zero\nsigma = 1.0\nmodels = 1..10",
+                                   "mu = explicit:1,2\nsigma = 1.0\nmodels = 1..1000000000")
+        cfg = write_config(tmp_path, text)
+        proc = run_capped(["simulate", "--config", cfg, "--out", str(tmp_path / "o")], tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr == (
+            "error: scenario [zero_small]: mean spec 'explicit:1,2' has length 2, "
+            "below the max model index 1000000000\n"
+        )
+
+    @pytest.mark.parametrize("count", [2**60, 2**63 - 1, 2**64], ids=["2^60", "2^63-1", "2^64"])
+    @pytest.mark.parametrize("command", ["simulate", "lemma-check"])
+    def test_replicate_count_beyond_any_array_names_replicates(self, tmp_path, command, count):
+        # Only ever run capped: a count past the check could build block slices
+        # until the process is killed.
+        if command == "simulate":
+            text = GOOD_CONFIG.replace("replicates = 300", f"replicates = {count}")
+            cfg = write_config(tmp_path, text)
+            argv = ["simulate", "--config", cfg, "--out", str(tmp_path / "o")]
+        else:
+            argv = ["lemma-check", "--which", "chi2_upper", "--alpha", "0.25", "--reps", str(count)]
+        proc = run_capped(argv, tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+        assert f"replicates must be <= {np.iinfo(np.intp).max // 32}" in proc.stderr
         assert not (tmp_path / "o").exists()
 
 

@@ -231,6 +231,10 @@ class TestLemma2Empirical:
             lemma2_empirical(-0.1, "chi2_lower")
         with pytest.raises(ValueError):
             lemma2_empirical(0.5, "linear")  # mean vector missing
+        mu = mean_vector_from_spec("poly:N=5")
+        for which in ("chi2_upper", "chi2_lower"):  # a mean vector they would ignore
+            with pytest.raises(ValueError, match="linear variant"):
+                lemma2_empirical(0.25, which, mu=mu, k_max=10, replicates=10)
         with pytest.raises(ValueError):
             lemma2_empirical(0.5, "gauss_upper")
         with pytest.raises(ValueError):

@@ -8,6 +8,7 @@ from ewagg.sequence_model import (
     _seed_entropy,
     check_mean,
     check_models,
+    check_replicates,
     check_sigma,
     draw_observations,
     generate_observation,
@@ -307,3 +308,38 @@ class TestMeanVectorFromSpec:
         for spec in ("poly:beta=1,beta=3", "poly:N=5,N=50", "sparse:k=1,K=2"):
             with pytest.raises(ValueError, match="repeated parameter"):
                 mean_vector_from_spec(spec)
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("zero", "mean spec 'zero' needs N=<len> or a default length"),
+            ("poly:beta=2", "mean spec 'poly:beta=2' needs N=<len> or a default length"),
+            ("sparse:amp=2,N=5", "sparse mean spec 'sparse:amp=2,N=5' needs k=<count>"),
+            ("sparse:k=5,N=3", "sparse mean spec 'sparse:k=5,N=3': N=3 is smaller than k=5"),
+            ("sparse:k=-1", "sparse k must be >= 0"),
+            ("poly:N=0", "mean vector length must be >= 1, got 0"),
+            ("gauss:N=3", "unknown mean vector family 'gauss' in spec 'gauss:N=3'"),
+            ("poly:beta=1,junk=2,N=3",
+             "unexpected parameters ['junk'] in mean spec 'poly:beta=1,junk=2,N=3'"),
+            ("zero:amp=1,N=3", "unexpected parameters ['amp'] in mean spec 'zero:amp=1,N=3'"),
+            ("poly:N=5,N=50", "repeated parameter 'n' in mean spec 'poly:N=5,N=50'"),
+            ("poly:beta,N=3", "malformed parameter 'beta' in mean spec 'poly:beta,N=3'"),
+            ("explicit:", "explicit mean spec 'explicit:' lists no coordinates"),
+        ],
+    )
+    def test_single_error_messages(self, spec, message):
+        with pytest.raises(ValueError) as exc:
+            mean_vector_from_spec(spec)
+        assert str(exc.value) == message
+
+
+class TestCheckReplicates:
+    def test_bounds(self):
+        limit = np.iinfo(np.intp).max // 32  # the (R, 4) uint64 seed words still fit
+        assert check_replicates(2) == 2 and check_replicates(limit) == limit
+        for count in (1, 0, -3):
+            with pytest.raises(ValueError, match="replicates must be >= 2"):
+                check_replicates(count)
+        for count in (limit + 1, 2**60, 2**63 - 1, 2**64):
+            with pytest.raises(ValueError, match=f"replicates must be <= {limit}"):
+                check_replicates(count)
