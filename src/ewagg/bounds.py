@@ -324,21 +324,20 @@ def theorem_bounds(oracle_risk: float, sigma: float, model_count: int) -> Regret
     t1 is the unit-constant shape sigma^2 sqrt(r/sigma^2), whose universal
     multiplier is left to the Monte Carlo harness to back-solve empirically.
     The arithmetic runs on numpy scalars, so an overflow obeys np.errstate.
+
+    Domain: a finite oracle_risk >= sigma^2 (formed as sigma * sigma, which a
+    projection risk tail + (sigma * sigma) m meets) and model_count >= 1.
     """
     variance = np.float64(sigma * sigma)
     r = np.float64(oracle_risk)
-    ratio = variance / r
-    if ratio > 1.0:
-        if ratio > 1.0 + 1e-12:
-            raise ValueError(
-                f"oracle risk {r} is below sigma^2 = {variance}; "
-                "the ratio sigma^2/r must not exceed 1"
-            )
-        ratio = 1.0  # guard against rounding at the r = sigma^2 boundary
+    if not variance <= r < np.inf:
+        raise ValueError(f"oracle risk must be finite and >= sigma^2 = {variance}, got {r}")
+    if model_count < 1:
+        raise ValueError(f"model count must be >= 1, got {model_count}")
     return RegretBudgets(
         t1=float(variance * math.sqrt(r / variance)),
         t2=float(4.0 * variance * math.log(model_count)),
-        t3=float(4.0 * variance * math.log((r / variance) * (1.0 + psi(ratio).psi))),
+        t3=float(4.0 * variance * math.log((r / variance) * (1.0 + psi(variance / r).psi))),
     )
 
 

@@ -10,7 +10,7 @@ lemma-check  run one empirical maximal-inequality check
 Exit codes: 0 success, 1 bound violation, 2 configuration or domain error
 (also an input that needs more memory than is available, or whose arithmetic
 overflows float64), 3 internal error (an unexpected exception, reported as one
-stderr line that names its type).
+stderr line that names its type).  A closed stdout does not change the code.
 The environment variable EWAGG_SEED supplies a default base seed wherever a
 scenario or command omits one.
 """
@@ -79,10 +79,12 @@ def _model_runs(text: str) -> list[tuple[int, int]]:
 
 def parse_model_set_text(text: str) -> np.ndarray:
     """Parse "1..100" / "1,2,5" / "1..10,20" into a model index set (see check_models)."""
-    runs = [np.arange(lo, hi + 1, dtype=np.int64) for lo, hi in _model_runs(text)]
+    runs = _model_runs(text)
+    # The ends first, as Python ints: one past int64 fails before a range is built.
+    check_models(np.array(sorted({end for run in runs for end in run}), dtype=object))
     # Sort and drop repeats: np.unique takes a hash-table path for integers
     # that is about 15x slower on a 20,000-index range.
-    merged = np.sort(np.concatenate(runs))
+    merged = np.sort(np.concatenate([np.arange(lo, hi + 1, dtype=np.int64) for lo, hi in runs]))
     return check_models(merged[np.r_[True, np.diff(merged) > 0]])
 
 
@@ -253,13 +255,23 @@ def cmd_simulate(config_path: str, out_dir: str) -> int:
     return EXIT_OK if all_pass else EXIT_BOUND_VIOLATION
 
 
+def _emit(text: str) -> None:
+    """Write text to stdout and flush; a reader that closed the pipe is no error."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:  # the signal module docs' recipe: the exit flush then writes nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def cmd_bounds(r_over_sigma2: float, count_m: int) -> int:
-    if not 1.0 <= r_over_sigma2 < float("inf"):
-        raise ConfigError(f"--r must be finite and >= 1 (oracle risk >= sigma^2), got {r_over_sigma2}")
-    if count_m < 1:
-        raise ConfigError(f"--m must be >= 1, got {count_m}")
-    budgets = theorem_bounds(float(r_over_sigma2), 1.0, count_m)
-    evaluation = psi(min(1.0, 1.0 / float(r_over_sigma2)))
+    try:
+        budgets = theorem_bounds(r_over_sigma2, 1.0, count_m)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    evaluation = psi(1.0 / r_over_sigma2)
     payload = {
         "r_over_sigma2": float(r_over_sigma2),
         "count_m": int(count_m),
@@ -267,24 +279,18 @@ def cmd_bounds(r_over_sigma2: float, count_m: int) -> int:
         "t2_budget": budgets.t2,
         "t3_budget": budgets.t3,
         "combined_budget": min(budgets.t2, budgets.t3),
-        "psi": {
-            "r": evaluation.r,
-            "psi": evaluation.psi,
-            "epsilon_star": evaluation.epsilon_star,
-        },
+        "psi": evaluation._asdict(),
     }
-    print(json.dumps(payload, indent=2))
+    _emit(json.dumps(payload, indent=2) + "\n")
     return EXIT_OK
 
 
 def cmd_psi(r_values: list[float]) -> int:
-    for r in r_values:
-        if not 0.0 <= r <= 1.0:
-            raise ConfigError(f"psi arguments must lie in [0, 1], got {r}")
-    print("r,psi,epsilon_star")
-    for r in r_values:
-        evaluation = psi(r)
-        print(f"{_fmt(evaluation.r)},{_fmt(evaluation.psi)},{_fmt(evaluation.epsilon_star)}")
+    try:
+        rows = [",".join(map(_fmt, psi(r))) for r in r_values]
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    _emit("\n".join(["r,psi,epsilon_star", *rows]) + "\n")
     return EXIT_OK
 
 
@@ -309,15 +315,13 @@ def cmd_lemma_check(
     payload = {
         "which": which,
         "alpha": alpha,
-        "mean": estimate.mean,
-        "std_error": estimate.std_error,
-        "replicates": estimate.replicates,
+        **dataclasses.asdict(estimate),
         "k_max": k_max,
         "budget": budget,
         "tolerance": tolerance,
         "passed": passed,
     }
-    print(json.dumps(payload, indent=2))
+    _emit(json.dumps(payload, indent=2) + "\n")
     return EXIT_OK if passed else EXIT_BOUND_VIOLATION
 
 
@@ -365,8 +369,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         # An input whose squares or sums pass the float64 range raises here
-        # rather than carrying inf or nan into the outputs.  The error state
-        # is per thread: worker threads compute nothing that can overflow.
+        # rather than carrying inf or nan into the outputs; the worker threads of
+        # montecarlo._per_replicate run under this same (per-thread) error state.
         with np.errstate(over="raise"):
             if args.command == "simulate":
                 return cmd_simulate(args.config, args.out)

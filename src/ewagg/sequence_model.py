@@ -59,7 +59,10 @@ def check_models(models) -> np.ndarray:
     whole = values.dtype.kind != "f" or (values == np.floor(values)) & (np.abs(values) < 2.0**63)
     if not np.all(whole):  # a cast would truncate 1.5 and turn nan and inf into garbage
         raise ValueError(f"model indices must be integers, got {float(values[~whole][0])}")
-    idx = values.astype(np.int64)
+    try:  # from objects an int past int64 raises, where a cast from uint64 would wrap it
+        idx = (values.astype(object) if values.dtype.kind == "u" else values).astype(np.int64)
+    except OverflowError:
+        raise ValueError("model indices must be >= 1 and below 2**63") from None
     if idx[0] < 1:
         raise ValueError("all model indices must be >= 1")
     if idx.size > 1 and not np.all(np.diff(idx) > 0):

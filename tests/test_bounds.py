@@ -476,6 +476,19 @@ class TestTheoremBounds:
             assert budgets.t2 >= 0.0
             assert budgets.t3 > 0.0
 
-    def test_risk_below_variance_rejected(self):
-        with pytest.raises(ValueError):
-            theorem_bounds(0.5, 1.0, 3)
+    @pytest.mark.parametrize(
+        "risk, count",
+        [
+            (0.5, 3),
+            (math.inf, 3),
+            (math.nan, 3),
+            (math.nextafter(1.0, 0.0), 3),  # one ulp below sigma^2: no rounding allowance
+            (2.0, 0),
+            (2.0, -1),
+        ],
+    )
+    def test_risk_below_variance_rejected(self, risk, count):
+        with pytest.raises(ValueError) as exc:
+            theorem_bounds(risk, 1.0, count)
+        assert "\n" not in str(exc.value)
+        assert ("model count" if count < 1 else "oracle risk") in str(exc.value)

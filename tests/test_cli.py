@@ -52,17 +52,20 @@ def _cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (_CHILD_ADDRESS_SPACE, _CHILD_ADDRESS_SPACE))
 
 
+def _child_env():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    return dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+
+
 def run_capped(argv, cwd):
     """Run the CLI in a child process whose address space is capped at 2 GiB.
 
     An oversized allocation then fails at once whatever the overcommit policy,
     so inputs that need terabytes are safe to try.
     """
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
     return subprocess.run(
         [sys.executable, "-m", "ewagg.cli", *argv],
-        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+        cwd=cwd, env=_child_env(), capture_output=True, text=True, timeout=120,
         preexec_fn=_cap_address_space,
     )
 
@@ -303,6 +306,14 @@ class TestBounds:
         assert cli.main(["bounds", "--r", ratio, "--m", "10"]) == 2
         assert_one_line_error(capsys)
 
+    def test_ratio_one_ulp_below_one_is_domain_error(self, capsys):
+        assert cli.main(["bounds", "--r", "0.9999999999999999", "--m", "10"]) == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err == (
+            "error: oracle risk must be finite and >= sigma^2 = 1.0, got 0.9999999999999999\n"
+        )
+
     def test_nonpositive_count_is_domain_error(self):
         assert cli.main(["bounds", "--r", "2", "--m", "0"]) == 2
 
@@ -335,9 +346,14 @@ class TestPsi:
             assert value == psi(r).psi
             assert eps == psi(r).epsilon_star
 
-    def test_domain_error(self):
+    def test_domain_error(self, capsys):
         assert cli.main(["psi", "1.5"]) == 2
         assert cli.main(["psi", "0.5", "-0.1"]) == 2
+        captured = capsys.readouterr()
+        assert not captured.out  # not even the header or the row of 0.5
+        assert captured.err == (
+            "error: psi needs r in [0, 1], got 1.5\nerror: psi needs r in [0, 1], got -0.1\n"
+        )
 
 
 class TestLemmaCheck:
@@ -417,6 +433,37 @@ class TestLemmaCheck:
         )
         second = json.loads(capsys.readouterr().out)
         assert first == second
+
+
+class TestClosedStdout:
+    """A reader that closes stdout early does not change the exit code."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["psi", *(repr(j / 2998) for j in range(2999))],  # ~177 kB, past a pipe's buffer
+            ["bounds", "--r", "100", "--m", "10"],
+        ],
+        ids=["psi", "bounds"],
+    )
+    def test_success_still_exits_zero(self, tmp_path, argv):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "ewagg.cli", *argv], cwd=tmp_path, env=_child_env(),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (0, "")
+
+    def test_failed_lemma_check_still_exits_one(self, monkeypatch):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        failed = montecarlo.RiskEstimate(mean=100.0, std_error=0.1, replicates=2)
+        with open(write_end, "w") as closed_pipe, monkeypatch.context() as patch:
+            patch.setattr(sys, "stdout", closed_pipe)
+            patch.setattr(cli, "lemma2_empirical", lambda *args, **kwargs: failed)
+            code = cli.main(["lemma-check", "--which", "chi2_upper", "--alpha", "0.25"])
+        assert code == 1
 
 
 class TestOversizedInputs:
@@ -509,6 +556,16 @@ class TestOverflowingInputs:
         assert not (tmp_path / "o").exists()
 
 
+MODEL_TEXTS_PAST_INT64 = [
+    "99999999999999999999",
+    "1..99999999999999999999",
+    "-99999999999999999999",
+    "-99999999999999999999..3",
+    "9223372036854775808",  # 2**63: fits uint64, whose cast to int64 would wrap
+    "1..9223372036854775808",
+]
+
+
 class TestModelSetParsing:
     def test_range_and_list(self):
         assert list(cli.parse_model_set_text("1..5")) == [1, 2, 3, 4, 5]
@@ -522,6 +579,20 @@ class TestModelSetParsing:
         assert cli.model_set_text(cli.parse_model_set_text("1..20000")) == "1..20000"
         assert cli.model_set_text(cli.parse_model_set_text("9,1..3,5,6")) == "1..3,5..6,9"
         assert cli.model_set_text(cli.parse_model_set_text("7")) == "7"
+
+    @pytest.mark.parametrize("text", MODEL_TEXTS_PAST_INT64)
+    def test_index_past_int64_names_the_limit(self, text):
+        with pytest.raises(ValueError, match=r"^model indices must be >= 1 and below 2\*\*63$"):
+            cli.parse_model_set_text(text)
+
+    @pytest.mark.parametrize("text", MODEL_TEXTS_PAST_INT64)
+    def test_index_past_int64_exits_two_through_simulate(self, tmp_path, capsys, text):
+        cfg = write_config(tmp_path, GOOD_CONFIG.replace("models = 1..10", f"models = {text}"))
+        assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == (
+            "error: scenario [zero_small]: model indices must be >= 1 and below 2**63\n"
+        )
+        assert not (tmp_path / "o").exists()
 
     def test_errors(self):
         with pytest.raises(cli.ConfigError):
