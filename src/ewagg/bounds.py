@@ -15,6 +15,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .sequence_model import check_sigma
+
 __all__ = [
     "PsiEvaluation",
     "RegretBudgets",
@@ -325,9 +327,11 @@ def theorem_bounds(oracle_risk: float, sigma: float, model_count: int) -> Regret
     multiplier is left to the Monte Carlo harness to back-solve empirically.
     The arithmetic runs on numpy scalars, so an overflow obeys np.errstate.
 
-    Domain: a finite oracle_risk >= sigma^2 (formed as sigma * sigma, which a
-    projection risk tail + (sigma * sigma) m meets) and model_count >= 1.
+    Domain: sigma as check_sigma takes it, a finite oracle_risk >= sigma^2
+    (formed as sigma * sigma, which a projection risk tail + (sigma * sigma) m
+    meets) and model_count >= 1.
     """
+    sigma = check_sigma(sigma)
     variance = np.float64(sigma * sigma)
     r = np.float64(oracle_risk)
     if not variance <= r < np.inf:
@@ -343,7 +347,7 @@ def theorem_bounds(oracle_risk: float, sigma: float, model_count: int) -> Regret
 
 def m_epsilon_budget(oracle_value: float, sigma: float, epsilon: float) -> float:
     """Analytic budget r/sigma^2 + 7 eps r / ((1-6 eps) sigma^2) + 15 / ((1-6 eps) eps)."""
-    epsilon = float(epsilon)
+    sigma, epsilon = check_sigma(sigma), float(epsilon)
     if not 0.0 < epsilon <= 1.0 / 7.0:
         raise ValueError("epsilon must lie in (0, 1/7]")
     ratio = oracle_value / (sigma * sigma)

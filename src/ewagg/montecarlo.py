@@ -325,13 +325,12 @@ def unbiasedness_check(
     replicates: int,
     base_seed: int,
 ) -> dict[int, RiskEstimate]:
-    """MC estimate of rbar(Y, m) + ||mu||^2 - true risk, per m; all means should be ~0."""
+    """Per m in the model set m_values, MC estimate of rbar(Y, m) + ||mu||^2 - true risk (~0)."""
     mu, sigma = check_mean(mu), check_sigma(sigma)
     replicates = check_replicates(replicates)
-    m_values = [int(m) for m in m_values]
-    if any(m > mu.size for m in m_values):
+    indices = check_models(m_values)
+    if indices[-1] > mu.size:
         raise ValueError(f"every m must be <= the mean vector length {mu.size}")
-    indices = np.array(m_values, dtype=np.int64)
     offsets = tail_squared_norms(mu)[0] - true_projection_risk(mu, sigma, indices)
 
     def centered(seeds) -> np.ndarray:
@@ -339,4 +338,4 @@ def unbiasedness_check(
         return (risk_profile(obs, sigma, indices) + offsets).T
 
     stats = _per_replicate(centered, replicates, mu.size, (base_seed, _stable_key("unbiasedness")))
-    return {m: RiskEstimate.from_samples(row) for m, row in zip(m_values, stats)}
+    return {m: RiskEstimate.from_samples(row) for m, row in zip(indices.tolist(), stats)}

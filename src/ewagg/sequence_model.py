@@ -56,16 +56,18 @@ def check_models(models) -> np.ndarray:
     values = np.asarray(models)
     if values.ndim != 1 or values.size == 0:
         raise ValueError("indices must be a non-empty 1-D sequence of integers")
-    whole = values.dtype.kind != "f" or (values == np.floor(values)) & (np.abs(values) < 2.0**63)
-    if not np.all(whole):  # a cast would truncate 1.5 and turn nan and inf into garbage
-        raise ValueError(f"model indices must be integers, got {float(values[~whole][0])}")
-    try:  # from objects an int past int64 raises, where a cast from uint64 would wrap it
-        idx = (values.astype(object) if values.dtype.kind == "u" else values).astype(np.int64)
+    objects = values if values.dtype.kind == "i" else values.astype(object)
+    try:  # Python ints raise past int64 (and at inf), where a cast from uint64 would wrap
+        idx = objects.astype(np.int64)
     except OverflowError:
         raise ValueError("model indices must be >= 1 and below 2**63") from None
+    except ValueError as exc:  # int(nan)
+        raise ValueError(f"model indices must be integers: {exc}") from None
+    if not np.all(idx == objects):  # int() truncated a fraction
+        raise ValueError(f"model indices must be integers, got {objects[idx != objects][0]!r}")
     if idx[0] < 1:
         raise ValueError("all model indices must be >= 1")
-    if idx.size > 1 and not np.all(np.diff(idx) > 0):
+    if not np.all(np.diff(idx) > 0):
         raise ValueError("model indices must be strictly increasing")
     return idx
 

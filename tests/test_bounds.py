@@ -12,6 +12,7 @@ from ewagg.bounds import (
     PSI_EPSILON_LO,
     entropy,
     lemma4_bound,
+    m_epsilon_budget,
     psi,
     r_rho,
     theorem_bounds,
@@ -492,3 +493,11 @@ class TestTheoremBounds:
             theorem_bounds(risk, 1.0, count)
         assert "\n" not in str(exc.value)
         assert ("model count" if count < 1 else "oracle risk") in str(exc.value)
+
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, 1e-160])  # 1e-160: sigma^2 is subnormal
+    @pytest.mark.parametrize(
+        "budget", [lambda s: theorem_bounds(1.0, s, 3), lambda s: m_epsilon_budget(1.0, s, 0.1)]
+    )
+    def test_sigma_rule_applies(self, budget, sigma):
+        with pytest.raises(ValueError, match=r"^sigma\^2 must be a normal positive float"):
+            budget(sigma)

@@ -414,10 +414,20 @@ class TestLemmaCheck:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and "replicates" in err, err
 
-    def test_unknown_variant_rejected_by_parser(self):
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lemma-check", "--which", "bogus", "--alpha", "0.25"],
+            ["lemma-check", "--which", "foo", "--alpha", "1"],
+            ["bounds", "--r", "abc", "--m", "3"],
+            ["psi"],
+        ],
+    )
+    def test_unknown_variant_rejected_by_parser(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
-            cli.main(["lemma-check", "--which", "bogus", "--alpha", "0.25"])
+            cli.main(argv)
         assert exc.value.code == 2
+        assert_one_line_error(capsys)
 
     def test_env_seed_default(self, capsys, monkeypatch):
         monkeypatch.setenv(cli.SEED_ENV, "99")
@@ -593,6 +603,13 @@ class TestModelSetParsing:
             "error: scenario [zero_small]: model indices must be >= 1 and below 2**63\n"
         )
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("text", ["5,1..9223372036854775807", "1..9223372036854775807"])
+    def test_run_numpy_cannot_hold_is_memory_error(self, text):
+        # One flag per index up to 2**63 - 1 is 8 EiB, which numpy refuses
+        # without touching memory; the run is never dropped.
+        with pytest.raises(MemoryError):
+            cli.parse_model_set_text(text)
 
     def test_errors(self):
         with pytest.raises(cli.ConfigError):

@@ -384,6 +384,20 @@ class TestUnbiasednessCheck:
         for est in results.values():
             assert abs(est.mean) <= 4.0 * est.std_error
 
+    @pytest.mark.parametrize(
+        "m_values, message",
+        [([], "non-empty"), ([1.5], "integers"), ([3, 1], "increasing"), ([1, 4], "length 3")],
+    )
+    def test_m_values_is_a_model_set_within_the_mean(self, m_values, message):
+        mu = mean_vector_from_spec("zero:N=3")
+        with pytest.raises(ValueError, match=message):
+            unbiasedness_check(mu, SIGMA1, m_values, replicates=2, base_seed=0)
+
+    def test_keys_are_the_model_indices_as_ints(self):
+        mu = mean_vector_from_spec("zero:N=3")
+        results = unbiasedness_check(mu, SIGMA1, np.array([1.0, 3.0]), replicates=2, base_seed=0)
+        assert list(results) == [1, 3] and all(type(m) is int for m in results)
+
     def test_replicates_must_give_a_standard_error(self):
         mu = mean_vector_from_spec("zero:N=3")
         for replicates in (1, 0, -3):

@@ -295,6 +295,21 @@ def test_model_set_text_parses_back_to_the_same_indices(indices):
 
 
 @SETTINGS
+@given(
+    st.lists(
+        st.tuples(st.integers(1, 200), st.integers(1, 200)).map(sorted), min_size=1, max_size=12
+    )
+)
+@example([[5, 5], [1, 9], [3, 4]])  # a repeat inside a run, written out of order
+def test_model_set_text_is_the_sorted_union_of_its_runs(runs):
+    text = ",".join(str(lo) if lo == hi else f"{lo}..{hi}" for lo, hi in runs)
+    models = cli.parse_model_set_text(text)
+    expected = sorted(set().union(*(range(lo, hi + 1) for lo, hi in runs)))
+    assert models.dtype == np.int64 and models.tolist() == expected
+    assert np.array_equal(cli.parse_model_set_text(cli.model_set_text(models)), models)
+
+
+@SETTINGS
 @given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=20))
 @example([-0.0, 0.0, 5e-324, -2.2250738585072014e-308, sys.float_info.max, -sys.float_info.max])
 def test_explicit_mean_spec_parses_back_to_the_same_bits(values):

@@ -72,6 +72,28 @@ class TestTypes:
         assert M.tolist() == [1, 2, 3, 4, 5]
         assert check_models(range(1, 6)).tolist() == M.tolist()
         assert check_models(np.array([1.0, 3.0])).tolist() == [1, 3]
+        assert check_models(np.array([1, 2**63 - 1], dtype=np.uint64)).tolist() == [1, 2**63 - 1]
+
+    @pytest.mark.parametrize(
+        "models",
+        [
+            [1, 2**63],  # int and uint64 promote to float64
+            np.array([1.0, 2.0**63]),
+            np.array([1, 2**63], dtype=np.uint64),  # a cast to int64 would wrap
+            [1, 2**64],  # an object array
+            [1.0, np.inf],
+            [-np.inf, 1.0],
+            [-(2**63) - 1, 1],
+        ],
+    )
+    def test_index_past_int64_names_the_limit(self, models):
+        with pytest.raises(ValueError, match=r"^model indices must be >= 1 and below 2\*\*63$"):
+            check_models(models)
+
+    @pytest.mark.parametrize("models", [[1.0, np.nan], np.array([1, 2.5], dtype=object)])
+    def test_non_integer_is_named(self, models):
+        with pytest.raises(ValueError, match=r"^model indices must be integers"):
+            check_models(models)
 
     def test_arrays_are_immutable(self):
         models = np.array([1, 2])
