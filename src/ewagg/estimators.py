@@ -27,6 +27,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .sequence_model import check_models
+
 __all__ = [
     "projection_estimate",
     "unbiased_risk",
@@ -38,23 +40,21 @@ __all__ = [
 ]
 
 
-def projection_estimate(Y: np.ndarray, m: int) -> np.ndarray:
-    """Keep the first m observed coordinates, zero the rest (output length N)."""
+def projection_estimate(Y: np.ndarray, m: int | np.ndarray) -> np.ndarray:
+    """Keep the first m observed coordinates, zero the rest (output length N).
+
+    m is one model index, checked by check_models, or an int64 array with one
+    index per row of a block, which is trusted like every kernel input.
+    """
     Y = np.asarray(Y, dtype=float)
-    m = int(m)
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    out = np.zeros_like(Y)
-    out[..., :m] = Y[..., :m]
-    return out
+    if np.ndim(m) == 0:
+        m = check_models([m])[0]
+    return np.where(np.arange(1, Y.shape[-1] + 1) <= np.asarray(m)[..., None], Y, 0.0)
 
 
 def unbiased_risk(Y: np.ndarray, sigma: float, m: int) -> float | np.ndarray:
     """Unbiased risk estimate -sum_{i<=m} Y_i^2 + 2 sigma^2 m of the m-projection."""
-    m = int(m)
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    values = risk_profile(Y, sigma, np.array([m]))[..., 0]
+    values = risk_profile(Y, sigma, check_models([m]))[..., 0]
     return float(values) if values.ndim == 0 else values
 
 
@@ -105,15 +105,32 @@ def aggregate(Y: np.ndarray, M: np.ndarray, w: np.ndarray) -> np.ndarray:
     w = np.asarray(w, dtype=float)
     if w.shape[-1:] != M.shape:
         raise ValueError("weights must align with the model index set")
-    # Coordinate i of the aggregate is Y_i times the total weight of the models
-    # with m >= i.  Scatter each model's weight to coordinate m, then one
-    # reversed cumulative sum gives every suffix in O(N) per row.  The cumsum is
-    # sequential and the added entries are exact zeros, so each suffix has the
-    # bits of the sum over the models alone.
+    # Coordinate i of the aggregate is Y_i times s_i, the total weight of the
+    # models with m >= i.  With each weight scattered to its coordinate m in a
+    # row d that is +0.0 elsewhere, one reversed sequential cumsum gives
+    # s_i = s_{i+1} + d_i in O(N).  Only the window from the first to the last
+    # model whose weight is not +0.0 in some row (-0.0 and NaN count) is
+    # summed, plus one +0.0 coordinate above it when there is one.  Above the
+    # window d is all +0.0, so s_i is +0.0 and the window's cumsum starts from
+    # the same +0.0 as the full one; below it, s_i is the window's first sum
+    # plus 0.0.  So every s_i has the bits of the full cumsum, for any weights
+    # and any M.  An all-+0.0 block has no window and gives Y * 0.0.
     length = Y.shape[-1]
-    dense = np.zeros(w.shape[:-1] + (max(length, M[-1]),))
-    dense[..., M - 1] = w
-    return Y * np.cumsum(dense[..., ::-1], axis=-1)[..., ::-1][..., :length]
+    out = np.empty(np.broadcast(Y, w[..., :1]).shape)
+    # Columns holding anything but +0.0, the one float64 whose bits are all zero.
+    live = w.reshape(-1, M.size).view(np.int64).any(axis=0).nonzero()[0]
+    lo = hi = 0  # coordinates lo+1..hi of the observation lie in the window
+    if live.size:
+        models = slice(live[0], live[-1] + 1)
+        lo, top = M[live[0]] - 1, min(M[live[-1]] + 1, max(length, M[-1]))
+        window = np.zeros(w.shape[:-1] + (top - lo,))
+        window[..., M[models] - 1 - lo] = w[..., models]
+        sums = np.cumsum(window[..., ::-1], axis=-1)[..., ::-1]
+        hi = max(lo, min(top, length))
+        np.multiply(Y[..., :lo], sums[..., :1] + 0.0, out=out[..., :lo])
+        np.multiply(Y[..., lo:hi], sums[..., : hi - lo], out=out[..., lo:hi])
+    np.multiply(Y[..., hi:], 0.0, out=out[..., hi:])
+    return out
 
 
 def m_epsilon(profile: np.ndarray, M: np.ndarray, sigma: float, epsilon: float) -> int | np.ndarray:

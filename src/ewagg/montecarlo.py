@@ -19,7 +19,10 @@ Only the lemma-2 walks run on worker threads, one per CPU in the affinity
 mask: nearly all of a walk's time is numpy drawing and summing normals with
 the interpreter lock released, so the threads overlap.  The simulation
 pipeline stays on the calling thread, where threads gave no speed-up and a
-single call stack keeps its traced layers nested.
+single call stack keeps its traced layers nested.  With rows drawn in place,
+two worker threads on a 2-core x86_64 host took the nine N=100 grid
+scenarios to x0.52-0.79 of one thread's speed, and three N=20,000 scenarios
+to x0.92-1.32, in six interleaved rounds of each.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import theorem_bounds, u_alpha, u_star_alpha
-from .estimators import aggregate, exponential_weights, risk_profile, ure_weights
+from .estimators import aggregate, exponential_weights, projection_estimate, risk_profile
 from .risk import oracle_risk
 from .sequence_model import (
     check_mean,
@@ -215,16 +218,26 @@ class ComparisonRow:
 def _replicate_losses(config: ScenarioConfig) -> np.ndarray:
     """Per-replicate squared losses, shape (2, replicates): row 0 URE, row 1 EW."""
     mu, sigma, models = config.mu, config.sigma, config.models
-    # Keep each block's arrays until the next block has allocated its own; freed
-    # together at N=20,000 they let glibc trim the heap and re-fault it per block.
+    # Keep each block's observations and profile until the next block has
+    # allocated its own; freed together at N=20,000 they let glibc trim the heap
+    # and re-fault it per block.  Of the choices measured, holding these two
+    # gave the fewest minor page faults (x86_64, glibc, numpy 2.4.6): about
+    # 4,000 for `simulate` on the perfbench wide config, against 8,700 when the
+    # weights and both estimates are held too and 11,000 when nothing is.
     held = []
 
     def losses(seeds) -> np.ndarray:
         obs = draw_observations(mu, sigma, seeds)
         profile = risk_profile(obs, sigma, models)
-        weights = (ure_weights(profile), exponential_weights(profile, sigma))
-        held[:] = obs, profile, weights
-        return np.stack([squared_loss(aggregate(obs, models, w), mu) for w in weights])
+        weights = exponential_weights(profile, sigma)
+        # URE puts all weight on mhat, the first argmin model, so its aggregate
+        # is Y * 1.0 = Y up to mhat and Y * 0.0 = +-0.0 beyond.  The projection
+        # at mhat has the same bits up to mhat and +0.0 beyond, where
+        # (+-0.0 - mu_i)^2 is the same square, so the loss keeps its bits.
+        mhat = models[np.argmin(profile, axis=-1)]
+        estimates = (projection_estimate(obs, mhat), aggregate(obs, models, weights))
+        held[:] = obs, profile
+        return np.stack([squared_loss(estimate, mu) for estimate in estimates])
 
     prefix = (config.base_seed, _stable_key(config.scenario_id))
     return _per_replicate(losses, config.replicates, mu.size, prefix)
@@ -299,7 +312,9 @@ def lemma2_empirical(
         width, drift_line = k_max, drift * np.arange(1, k_max + 1, dtype=float)
 
     def walks(seeds) -> np.ndarray:
-        steps = np.stack([standard_normals(seed, width) for seed in seeds])
+        steps = np.empty((len(seeds), width))
+        for row, seed in zip(steps, seeds):
+            standard_normals(seed, width, out=row)
         if which == "linear":
             steps *= mu
             np.cumsum(steps[:, ::-1], axis=-1, out=steps[:, ::-1])  # suffix sums

@@ -14,6 +14,8 @@ replicate count.  check_sigma, check_models, check_mean and check_replicates
 check them once, where they enter: ScenarioConfig, mean_vector_from_spec, the
 CLI's model-set parser and the Monte Carlo entry points call them (check_replicates:
 ScenarioConfig, lemma2_empirical, unbiasedness_check, RiskEstimate.from_samples).
+A single model index m given to projection_estimate, unbiased_risk or
+true_projection_risk goes through check_models too.
 """
 
 from __future__ import annotations
@@ -111,45 +113,63 @@ def _seed_entropy(seed: SeedLike) -> list[int]:
 
 
 def standard_normals(
-    seed: SeedLike | np.random.bit_generator.ISeedSequence, n: int
+    seed: SeedLike | np.random.bit_generator.ISeedSequence, n: int, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """n standard normals from the substream that seed addresses.
+    """n standard normals from the substream that seed addresses, written into out if given.
 
     The generator is PCG64 keyed through numpy's SeedSequence, and the normal
     draws use numpy's ziggurat sampler, so a given (seed, n) reproduces the
     same values bit for bit regardless of platform or call order.  A sequence
     seed addresses one substream per (base seed, scenario, replicate).  An
     ISeedSequence, such as a substreams.SubstreamSeed that carries the words
-    SeedSequence would give its address, keys the PCG64 as it is.
+    SeedSequence would give its address, keys the PCG64 as it is.  out, a
+    C-contiguous float64 array of n values such as one row of a block, gets
+    the same bits as a fresh array would.
     """
     if not isinstance(seed, np.random.bit_generator.ISeedSequence):
         seed = np.random.SeedSequence(_seed_entropy(seed))
-    return np.random.Generator(np.random.PCG64(seed)).standard_normal(n)
+    return np.random.Generator(np.random.PCG64(seed)).standard_normal(n, out=out)
 
 
 def generate_observation(
-    mu: np.ndarray, sigma: float, seed: SeedLike | np.random.bit_generator.ISeedSequence
+    mu: np.ndarray,
+    sigma: float,
+    seed: SeedLike | np.random.bit_generator.ISeedSequence,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Draw Y = mu + sigma * Z with Z i.i.d. standard normal (see standard_normals)."""
-    return mu + sigma * standard_normals(seed, mu.size)
+    """Draw Y = mu + sigma * Z with Z i.i.d. standard normal (see standard_normals).
+
+    Z is drawn into out when it is given, then scaled and shifted in place.
+    IEEE products and sums commute, so the bits are those of mu + sigma * Z.
+    """
+    out = standard_normals(seed, mu.size, out=out)
+    out *= sigma
+    out += mu
+    return out
 
 
 def draw_observations(mu: np.ndarray, sigma: float, seeds) -> np.ndarray:
-    """A (B, N) block of observations, one row per seed, each drawn by generate_observation."""
-    return np.stack([generate_observation(mu, sigma, seed) for seed in seeds])
+    """A (B, N) block of observations, one row per seed (any iterable of seeds).
+
+    The block is allocated once and generate_observation draws each row in place.
+    """
+    seeds = list(seeds)
+    block = np.empty((len(seeds), mu.size))
+    for row, seed in zip(block, seeds):
+        generate_observation(mu, sigma, seed, out=row)
+    return block
 
 
 def true_projection_risk(mu: np.ndarray, sigma: float, m) -> float | np.ndarray:
     """Exact risk of the projection estimator keeping the first m coordinates.
 
     Equals the squared-bias tail beyond m (zero beyond the support) plus the
-    variance term sigma^2 * m.  m is one model index or an array of them.
+    variance term sigma^2 * m.  m is one model index or a model set, checked
+    by check_models.
     """
-    m = np.asarray(m, dtype=np.int64)
-    if np.any(m < 1):
-        raise ValueError("m must be >= 1")
-    risk = tail_squared_norms(mu)[np.minimum(m, mu.size)] + sigma * sigma * m
-    return float(risk) if risk.ndim == 0 else risk
+    models = check_models(np.atleast_1d(m))
+    risk = tail_squared_norms(mu)[np.minimum(models, mu.size)] + sigma * sigma * models
+    return float(risk[0]) if np.ndim(m) == 0 else risk
 
 
 def squared_loss(estimate: Sequence[float] | np.ndarray, mu: np.ndarray) -> float | np.ndarray:
@@ -157,11 +177,14 @@ def squared_loss(estimate: Sequence[float] | np.ndarray, mu: np.ndarray) -> floa
     est = np.asarray(estimate, dtype=float)
     if est.ndim == 0:
         raise ValueError("estimate must be a sequence of reals")
-    n = max(est.shape[-1], mu.size)
-    diff = np.zeros(est.shape[:-1] + (n,))
-    diff[..., : est.shape[-1]] = est
-    diff[..., : mu.size] -= mu
-    loss = np.sum(diff * diff, axis=-1)
+    if est.shape[-1] == mu.size:
+        diff = est - mu
+    else:
+        diff = np.zeros(est.shape[:-1] + (max(est.shape[-1], mu.size),))
+        diff[..., : est.shape[-1]] = est
+        diff[..., : mu.size] -= mu
+    diff *= diff
+    loss = np.sum(diff, axis=-1)
     return float(loss) if loss.ndim == 0 else loss
 
 

@@ -39,6 +39,17 @@ class TestProjectionEstimate:
         with pytest.raises(ValueError):
             projection_estimate([1.0], 0)
 
+    @pytest.mark.parametrize("m", [1.5, 2**63, 0])
+    def test_m_follows_the_model_set_rule(self, m):
+        with pytest.raises(ValueError, match="model indices"):
+            projection_estimate(np.ones(3), m)
+
+    def test_one_m_per_row(self):
+        block = np.arange(1.0, 13.0).reshape(3, 4)
+        out = projection_estimate(block, np.array([1, 4, 2]))
+        for row, m, kept in zip(block, (1, 4, 2), out):
+            assert kept.tobytes() == projection_estimate(row, m).tobytes()
+
 
 class TestUnbiasedRisk:
     def test_arithmetic(self):
@@ -59,6 +70,11 @@ class TestUnbiasedRisk:
     def test_m_beyond_support_rejected(self):
         with pytest.raises(ValueError):
             unbiased_risk([1.0, 2.0], SIGMA1, 3)
+
+    @pytest.mark.parametrize("m", [1.5, 2**63, 0])
+    def test_m_follows_the_model_set_rule(self, m):
+        with pytest.raises(ValueError, match="model indices"):
+            unbiased_risk(np.ones(3), SIGMA1, m)
 
     def test_expectation_matches_true_risk_up_to_norm(self):
         # E rbar(Y, m) + ||mu||^2 equals the exact projection risk.
@@ -262,15 +278,40 @@ class TestAggregate:
         raw = rng.uniform(0.0, 1.0, size=(4, len(indices)))
         w = raw / raw.sum(axis=-1, keepdims=True)
         y = rng.normal(size=(4, length))
-        naive = np.zeros((4, length))
-        for b in range(4):
-            for i in range(1, length + 1):
-                total = 0.0
-                for m, weight in zip(reversed(indices), w[b][::-1]):
-                    if m >= i:
-                        total += weight
-                naive[b, i - 1] = total
-        assert np.array_equal(aggregate(y, M, w), y * naive)
+
+        def naive(w):
+            sums = np.zeros((len(w), length))
+            for b in range(len(w)):
+                for i in range(1, length + 1):
+                    total = 0.0
+                    for m, weight in zip(reversed(indices), w[b][::-1]):
+                        if m >= i:
+                            total += weight
+                    sums[b, i - 1] = total
+            return sums
+
+        assert np.array_equal(aggregate(y, M, w), y * naive(w))
+
+        # Exact zeros: runs at the head, in the middle and at the tail, one-hot
+        # rows, an all-zero row, and -0.0 entries.  A row's bits do not depend
+        # on the other rows of its block.
+        k, half = len(indices), len(indices) // 2
+        sparse = np.tile(w[0], (9, 1))
+        sparse[0, : half + 1] = 0.0
+        sparse[1, half] = 0.0
+        sparse[2, half:] = 0.0
+        sparse[3] = np.arange(k) == half
+        sparse[4] = np.arange(k) == k - 1
+        sparse[5] = 0.0
+        sparse[6, ::2] = -0.0
+        sparse[7] = -0.0
+        sparse[8, -1] = -0.0
+        y = rng.normal(size=(9, length))
+        block = aggregate(y, M, sparse)
+        assert np.array_equal(block, y * naive(sparse))
+        for b in range(9):
+            assert block[b].tobytes() == aggregate(y[b], M, sparse[b]).tobytes()
+        assert block[5].tobytes() == (y[5] * 0.0).tobytes()
 
     def test_dominant_model_drives_aggregate(self):
         # When one risk value sits far below the rest, the exponential-weight

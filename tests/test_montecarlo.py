@@ -29,6 +29,7 @@ from ewagg.sequence_model import (
     generate_observation,
     mean_vector_from_spec,
     squared_loss,
+    standard_normals,
 )
 from ewagg.substreams import substream_words
 
@@ -133,6 +134,37 @@ class TestMcRisk:
             ew_est = aggregate(obs, cfg.models, exponential_weights(profile, cfg.sigma))
             assert losses[0, rep] == squared_loss(ure_est, mu)
             assert losses[1, rep] == squared_loss(ew_est, mu)
+
+    @pytest.mark.parametrize(
+        "models",
+        [np.arange(1, 4001), np.r_[1:40:3, 100:2000:7, 2500, 3999, 4000]],
+        ids=["full", "gapped"],
+    )
+    def test_kernel_bits_equal_the_dense_reference(self, models):
+        # N = 4,000 at sigma = 0.05: the EW weights end in runs of exact zeros
+        # (at N = 3,000 the last ones are still subnormal).
+        # The reference spells out the dense pipeline: mu + sigma * Z, one-hot
+        # URE weights, every weight scattered before the reversed cumsum, and
+        # the zero-padded loss.  Both sides call the same numpy kernels, so the
+        # bytes agree on any build.
+        cfg = make_config(mu_spec="poly:beta=1,scale=1", sigma=0.05, models=models, replicates=6)
+        mu, sigma, length = cfg.mu, cfg.sigma, cfg.mu.size
+        key = _stable_key(cfg.scenario_id)
+        expected = np.empty((2, cfg.replicates))
+        for rep in range(cfg.replicates):
+            obs = mu + sigma * standard_normals((cfg.base_seed, key, rep), length)
+            profile = risk_profile(obs, sigma, models)
+            weights = (ure_weights(profile), exponential_weights(profile, sigma))
+            assert weights[1][-1] == 0.0
+            for row, w in enumerate(weights):
+                dense = np.zeros(max(length, models[-1]))
+                dense[models - 1] = w
+                estimate = obs * np.cumsum(dense[::-1])[::-1][:length]
+                diff = np.zeros(max(length, mu.size))
+                diff[:length] = estimate
+                diff[: mu.size] -= mu
+                expected[row, rep] = np.sum(diff * diff)
+        assert _replicate_losses(cfg).tobytes() == expected.tobytes()
 
     def test_ew_respects_log_cardinality_budget(self):
         cfg = make_config(models=np.arange(1, 101), replicates=10_000)
@@ -335,9 +367,9 @@ class TestLemma2Workers:
         idents = set()
         draw = montecarlo.standard_normals
 
-        def recording(seed, n):
+        def recording(seed, n, out=None):
             idents.add(threading.get_ident())
-            return draw(seed, n)
+            return draw(seed, n, out=out)
 
         monkeypatch.setattr(montecarlo, "standard_normals", recording)
         monkeypatch.setattr(montecarlo, "_WORKERS", 2)
@@ -351,10 +383,10 @@ class TestLemma2Workers:
         draw = montecarlo.standard_normals
         words = walk_words(failing_rep)
 
-        def failing(seed, n):
+        def failing(seed, n, out=None):
             if np.array_equal(seed.words, words):
                 raise RuntimeError(f"walk {failing_rep} failed")
-            return draw(seed, n)
+            return draw(seed, n, out=out)
 
         monkeypatch.setattr(montecarlo, "standard_normals", failing)
         monkeypatch.setattr(montecarlo, "_WORKERS", 2)
@@ -367,8 +399,11 @@ class TestLemma2Workers:
         draw = montecarlo.standard_normals
         words = walk_words(7)  # block 7 of 20 runs on worker 1 of 2
 
-        def overflowing(seed, n):
-            return np.full(n, 1e200) if np.array_equal(seed.words, words) else draw(seed, n)
+        def overflowing(seed, n, out=None):
+            out = draw(seed, n, out=out)
+            if np.array_equal(seed.words, words):
+                out[:] = 1e200
+            return out
 
         monkeypatch.setattr(montecarlo, "standard_normals", overflowing)
         monkeypatch.setattr(montecarlo, "_WORKERS", 2)

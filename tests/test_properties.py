@@ -202,6 +202,62 @@ def test_block_rows_get_the_bits_of_the_row_alone(case):
             assert loss[b] == squared_loss(aggregate(row, models, w_one), mu)
 
 
+def dense_aggregate(Y, M, w):
+    """aggregate with every weight scattered: one reversed cumsum over max(N, M[-1])."""
+    length = Y.shape[-1]
+    dense = np.zeros(w.shape[:-1] + (max(length, M[-1]),))
+    dense[..., M - 1] = w
+    return Y * np.cumsum(dense[..., ::-1], axis=-1)[..., ::-1][..., :length]
+
+
+# Weights: exact zeros of both signs, so that zero runs form, values that cancel,
+# non-finite values, and any float.
+weight_values = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.sampled_from([1.0, -1.0, 0.5, 5e-324, math.nan, math.inf, -math.inf]),
+    st.floats(),
+)
+
+
+@st.composite
+def weighted_blocks(draw):
+    """A gapped model set, observations shorter or longer than M[-1], and weights.
+
+    The shapes cover a (B, N) block with (B, #M) weights, one observation with
+    (B, #M) weights, and a (B, N) block with one weight row.
+    """
+    indices = draw(st.lists(st.integers(1, 40), min_size=1, max_size=12, unique=True))
+    models = np.array(sorted(indices))
+    length = draw(st.integers(1, 45))
+    rows = draw(st.integers(1, 4))
+    shape = draw(st.sampled_from(["block", "one_observation", "one_weight_row"]))
+    w_rows = 1 if shape == "one_weight_row" else rows
+    row = st.lists(weight_values, min_size=models.size, max_size=models.size)
+    w = np.array(draw(st.lists(row, min_size=w_rows, max_size=w_rows)))
+    y = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).normal(size=(rows, length))
+    if shape == "one_observation":
+        y = y[0]
+    elif shape == "one_weight_row":
+        w = w[0]
+    return models, y, w
+
+
+@SETTINGS
+@given(weighted_blocks())
+@example((np.array([1, 2, 3]), np.array([[1.0, -2.0, 3.0]]), np.array([[1.0, 0.0, -0.0]])))
+@example((np.array([2, 5]), np.array([[1.0, -2.0, 3.0]]), np.array([[-0.0, 0.5]])))
+@example((np.array([2, 5]), np.array([[1.0, -2.0, 3.0, -4.0]]), np.array([[-0.0, -0.0]])))
+@example((np.array([2, 3]), np.array([[1.0, -2.0, 3.0]]), np.array([[-0.0, -0.0]])))
+@example((np.array([1, 3]), np.array([-1.0, 2.0, -3.0]), np.array([[1.0, -1.0], [0.0, 0.0]])))
+def test_aggregate_has_the_bits_of_the_dense_suffix_sums(case):
+    models, y, w = case
+    with np.errstate(all="ignore"):
+        expected = dense_aggregate(y, models, w)
+        got = aggregate(y, models, w)
+    assert got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
 @SETTINGS
 @given(
     st.lists(st.integers(-(2**130), 2**130), min_size=1, max_size=4),

@@ -239,6 +239,11 @@ class TestTrueProjectionRisk:
         with pytest.raises(ValueError):
             true_projection_risk(mu, 1.0, 0)
 
+    @pytest.mark.parametrize("m", [1.5, 2**63, 0])
+    def test_m_follows_the_model_set_rule(self, m):
+        with pytest.raises(ValueError, match="model indices"):
+            true_projection_risk(np.ones(3), 1.0, m)
+
     def test_index_array_gives_each_index_risk(self):
         mu = np.array([1.0, 0.5, 0.25])
         sig = 0.3
