@@ -206,6 +206,16 @@ def _write_outputs(writers: dict[str, Callable[[TextIO], None]]) -> None:
                 os.remove(tmp)
 
 
+def _exp_kernel() -> str | None:
+    """The dispatch target of numpy's float64 exp on this CPU (None before numpy 2.0)."""
+    try:
+        from numpy.lib.introspect import opt_func_info
+    except ImportError:
+        return None
+    info = opt_func_info(func_name="^exp$", signature="float64")
+    return info.get("exp", {}).get("dd", {}).get("current")
+
+
 def cmd_simulate(config_path: str, out_dir: str) -> int:
     try:
         with open(config_path, "r", encoding="utf-8") as fh:
@@ -214,8 +224,12 @@ def cmd_simulate(config_path: str, out_dir: str) -> int:
         raise ConfigError(f"cannot read config {config_path!r}: {exc}") from exc
     scenarios = parse_scenarios(text)
 
+    rows, seconds = [], {}
     started = time.perf_counter()
-    rows = [verify_oracle_inequalities(cfg) for cfg in scenarios]
+    for cfg in scenarios:
+        begun = time.perf_counter()
+        rows.append(verify_oracle_inequalities(cfg))
+        seconds[cfg.scenario_id] = time.perf_counter() - begun
     elapsed = time.perf_counter() - started
 
     csv_path = os.path.join(out_dir, "results.csv")
@@ -227,15 +241,16 @@ def cmd_simulate(config_path: str, out_dir: str) -> int:
         "tool_version": __version__,
         "config_digest": config_digest(scenarios),
         "base_seeds": {cfg.scenario_id: cfg.base_seed for cfg in scenarios},
-        "timings_seconds": {"simulate": elapsed},
+        "timings_seconds": {"simulate": elapsed, "scenarios": seconds},
         "outputs": [csv_path, json_path],
         # The output bytes are reproducible on the same build only: numpy picks
-        # its float64 exp kernel per CPU at run time.
+        # its float64 exp kernel per CPU at run time, and exp_kernel names it.
         "build": {
             "python": platform.python_version(),
             "numpy": np.__version__,
             "system": platform.system(),
             "machine": platform.machine(),
+            "exp_kernel": _exp_kernel(),
         },
     }
     try:

@@ -18,9 +18,14 @@ the last axis, so a block and a single row get the same bits per row, and one
 call per block runs the whole pipeline over it.
 
 Everything runs in float64.  numpy sums a contiguous row pairwise but a
-strided one sequentially, so the kernels that reduce along a row (the softmax
-normalisation) first make their input C-contiguous: a row then sums to the
-same bits whether it arrives alone, inside a block, or in a transposed view.
+strided one sequentially, so the softmax normalisation sums C-contiguous
+rows: a row then sums to the same bits whether it arrives alone, inside a
+block, or in a transposed view.
+
+projection_estimate, risk_profile, exponential_weights and aggregate also
+take out=, an array of the result's shape that they write in full and
+return, with the bits of a fresh result; the Monte Carlo engine passes the
+same buffers to every block of a scenario.
 """
 
 from __future__ import annotations
@@ -40,16 +45,24 @@ __all__ = [
 ]
 
 
-def projection_estimate(Y: np.ndarray, m: int | np.ndarray) -> np.ndarray:
+def projection_estimate(
+    Y: np.ndarray, m: int | np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Keep the first m observed coordinates, zero the rest (output length N).
 
     m is one model index, checked by check_models, or an int64 array with one
-    index per row of a block, which is trusted like every kernel input.
+    index per row of a block, which is trusted like every kernel input.  The
+    estimate is written into out when it is given, else into a new array.
     """
     Y = np.asarray(Y, dtype=float)
     if np.ndim(m) == 0:
         m = check_models([m])[0]
-    return np.where(np.arange(1, Y.shape[-1] + 1) <= np.asarray(m)[..., None], Y, 0.0)
+    keep = np.arange(1, Y.shape[-1] + 1) <= np.asarray(m)[..., None]
+    if out is None:
+        out = np.empty(np.broadcast_shapes(Y.shape, keep.shape))
+    out.fill(0.0)
+    np.copyto(out, Y, where=keep)
+    return out
 
 
 def unbiased_risk(Y: np.ndarray, sigma: float, m: int) -> float | np.ndarray:
@@ -58,15 +71,28 @@ def unbiased_risk(Y: np.ndarray, sigma: float, m: int) -> float | np.ndarray:
     return float(values) if values.ndim == 0 else values
 
 
-def risk_profile(Y: np.ndarray, sigma: float, M: np.ndarray) -> np.ndarray:
-    """Unbiased risk estimates rbar(Y, m) for every m in M, shape (..., #M)."""
+def risk_profile(
+    Y: np.ndarray, sigma: float, M: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Unbiased risk estimates rbar(Y, m) for every m in M, shape (..., #M).
+
+    The profile is written into out when it is given, else into a new array.
+    """
     Y = np.asarray(Y, dtype=float)
-    if M[-1] > Y.shape[-1]:
-        raise ValueError(f"max model index {M[-1]} exceeds the observation length {Y.shape[-1]}")
-    cum2 = np.cumsum(Y * Y, axis=-1)
-    # np.take keeps the result C-ordered; fancy indexing on the last axis of a
-    # block returns an F-ordered array.
-    return 2.0 * (sigma * sigma) * M - np.take(cum2, M - 1, axis=-1)
+    top = M[-1]
+    if top > Y.shape[-1]:
+        raise ValueError(f"max model index {top} exceeds the observation length {Y.shape[-1]}")
+    if out is None:
+        out = np.empty(Y.shape[:-1] + M.shape)
+    # Running sums of the squares up to the largest model.  When M is 1..#M
+    # they are the profile's own entries, so they are summed in out itself;
+    # a gapped M gathers them from a scratch row.
+    sums = out if top == M.size else np.empty(Y.shape[:-1] + (top,))
+    np.multiply(Y[..., :top], Y[..., :top], out=sums)
+    np.cumsum(sums, axis=-1, out=sums)
+    if sums is not out:
+        np.take(sums, M - 1, axis=-1, out=out, mode="clip")
+    return np.subtract(2.0 * (sigma * sigma) * M, out, out=out)
 
 
 def ure_weights(profile: np.ndarray) -> np.ndarray:
@@ -82,25 +108,40 @@ def ure_weights(profile: np.ndarray) -> np.ndarray:
 _EXP_UNDERFLOW_CUT = -746.0
 
 
-def exponential_weights(profile: np.ndarray, sigma: float) -> np.ndarray:
-    """Softmax weights proportional to exp(-rbar / (4 sigma^2)) over each profile row."""
+def exponential_weights(
+    profile: np.ndarray, sigma: float, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Softmax weights proportional to exp(-rbar / (4 sigma^2)) over each profile row.
+
+    The weights are written into out when it is given, a C-contiguous float64
+    array of the profile's shape, else into a new array.
+    """
     profile = np.asarray(profile, dtype=float)
+    if out is None:
+        out = np.empty(profile.shape)
+    elif not out.flags.c_contiguous:
+        raise ValueError("out must be C-contiguous")
     # Max-shift before exponentiating: the largest exponent is exactly 0, so the
     # row sum is >= 1 and can neither overflow nor vanish.  Extreme spreads
     # underflow to exact zeros, which is the intended saturation; an exponent
     # that overflows to -inf saturates the same way, so that overflow is not an
-    # error.  The exponents are made C-contiguous so that every row sum takes
-    # numpy's pairwise path and a row gets the same bits in any block layout.
+    # error.  The weights are C-contiguous so that every row sum takes numpy's
+    # pairwise path and a row gets the same bits in any block layout.
     with np.errstate(over="ignore"):
-        exponents = np.ascontiguousarray(
-            -(profile - profile.min(axis=-1, keepdims=True)) / (4.0 * (sigma * sigma))
-        )
-    expd = np.exp(exponents, out=np.zeros_like(exponents), where=exponents > _EXP_UNDERFLOW_CUT)
-    return expd / expd.sum(axis=-1, keepdims=True)
+        exponents = np.subtract(profile, profile.min(axis=-1, keepdims=True))
+        np.divide(np.negative(exponents, out=exponents), 4.0 * (sigma * sigma), out=exponents)
+    out.fill(0.0)  # where= leaves the cut entries of out as they were
+    np.exp(exponents, out=out, where=exponents > _EXP_UNDERFLOW_CUT)
+    return np.divide(out, out.sum(axis=-1, keepdims=True), out=out)
 
 
-def aggregate(Y: np.ndarray, M: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Convex combination sum_m w_m P_m Y of the projections of Y over the models in M."""
+def aggregate(
+    Y: np.ndarray, M: np.ndarray, w: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Convex combination sum_m w_m P_m Y of the projections of Y over the models in M.
+
+    The aggregate is written into out when it is given, else into a new array.
+    """
     Y = np.asarray(Y, dtype=float)
     w = np.asarray(w, dtype=float)
     if w.shape[-1:] != M.shape:
@@ -116,7 +157,8 @@ def aggregate(Y: np.ndarray, M: np.ndarray, w: np.ndarray) -> np.ndarray:
     # plus 0.0.  So every s_i has the bits of the full cumsum, for any weights
     # and any M.  An all-+0.0 block has no window and gives Y * 0.0.
     length = Y.shape[-1]
-    out = np.empty(np.broadcast(Y, w[..., :1]).shape)
+    if out is None:
+        out = np.empty(np.broadcast(Y, w[..., :1]).shape)
     # Columns holding anything but +0.0, the one float64 whose bits are all zero.
     live = w.reshape(-1, M.size).view(np.int64).any(axis=0).nonzero()[0]
     lo = hi = 0  # coordinates lo+1..hi of the observation lie in the window
@@ -125,10 +167,10 @@ def aggregate(Y: np.ndarray, M: np.ndarray, w: np.ndarray) -> np.ndarray:
         lo, top = M[live[0]] - 1, min(M[live[-1]] + 1, max(length, M[-1]))
         window = np.zeros(w.shape[:-1] + (top - lo,))
         window[..., M[models] - 1 - lo] = w[..., models]
-        sums = np.cumsum(window[..., ::-1], axis=-1)[..., ::-1]
+        np.cumsum(window[..., ::-1], axis=-1, out=window[..., ::-1])  # suffix sums
         hi = max(lo, min(top, length))
-        np.multiply(Y[..., :lo], sums[..., :1] + 0.0, out=out[..., :lo])
-        np.multiply(Y[..., lo:hi], sums[..., : hi - lo], out=out[..., lo:hi])
+        np.multiply(Y[..., :lo], window[..., :1] + 0.0, out=out[..., :lo])
+        np.multiply(Y[..., lo:hi], window[..., : hi - lo], out=out[..., lo:hi])
     np.multiply(Y[..., hi:], 0.0, out=out[..., hi:])
     return out
 

@@ -15,6 +15,13 @@ execution order.
 A ScenarioConfig checks its sigma and model set and resolves its mean once;
 the kernels then take them as a float, an int64 array and a float64 array.
 
+verify_oracle_inequalities allocates one workspace per call, that is per
+scenario: the observation, profile, weight and difference buffers of a full
+block, which every block's kernels write into through their out= argument (a
+shorter last block uses their leading rows).  The workspace belongs to that
+one call and is never shared between threads; a multi-process engine would
+give each worker its own.
+
 Only the lemma-2 walks run on worker threads, one per CPU in the affinity
 mask: nearly all of a walk's time is numpy drawing and summing normals with
 the interpreter lock released, so the threads overlap.  The simulation
@@ -86,11 +93,16 @@ def _stable_key(label: str) -> int:
     return int.from_bytes(hashlib.sha256(label.encode("utf-8")).digest()[:8], "big")
 
 
+def _block_rows(width: int) -> int:
+    """Replicates per block for rows of width values: max(1, _BLOCK_VALUES // width)."""
+    return max(1, _BLOCK_VALUES // width)
+
+
 def _per_replicate(kernel: Callable, replicates: int, width: int, prefix: tuple, workers=1):
     """kernel's results for replicates 0..replicates-1, joined along the last axis.
 
     Replicate rep draws from the substream (*prefix, rep).  The replicates
-    run in blocks of max(1, _BLOCK_VALUES // width) rows; kernel(seeds) gets
+    run in blocks of _block_rows(width) rows; kernel(seeds) gets
     one SubstreamSeed per row of a block and returns an array (..., B).
     Block i runs on worker i mod workers, under the caller's numpy error
     state; the calling thread is worker 0.  The first exception, in a kernel
@@ -102,7 +114,7 @@ def _per_replicate(kernel: Callable, replicates: int, width: int, prefix: tuple,
     from .substreams import SubstreamSeed, substream_words
 
     words = substream_words(prefix, np.arange(replicates, dtype=np.uint64))
-    rows = max(1, _BLOCK_VALUES // width)
+    rows = _block_rows(width)
     blocks = [words[first : first + rows] for first in range(0, replicates, rows)]
     results: list = [None] * len(blocks)
     workers = min(workers, len(blocks))
@@ -216,28 +228,32 @@ class ComparisonRow:
 
 
 def _replicate_losses(config: ScenarioConfig) -> np.ndarray:
-    """Per-replicate squared losses, shape (2, replicates): row 0 URE, row 1 EW."""
+    """Per-replicate squared losses, shape (2, replicates): row 0 URE, row 1 EW.
+
+    The block buffers are allocated once per call, sized for a full block, and
+    every kernel writes into them through out=; a shorter last block uses
+    their leading rows.  The buffers belong to this call alone, which runs its
+    blocks on the calling thread, so they are never shared between threads.
+    """
     mu, sigma, models = config.mu, config.sigma, config.models
-    # Keep each block's observations and profile until the next block has
-    # allocated its own; freed together at N=20,000 they let glibc trim the heap
-    # and re-fault it per block.  Of the choices measured, holding these two
-    # gave the fewest minor page faults (x86_64, glibc, numpy 2.4.6): about
-    # 4,000 for `simulate` on the perfbench wide config, against 8,700 when the
-    # weights and both estimates are held too and 11,000 when nothing is.
-    held = []
+    rows = min(_block_rows(mu.size), config.replicates)
+    obs, diff = np.empty((2, rows, mu.size))
+    profile, weights = np.empty((2, rows, models.size))
 
     def losses(seeds) -> np.ndarray:
-        obs = draw_observations(mu, sigma, seeds)
-        profile = risk_profile(obs, sigma, models)
-        weights = exponential_weights(profile, sigma)
+        block = len(seeds)
+        y = draw_observations(mu, sigma, seeds, out=obs[:block])
+        rbar = risk_profile(y, sigma, models, out=profile[:block])
+        w = exponential_weights(rbar, sigma, out=weights[:block])
         # URE puts all weight on mhat, the first argmin model, so its aggregate
         # is Y * 1.0 = Y up to mhat and Y * 0.0 = +-0.0 beyond.  The projection
         # at mhat has the same bits up to mhat and +0.0 beyond, where
         # (+-0.0 - mu_i)^2 is the same square, so the loss keeps its bits.
-        mhat = models[np.argmin(profile, axis=-1)]
-        estimates = (projection_estimate(obs, mhat), aggregate(obs, models, weights))
-        held[:] = obs, profile
-        return np.stack([squared_loss(estimate, mu) for estimate in estimates])
+        mhat = models[np.argmin(rbar, axis=-1)]
+        d = diff[:block]
+        ure = squared_loss(projection_estimate(y, mhat, out=d), mu, out=d)
+        ew = squared_loss(aggregate(y, models, w, out=d), mu, out=d)
+        return np.stack([ure, ew])
 
     prefix = (config.base_seed, _stable_key(config.scenario_id))
     return _per_replicate(losses, config.replicates, mu.size, prefix)

@@ -148,16 +148,22 @@ def generate_observation(
     return out
 
 
-def draw_observations(mu: np.ndarray, sigma: float, seeds) -> np.ndarray:
+def draw_observations(
+    mu: np.ndarray, sigma: float, seeds, out: np.ndarray | None = None
+) -> np.ndarray:
     """A (B, N) block of observations, one row per seed (any iterable of seeds).
 
-    The block is allocated once and generate_observation draws each row in place.
+    generate_observation draws each row in place into out, a C-contiguous
+    (B, N) float64 array, or into one block allocated here when out is None.
     """
     seeds = list(seeds)
-    block = np.empty((len(seeds), mu.size))
-    for row, seed in zip(block, seeds):
+    if out is None:
+        out = np.empty((len(seeds), mu.size))
+    elif out.shape != (len(seeds), mu.size):
+        raise ValueError(f"out has shape {out.shape}, not {(len(seeds), mu.size)}")
+    for row, seed in zip(out, seeds):
         generate_observation(mu, sigma, seed, out=row)
-    return block
+    return out
 
 
 def true_projection_risk(mu: np.ndarray, sigma: float, m) -> float | np.ndarray:
@@ -172,19 +178,31 @@ def true_projection_risk(mu: np.ndarray, sigma: float, m) -> float | np.ndarray:
     return float(risk[0]) if np.ndim(m) == 0 else risk
 
 
-def squared_loss(estimate: Sequence[float] | np.ndarray, mu: np.ndarray) -> float | np.ndarray:
-    """Squared l2 distance to the mean vector, zero-padded tails; one per row of a block."""
+def squared_loss(
+    estimate: Sequence[float] | np.ndarray, mu: np.ndarray, out: np.ndarray | None = None
+) -> float | np.ndarray:
+    """Squared l2 distance to the mean vector, zero-padded tails; one per row of a block.
+
+    The squared differences go to out when it is given: a C-contiguous
+    float64 array of shape (..., max(len(estimate), len(mu))), which may be
+    the estimate itself.  The loss is returned either way.
+    """
     est = np.asarray(estimate, dtype=float)
     if est.ndim == 0:
         raise ValueError("estimate must be a sequence of reals")
-    if est.shape[-1] == mu.size:
-        diff = est - mu
-    else:
-        diff = np.zeros(est.shape[:-1] + (max(est.shape[-1], mu.size),))
-        diff[..., : est.shape[-1]] = est
-        diff[..., : mu.size] -= mu
-    diff *= diff
-    loss = np.sum(diff, axis=-1)
+    length = est.shape[-1]
+    if out is None:
+        out = np.empty(est.shape[:-1] + (max(length, mu.size),))
+    elif not out.flags.c_contiguous:  # a strided row would be summed in another order
+        raise ValueError("out must be C-contiguous")
+    if length == mu.size:
+        np.subtract(est, mu, out=out)
+    else:  # the shorter side is padded with +0.0
+        out[..., :length] = est
+        out[..., length:] = 0.0
+        out[..., : mu.size] -= mu
+    np.multiply(out, out, out=out)
+    loss = np.sum(out, axis=-1)
     return float(loss) if loss.ndim == 0 else loss
 
 

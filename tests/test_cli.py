@@ -1,6 +1,7 @@
 """Tests for the command-line interface: exit codes, file outputs, reproducibility."""
 
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -97,7 +98,28 @@ class TestSimulate:
             "numpy": np.__version__,
             "system": platform.system(),
             "machine": platform.machine(),
+            "exp_kernel": manifest["build"]["exp_kernel"],
         }
+
+    def test_manifest_names_the_exp_kernel(self, tmp_path):
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", write_config(tmp_path), "--out", str(out)]) == 0
+        kernel = json.loads((out / "run_manifest.json").read_text())["build"]["exp_kernel"]
+        if int(np.__version__.split(".")[0]) < 2:  # no numpy.lib.introspect
+            assert kernel is None
+        else:
+            assert isinstance(kernel, str) and kernel
+
+    def test_manifest_times_each_scenario(self, tmp_path):
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", write_config(tmp_path), "--out", str(out)]) == 0
+        timings = json.loads((out / "run_manifest.json").read_text())["timings_seconds"]
+        assert list(timings["scenarios"]) == ["zero_small", "poly_small"]
+        assert all(seconds > 0.0 for seconds in timings["scenarios"].values())
+        assert sum(timings["scenarios"].values()) <= timings["simulate"]
+        # Timings stay out of the results: each record holds the row's fields only.
+        fields = [field.name for field in dataclasses.fields(ComparisonRow)]
+        assert all(list(r) == fields for r in json.loads((out / "results.json").read_text()))
 
     def test_two_model_scenario_budget_column(self, tmp_path):
         text = (

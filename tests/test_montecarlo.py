@@ -136,18 +136,25 @@ class TestMcRisk:
             assert losses[1, rep] == squared_loss(ew_est, mu)
 
     @pytest.mark.parametrize(
-        "models",
-        [np.arange(1, 4001), np.r_[1:40:3, 100:2000:7, 2500, 3999, 4000]],
-        ids=["full", "gapped"],
+        "mu_spec, models, replicates",
+        [
+            ("poly:beta=1,scale=1", np.arange(1, 4001), 6),
+            ("poly:beta=1,scale=1", np.r_[1:40:3, 100:2000:7, 2500, 3999, 4000], 6),
+            # A mean longer than the largest model: #M < N with M the prefix 1..#M.
+            ("poly:beta=1,scale=1,N=4100", np.arange(1, 4001), 6),
+            # 97 replicates in blocks of 40 rows: the last block uses 17 rows of the buffers.
+            ("poly:beta=1,scale=1", np.arange(1, 101), 97),
+        ],
+        ids=["full", "gapped", "mean_beyond_models", "short_last_block"],
     )
-    def test_kernel_bits_equal_the_dense_reference(self, models):
-        # N = 4,000 at sigma = 0.05: the EW weights end in runs of exact zeros
-        # (at N = 3,000 the last ones are still subnormal).
+    def test_kernel_bits_equal_the_dense_reference(self, mu_spec, models, replicates):
+        # Up to M = 4,000 at sigma = 0.05: the EW weights end in runs of exact
+        # zeros (at 3,000 the last ones are still subnormal).
         # The reference spells out the dense pipeline: mu + sigma * Z, one-hot
         # URE weights, every weight scattered before the reversed cumsum, and
         # the zero-padded loss.  Both sides call the same numpy kernels, so the
         # bytes agree on any build.
-        cfg = make_config(mu_spec="poly:beta=1,scale=1", sigma=0.05, models=models, replicates=6)
+        cfg = make_config(mu_spec=mu_spec, sigma=0.05, models=models, replicates=replicates)
         mu, sigma, length = cfg.mu, cfg.sigma, cfg.mu.size
         key = _stable_key(cfg.scenario_id)
         expected = np.empty((2, cfg.replicates))
@@ -155,7 +162,7 @@ class TestMcRisk:
             obs = mu + sigma * standard_normals((cfg.base_seed, key, rep), length)
             profile = risk_profile(obs, sigma, models)
             weights = (ure_weights(profile), exponential_weights(profile, sigma))
-            assert weights[1][-1] == 0.0
+            assert weights[1][-1] == 0.0 or models[-1] < 4000
             for row, w in enumerate(weights):
                 dense = np.zeros(max(length, models[-1]))
                 dense[models - 1] = w

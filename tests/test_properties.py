@@ -30,13 +30,19 @@ from ewagg.estimators import (
     aggregate,
     exponential_weights,
     m_epsilon,
+    projection_estimate,
     risk_profile,
     unbiased_risk,
     ure_weights,
 )
 from ewagg.montecarlo import LEMMA2_VARIANTS
-from ewagg.sequence_model import _seed_entropy, mean_vector_from_spec, squared_loss
-from ewagg.substreams import substream_words
+from ewagg.sequence_model import (
+    _seed_entropy,
+    draw_observations,
+    mean_vector_from_spec,
+    squared_loss,
+)
+from ewagg.substreams import SubstreamSeed, substream_words
 from psi_reference import bisection_psi, seam_r
 
 SETTINGS = settings(derandomize=True, database=None, deadline=None)
@@ -256,6 +262,75 @@ def test_aggregate_has_the_bits_of_the_dense_suffix_sums(case):
         got = aggregate(y, models, w)
     assert got.shape == expected.shape
     assert got.tobytes() == expected.tobytes()
+
+
+@st.composite
+def workspace_cases(draw):
+    """Seeds for a block of 1 to 5 rows of N <= 300, a model set, sigma and a mean.
+
+    M is the prefix 1..K or a gapped set, with K = M[-1] <= N and often below
+    it; the mean is shorter than, as long as or longer than the observations.
+    Small sigma against a large spread leaves exponents below the cut.
+    """
+    rows = draw(st.integers(1, 5))
+    length = draw(st.integers(1, 300))
+    top = draw(st.integers(1, length))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        models = np.arange(1, top + 1)
+    else:
+        keep = rng.random(top) < draw(st.floats(0.01, 1.0))
+        keep[-1] = True
+        models = np.flatnonzero(keep) + 1
+    sigma = draw(st.floats(1e-3, 1e3))
+    mu = draw(st.floats(1e-3, 1e3)) * rng.standard_normal(length)
+    loss_mu = rng.standard_normal(draw(st.integers(1, length + 5)))
+    words = substream_words((draw(st.integers(0, 2**64)),), np.arange(rows, dtype=np.uint64))
+    seeds = list(map(SubstreamSeed, words))
+    return seeds, models, sigma, mu, loss_mu
+
+
+def out_buffers(shape):
+    """A fresh buffer, one filled with NaN and 1e300, and the leading rows of a larger one."""
+    filled = np.full(shape, np.nan)
+    filled.reshape(-1)[::2] = 1e300
+    larger = np.full((shape[0] + 3, *shape[1:]), 1e300)
+    larger[1::2] = np.nan
+    return np.empty(shape), filled, larger[: shape[0]]
+
+
+@SETTINGS
+@given(workspace_cases())
+def test_kernels_write_the_bits_of_a_fresh_result_into_out(case):
+    seeds, models, sigma, mu, loss_mu = case
+    y = draw_observations(mu, sigma, seeds)
+    profile = risk_profile(y, sigma, models)
+    weights = exponential_weights(profile, sigma)
+    mhat = models[np.argmin(profile, axis=-1)]
+    calls = [
+        (lambda out: draw_observations(mu, sigma, seeds, out=out), y),
+        (lambda out: risk_profile(y, sigma, models, out=out), profile),
+        (lambda out: exponential_weights(profile, sigma, out=out), weights),
+        (lambda out: projection_estimate(y, mhat, out=out), projection_estimate(y, mhat)),
+        (lambda out: projection_estimate(y, int(models[-1]), out=out),
+         projection_estimate(y, int(models[-1]))),
+        (lambda out: aggregate(y, models, weights, out=out), aggregate(y, models, weights)),
+    ]
+    for call, expected in calls:
+        for out in out_buffers(expected.shape):
+            assert call(out) is out
+            assert out.tobytes() == expected.tobytes()
+    # squared_loss returns the loss and leaves the squared differences in out.
+    loss = squared_loss(y, loss_mu).tobytes()
+    fresh, *others = out_buffers((len(seeds), max(y.shape[-1], loss_mu.size)))
+    assert squared_loss(y, loss_mu, out=fresh).tobytes() == loss
+    for out in others:
+        assert squared_loss(y, loss_mu, out=out).tobytes() == loss
+        assert out.tobytes() == fresh.tobytes()
+    if loss_mu.size == y.shape[-1]:  # in place, as the simulation takes its losses
+        estimate = y.copy()
+        assert squared_loss(estimate, loss_mu, out=estimate).tobytes() == loss
+        assert estimate.tobytes() == fresh.tobytes()
 
 
 @SETTINGS
