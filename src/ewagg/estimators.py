@@ -127,9 +127,10 @@ def exponential_weights(
     # that overflows to -inf saturates the same way, so that overflow is not an
     # error.  The weights are C-contiguous so that every row sum takes numpy's
     # pairwise path and a row gets the same bits in any block layout.
+    # (min - rbar) is -(rbar - min) up to the sign of a zero, and exp(-0.0) = exp(0.0).
     with np.errstate(over="ignore"):
-        exponents = np.subtract(profile, profile.min(axis=-1, keepdims=True))
-        np.divide(np.negative(exponents, out=exponents), 4.0 * (sigma * sigma), out=exponents)
+        exponents = np.subtract(profile.min(axis=-1, keepdims=True), profile)
+        np.divide(exponents, 4.0 * (sigma * sigma), out=exponents)
     out.fill(0.0)  # where= leaves the cut entries of out as they were
     np.exp(exponents, out=out, where=exponents > _EXP_UNDERFLOW_CUT)
     return np.divide(out, out.sum(axis=-1, keepdims=True), out=out)

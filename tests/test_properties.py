@@ -1,6 +1,6 @@
 """Property tests for the risk profile, the weight kernels, the block pipeline,
-the minimizer of psi, the CLI's exit codes, the canonical text of model sets
-and the text of mean specs.
+the kernels' out= buffers, the minimizer of psi, the CLI's exit codes, the
+canonical text of model sets and the text of mean specs.
 
 Examples are derandomized and no example database is written, so the suite
 stays deterministic and leaves nothing in the working tree.  Profiles are
