@@ -127,7 +127,8 @@ def exponential_weights(
     # that overflows to -inf saturates the same way, so that overflow is not an
     # error.  The weights are C-contiguous so that every row sum takes numpy's
     # pairwise path and a row gets the same bits in any block layout.
-    # (min - rbar) is -(rbar - min) up to the sign of a zero, and exp(-0.0) = exp(0.0).
+    # min - rbar is -(rbar - min) up to the sign of a zero or a NaN: exp(-0.0) =
+    # exp(0.0), and a NaN exponent is cut, so the weights keep their bits.
     with np.errstate(over="ignore"):
         exponents = np.subtract(profile.min(axis=-1, keepdims=True), profile)
         np.divide(exponents, 4.0 * (sigma * sigma), out=exponents)
