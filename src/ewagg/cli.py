@@ -39,6 +39,7 @@ from .montecarlo import (
     PASS_TOLERANCE_SE,
     ComparisonRow,
     ScenarioConfig,
+    engine_record,
     lemma2_empirical,
     verify_oracle_inequalities,
 )
@@ -243,6 +244,7 @@ def cmd_simulate(config_path: str, out_dir: str) -> int:
         "base_seeds": {cfg.scenario_id: cfg.base_seed for cfg in scenarios},
         "timings_seconds": {"simulate": elapsed, "scenarios": seconds},
         "outputs": [csv_path, json_path],
+        "engine": engine_record(scenarios),
         # The output bytes are reproducible on the same build only: numpy picks
         # its float64 exp kernel per CPU at run time, and exp_kernel names it.
         "build": {
@@ -391,8 +393,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         # An input whose squares or sums pass the float64 range raises here
-        # rather than carrying inf or nan into the outputs; the worker threads of
-        # montecarlo._per_replicate run under this same (per-thread) error state.
+        # rather than carrying inf or nan into the outputs; the worker processes
+        # of montecarlo._per_replicate are forked with this error state.
         with np.errstate(over="raise"):
             if args.command == "simulate":
                 return cmd_simulate(args.config, args.out)

@@ -72,11 +72,18 @@ def unbiased_risk(Y: np.ndarray, sigma: float, m: int) -> float | np.ndarray:
 
 
 def risk_profile(
-    Y: np.ndarray, sigma: float, M: np.ndarray, out: np.ndarray | None = None
+    Y: np.ndarray,
+    sigma: float,
+    M: np.ndarray,
+    out: np.ndarray | None = None,
+    *,
+    penalty: np.ndarray | None = None,
 ) -> np.ndarray:
     """Unbiased risk estimates rbar(Y, m) for every m in M, shape (..., #M).
 
     The profile is written into out when it is given, else into a new array.
+    penalty is the row 2.0 * (sigma * sigma) * M, formed here when it is not
+    given; a caller that profiles many blocks forms it once and passes it.
     """
     Y = np.asarray(Y, dtype=float)
     top = M[-1]
@@ -92,7 +99,9 @@ def risk_profile(
     np.cumsum(sums, axis=-1, out=sums)
     if sums is not out:
         np.take(sums, M - 1, axis=-1, out=out, mode="clip")
-    return np.subtract(2.0 * (sigma * sigma) * M, out, out=out)
+    if penalty is None:
+        penalty = 2.0 * (sigma * sigma) * M
+    return np.subtract(penalty, out, out=out)
 
 
 def ure_weights(profile: np.ndarray) -> np.ndarray:

@@ -18,18 +18,21 @@ the kernels then take them as a float, an int64 array and a float64 array.
 verify_oracle_inequalities allocates one workspace per call, that is per
 scenario: the observation, profile, weight and difference buffers of a full
 block, which every block's kernels write into through their out= argument (a
-shorter last block uses their leading rows).  The workspace belongs to that
-one call and is never shared between threads; a multi-process engine would
-give each worker its own.
+shorter last block uses their leading rows).
 
-Only the lemma-2 walks run on worker threads, one per CPU in the affinity
-mask: nearly all of a walk's time is numpy drawing and summing normals with
-the interpreter lock released, so the threads overlap.  The simulation
-pipeline stays on the calling thread, where threads gave no speed-up and a
-single call stack keeps its traced layers nested.  With rows drawn in place,
-two worker threads on a 2-core x86_64 host took the nine N=100 grid
-scenarios to x0.52-0.79 of one thread's speed, and three N=20,000 scenarios
-to x0.92-1.32, in six interleaved rounds of each.
+The engine runs a call's blocks in _WORKERS processes, one per CPU in the
+affinity mask: the calling process and workers forked from it, each pinned
+to its own CPU, each with a contiguous share of the blocks and its own
+fork-copied workspace.  Only the result arrays and a failure cross the
+process boundary.  The pinning is what makes the processes overlap: on a
+2-vCPU x86_64 host the kernel often left two busy unpinned processes on one
+CPU, so two unpinned CPU-bound processes ran at x0.81-1.07 of one process's
+speed in 3 of 4 rounds, and at x1.25-1.99 once each was pinned to its own
+CPU.  On that host two pinned processes took three N=20,000 scenarios of 40
+replicates from 858 to 1,066 replicates/s (x1.24, median of 10 interleaved
+runs of 30 s each), where threads had run the nine N=100 grid scenarios at
+x0.52-0.79.  A call with one block, or on a platform without fork or
+affinity masks, runs in the calling process.
 """
 
 from __future__ import annotations
@@ -37,9 +40,11 @@ from __future__ import annotations
 import hashlib
 import math
 import os
-import threading
+import pickle
+import signal
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import NoReturn
 
 import numpy as np
 
@@ -66,6 +71,7 @@ __all__ = [
     "verify_oracle_inequalities",
     "lemma2_empirical",
     "unbiasedness_check",
+    "engine_record",
     "PASS_TOLERANCE_SE",
 ]
 
@@ -80,12 +86,13 @@ LEMMA2_VARIANTS = ("chi2_upper", "linear", "chi2_lower")
 _BLOCK_VALUES = 1 << 12
 
 
-# Threads that run the lemma-2 walks of one call (at most one per block):
-# the CPUs this process may run on.  Outputs do not depend on it.
-if hasattr(os, "sched_getaffinity"):
+# Processes that run the blocks of one call, the calling process among them
+# (at most one per block): one per CPU in the affinity mask.  Outputs do not
+# depend on it.
+if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
     _WORKERS = len(os.sched_getaffinity(0))
-else:  # platforms without affinity masks
-    _WORKERS = os.cpu_count() or 1
+else:  # one process where there is no fork or no affinity mask
+    _WORKERS = 1
 
 
 def _stable_key(label: str) -> int:
@@ -98,16 +105,79 @@ def _block_rows(width: int) -> int:
     return max(1, _BLOCK_VALUES // width)
 
 
-def _per_replicate(kernel: Callable, replicates: int, width: int, prefix: tuple, workers=1):
+def engine_record(configs) -> dict:
+    """How simulate runs the configs: for the run manifest.
+
+    workers is _WORKERS, cpus the CPUs the processes are pinned to (None when
+    the calling process runs alone, unpinned), and blocks the block count of
+    each scenario, which runs in min(workers, blocks) processes.
+    """
+    cpus = None
+    if _WORKERS > 1:
+        mask = sorted(os.sched_getaffinity(0))
+        cpus = sorted({mask[w % len(mask)] for w in range(_WORKERS)})
+    blocks = {cfg.scenario_id: -(-cfg.replicates // _block_rows(cfg.mu.size)) for cfg in configs}
+    return {"workers": _WORKERS, "cpus": cpus, "blocks": blocks}
+
+
+def _shares(blocks: int, workers: int) -> list[range]:
+    """Blocks 0..blocks-1 dealt into workers contiguous runs, in order."""
+    size, extra = divmod(blocks, workers)
+    ends = [w * size + min(w, extra) for w in range(workers + 1)]
+    return [range(lo, hi) for lo, hi in zip(ends, ends[1:])]
+
+
+def _pickled(exc: BaseException) -> bytes:
+    """exc pickled, or a RuntimeError naming it when it does not survive pickling."""
+    try:
+        data = pickle.dumps(exc)
+        pickle.loads(data)
+    except Exception:
+        data = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
+    return data
+
+
+def _run_worker(run: Callable, share: range, cpu: int, fd: int) -> NoReturn:
+    """In a forked child: run share pinned to cpu, write the outcome to fd and exit.
+
+    The outcome is b"R" and the result's raw float64 bytes, or b"E" and the
+    pickled exception.  The child leaves through os._exit, so none of the
+    caller's exit handlers or buffered output runs twice.
+    """
+    try:
+        try:
+            os.sched_setaffinity(0, {cpu})
+            payload = b"R" + run(share).tobytes()
+        except BaseException as exc:  # every failure goes to the caller
+            payload = b"E" + _pickled(exc)
+        with open(fd, "wb") as pipe:
+            pipe.write(payload)
+    finally:
+        os._exit(0)
+
+
+def _outcome(data: bytes, status: int, lead: tuple) -> np.ndarray:
+    """The result a worker wrote as data, shaped (*lead, replicates), or its exception."""
+    if data[:1] == b"R":
+        return np.frombuffer(data[1:]).reshape(*lead, -1)
+    if data[:1] == b"E":
+        raise pickle.loads(data[1:])  # bytes that our own worker wrote
+    raise RuntimeError(f"a worker process ended without a result (wait status {status})")
+
+
+def _per_replicate(kernel: Callable, replicates: int, width: int, prefix: tuple):
     """kernel's results for replicates 0..replicates-1, joined along the last axis.
 
     Replicate rep draws from the substream (*prefix, rep).  The replicates
-    run in blocks of _block_rows(width) rows; kernel(seeds) gets
-    one SubstreamSeed per row of a block and returns an array (..., B).
-    Block i runs on worker i mod workers, under the caller's numpy error
-    state; the calling thread is worker 0.  The first exception, in a kernel
-    or in starting a thread, stops every worker at its next block and is
-    raised once all started threads have joined.
+    run in blocks of _block_rows(width) rows; kernel(seeds) gets one
+    SubstreamSeed per row of a block and returns a float64 array (..., B).
+    The blocks are dealt in contiguous shares to min(_WORKERS, blocks)
+    processes.  The calling process runs the first share pinned to the first
+    CPU of its mask, which is restored on return; each forked worker pins
+    itself to the next CPU and inherits the caller's memory, numpy error
+    state included.  The first failure in replicate order, in a kernel or in
+    a fork, is raised in the caller, and every worker has been reaped by
+    then, whether the call returns, raises or is interrupted.
     """
     # substreams imports numpy.random, about 17 ms; importing it here keeps
     # that out of the commands that draw nothing (psi, bounds).
@@ -116,34 +186,48 @@ def _per_replicate(kernel: Callable, replicates: int, width: int, prefix: tuple,
     words = substream_words(prefix, np.arange(replicates, dtype=np.uint64))
     rows = _block_rows(width)
     blocks = [words[first : first + rows] for first in range(0, replicates, rows)]
-    results: list = [None] * len(blocks)
-    workers = min(workers, len(blocks))
-    errstate = np.geterr()
-    errors: list[BaseException] = []
 
-    def run(first: int) -> None:
-        try:
-            with np.errstate(**errstate):
-                for i in range(first, len(blocks), workers):
-                    if errors:
-                        return
-                    results[i] = kernel(list(map(SubstreamSeed, blocks[i])))
-        except BaseException as exc:  # re-raised in the calling thread below
-            errors.append(exc)
+    def run(share: range) -> np.ndarray:
+        results = [kernel(list(map(SubstreamSeed, blocks[i]))) for i in share]
+        return np.concatenate(results, axis=-1)
 
-    started = []
+    own, *others = _shares(len(blocks), min(_WORKERS, len(blocks)))
+    if not others:
+        return run(own)
+    mask = os.sched_getaffinity(0)
+    cpus = sorted(mask)
+    children: dict[int, int] = {}  # pid -> read end of its pipe, until reaped
     try:
-        for w in range(1, workers):
-            thread = threading.Thread(target=run, args=(w,))
-            thread.start()
-            started.append(thread)
-    except BaseException as exc:
-        errors.append(exc)
-    run(0)
-    for thread in started:
-        thread.join()
-    if errors:
-        raise errors[0]
+        os.sched_setaffinity(0, {cpus[0]})
+        for w, share in enumerate(others, start=1):
+            fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                _run_worker(run, share, cpus[w % len(cpus)], write_fd)
+            os.close(write_fd)
+            children[pid] = fd
+        results = [run(own)]
+        for pid, fd in list(children.items()):
+            with open(fd, "rb", closefd=False) as pipe:
+                data = pipe.read()  # to the end: the worker has closed its end
+            _, status = os.waitpid(pid, 0)
+            del children[pid]
+            os.close(fd)
+            results.append(_outcome(data, status, results[0].shape[:-1]))
+    finally:
+        for pid, fd in children.items():  # those not reaped above: stop them first
+            os.close(fd)
+            try:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            except (ProcessLookupError, ChildProcessError):  # already reaped
+                pass
+        os.sched_setaffinity(0, mask)
     return np.concatenate(results, axis=-1)
 
 
@@ -230,20 +314,21 @@ class ComparisonRow:
 def _replicate_losses(config: ScenarioConfig) -> np.ndarray:
     """Per-replicate squared losses, shape (2, replicates): row 0 URE, row 1 EW.
 
-    The block buffers are allocated once per call, sized for a full block, and
-    every kernel writes into them through out=; a shorter last block uses
-    their leading rows.  The buffers belong to this call alone, which runs its
-    blocks on the calling thread, so they are never shared between threads.
+    The block buffers and the URE penalty row 2 sigma^2 M are made once per
+    call, the buffers sized for a full block, and every kernel writes into
+    the buffers through out=; a shorter last block uses their leading rows.
+    Each worker process writes into its own fork-copied buffers.
     """
     mu, sigma, models = config.mu, config.sigma, config.models
     rows = min(_block_rows(mu.size), config.replicates)
     obs, diff = np.empty((2, rows, mu.size))
     profile, weights = np.empty((2, rows, models.size))
+    penalty = 2.0 * (sigma * sigma) * models
 
     def losses(seeds) -> np.ndarray:
         block = len(seeds)
         y = draw_observations(mu, sigma, seeds, out=obs[:block])
-        rbar = risk_profile(y, sigma, models, out=profile[:block])
+        rbar = risk_profile(y, sigma, models, out=profile[:block], penalty=penalty)
         w = exponential_weights(rbar, sigma, out=weights[:block])
         # URE puts all weight on mhat, the first argmin model, so its aggregate
         # is Y * 1.0 = Y up to mhat and Y * 0.0 = +-0.0 beyond.  The projection
@@ -346,7 +431,7 @@ def lemma2_empirical(
         return np.where(top < 0.0, 0.0, top) if which == "linear" else top
 
     prefix = (seed, _stable_key(f"lemma2:{which}:{alpha!r}"))
-    return RiskEstimate.from_samples(_per_replicate(walks, replicates, width, prefix, _WORKERS))
+    return RiskEstimate.from_samples(_per_replicate(walks, replicates, width, prefix))
 
 
 def unbiasedness_check(

@@ -93,6 +93,7 @@ class TestSimulate:
         assert manifest["base_seeds"] == {"zero_small": 90210, "poly_small": 90210}
         assert "simulate" in manifest["timings_seconds"]
         assert len(manifest["outputs"]) == 2
+        assert set(manifest["engine"]) == {"workers", "cpus", "blocks"}
         assert manifest["build"] == {
             "python": platform.python_version(),
             "numpy": np.__version__,
@@ -109,6 +110,41 @@ class TestSimulate:
             assert kernel is None
         else:
             assert isinstance(kernel, str) and kernel
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_manifest_records_the_engine(self, monkeypatch, tmp_path, workers):
+        monkeypatch.setattr(montecarlo, "_WORKERS", workers)
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", write_config(tmp_path), "--out", str(out)]) == 0
+        engine = json.loads((out / "run_manifest.json").read_text())["engine"]
+        # 300 rows of N = 10 values fit one block of 409 rows; of N = 20, two of 204.
+        assert engine["blocks"] == {"zero_small": 1, "poly_small": 2}
+        assert engine["workers"] == workers
+        if workers == 1:
+            assert engine["cpus"] is None
+        else:
+            assert engine["cpus"] == sorted(os.sched_getaffinity(0))[:workers]
+
+    def test_results_do_not_depend_on_workers_or_blocks(self, monkeypatch, tmp_path):
+        # N = 100 in 40-row blocks with a short last one, a gapped model set,
+        # and N = 5,000 in one-row blocks.
+        config = write_config(tmp_path, GOOD_CONFIG + (
+            "[poly_wide]\nmu = poly:beta=1,scale=1,N=100\nsigma = 0.3\nmodels = 1..100\n"
+            "replicates = 130\n\n"
+            "[sparse_gapped]\nmu = sparse:k=5,amp=1,N=100\nsigma = 0.1\nmodels = 1..5,20,50..60\n"
+            "replicates = 130\n\n"
+            "[one_row]\nmu = poly:beta=1,scale=1\nsigma = 0.05\nmodels = 1..5000\nreplicates = 5\n"
+        ))
+        outputs = set()
+        for workers in (1, 2, 3):
+            for block_values in (1, montecarlo._BLOCK_VALUES):
+                monkeypatch.setattr(montecarlo, "_WORKERS", workers)
+                monkeypatch.setattr(montecarlo, "_BLOCK_VALUES", block_values)
+                out = tmp_path / f"out_{workers}_{block_values}"
+                assert cli.main(["simulate", "--config", config, "--out", str(out)]) == 0
+                outputs.add((out / "results.csv").read_bytes())
+                monkeypatch.undo()
+        assert len(outputs) == 1
 
     def test_manifest_times_each_scenario(self, tmp_path):
         out = tmp_path / "out"

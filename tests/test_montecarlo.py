@@ -1,8 +1,8 @@
 """Tests for the reproducible Monte Carlo engine and empirical bound checks."""
 
+import errno
 import math
-import sys
-import threading
+import os
 
 import numpy as np
 import pytest
@@ -295,8 +295,20 @@ def walk_words(rep):
     return substream_words((1, _stable_key(f"lemma2:chi2_upper:{0.25!r}")), np.array([rep]))[0]
 
 
+# The CPU mask the tests run under; the engine pins the caller only for the
+# length of a call.
+CPU_MASK = os.sched_getaffinity(0)
+
+
+def assert_engine_left_nothing():
+    """No child of the test process, running or unreaped, and the CPU mask restored."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert os.sched_getaffinity(0) == CPU_MASK
+
+
 class TestLemma2Workers:
-    """The walks run on _WORKERS threads with the same bits for any count."""
+    """The walks run in _WORKERS processes with the same bits for any count."""
 
     # Estimates at seed 9 with 300 replicates, from the single-threaded loop
     # that preceded the worker threads.
@@ -320,37 +332,34 @@ class TestLemma2Workers:
             monkeypatch.setattr(montecarlo, "_WORKERS", workers)
             assert lemma2_empirical(**lemma_case(which), replicates=replicates, seed=9) == serial
 
-    def test_many_workers_with_frequent_switches(self, monkeypatch):
-        # More threads than CPUs, switching every microsecond: a walk written
-        # to the wrong slot, or lost, changes the estimate.
+    def test_more_workers_than_cpus(self, monkeypatch):
+        # Eight processes sharing the CPUs, 50 one-walk blocks each: a share
+        # joined out of order, or lost, changes the estimate.
         monkeypatch.setattr(montecarlo, "_WORKERS", 1)
         serial = lemma2_empirical(0.25, "chi2_upper", k_max=50, replicates=400, seed=2)
         monkeypatch.setattr(montecarlo, "_WORKERS", 8)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threaded = lemma2_empirical(0.25, "chi2_upper", k_max=50, replicates=400, seed=2)
-        finally:
-            sys.setswitchinterval(interval)
-        assert threaded == serial
+        monkeypatch.setattr(montecarlo, "_BLOCK_VALUES", 1)
+        assert lemma2_empirical(0.25, "chi2_upper", k_max=50, replicates=400, seed=2) == serial
+        assert_engine_left_nothing()
 
-    def test_a_thread_that_cannot_start_stops_the_others(self, monkeypatch):
-        baseline = threading.active_count()
-        starts = []
+    def test_a_fork_that_fails_stops_the_others(self, monkeypatch):
+        fork = os.fork
+        forks = []
 
-        class OneStartOnly(threading.Thread):
-            def start(self):
-                if starts:
-                    raise RuntimeError("can't start new thread")
-                starts.append(self)
-                super().start()
+        def first_fork_only():
+            if forks:
+                raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+            pid = fork()
+            forks.append(pid)
+            return pid
 
-        monkeypatch.setattr(montecarlo.threading, "Thread", OneStartOnly)
+        monkeypatch.setattr(montecarlo.os, "fork", first_fork_only)
         monkeypatch.setattr(montecarlo, "_WORKERS", 3)
         monkeypatch.setattr(montecarlo, "_BLOCK_VALUES", 1)  # one walk per block
-        with pytest.raises(RuntimeError, match="can't start new thread"):
+        with pytest.raises(OSError, match="Resource temporarily unavailable"):
             lemma2_empirical(0.25, "chi2_upper", k_max=100, replicates=20, seed=1)
-        assert threading.active_count() == baseline
+        assert len(forks) == 1
+        assert_engine_left_nothing()
 
     def test_lemma_check_bytes_do_not_depend_on_workers(self, monkeypatch, capsys):
         commands = [
@@ -369,24 +378,31 @@ class TestLemma2Workers:
                 monkeypatch.undo()
         assert len(set(outputs.values())) == 1
 
-    def test_walks_run_on_two_threads(self, monkeypatch):
-        # Recorded through the draw, so a one-CPU machine runs the path too.
-        idents = set()
+    def test_walks_run_in_two_pinned_processes(self, monkeypatch, tmp_path):
+        # Each process appends its pid and CPU mask to a file as it draws; the
+        # draw records it, so a one-CPU machine runs the path too.
+        log = tmp_path / "draws.txt"
         draw = montecarlo.standard_normals
 
         def recording(seed, n, out=None):
-            idents.add(threading.get_ident())
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()} {sorted(os.sched_getaffinity(0))}\n")
             return draw(seed, n, out=out)
 
         monkeypatch.setattr(montecarlo, "standard_normals", recording)
         monkeypatch.setattr(montecarlo, "_WORKERS", 2)
         monkeypatch.setattr(montecarlo, "_BLOCK_VALUES", 1)
         lemma2_empirical(0.25, "chi2_upper", k_max=100, replicates=20, seed=1)
-        assert len(idents) == 2
+        draws = log.read_text().splitlines()
+        (worker,) = {int(line.split()[0]) for line in draws} - {os.getpid()}
+        cpus = sorted(CPU_MASK)
+        caller_line, worker_line = f"{os.getpid()} {cpus[:1]}", f"{worker} {[cpus[1 % len(cpus)]]}"
+        # Ten walks each, every one drawn on the process's own CPU.
+        assert sorted(draws) == sorted([caller_line] * 10 + [worker_line] * 10)
+        assert_engine_left_nothing()
 
-    @pytest.mark.parametrize("failing_rep", [0, 7])  # the calling thread, then a worker
+    @pytest.mark.parametrize("failing_rep", [0, 15])  # the caller's share, then a worker's
     def test_a_walk_exception_reaches_the_caller(self, monkeypatch, failing_rep):
-        baseline = threading.active_count()
         draw = montecarlo.standard_normals
         words = walk_words(failing_rep)
 
@@ -400,11 +416,11 @@ class TestLemma2Workers:
         monkeypatch.setattr(montecarlo, "_BLOCK_VALUES", 1)
         with pytest.raises(RuntimeError, match=f"walk {failing_rep} failed"):
             lemma2_empirical(0.25, "chi2_upper", k_max=100, replicates=20, seed=1)
-        assert threading.active_count() == baseline
+        assert_engine_left_nothing()
 
     def test_the_callers_error_state_reaches_the_workers(self, monkeypatch):
         draw = montecarlo.standard_normals
-        words = walk_words(7)  # block 7 of 20 runs on worker 1 of 2
+        words = walk_words(15)  # blocks 10..19 of 20 run on worker 1 of 2
 
         def overflowing(seed, n, out=None):
             out = draw(seed, n, out=out)
@@ -417,6 +433,54 @@ class TestLemma2Workers:
         monkeypatch.setattr(montecarlo, "_BLOCK_VALUES", 1)
         with np.errstate(over="raise"), pytest.raises(FloatingPointError):
             lemma2_empirical(0.25, "chi2_upper", k_max=100, replicates=20, seed=1)
+        assert_engine_left_nothing()
+
+    def test_an_exception_that_cannot_be_pickled_arrives_as_its_text(self, monkeypatch):
+        class TwoArgumentError(Exception):
+            def __init__(self, first, second):
+                super().__init__(f"{first} and {second}")
+
+        draw = montecarlo.standard_normals
+        words = walk_words(15)
+
+        def failing(seed, n, out=None):
+            if np.array_equal(seed.words, words):
+                raise TwoArgumentError("walk", "worker")
+            return draw(seed, n, out=out)
+
+        monkeypatch.setattr(montecarlo, "standard_normals", failing)
+        monkeypatch.setattr(montecarlo, "_WORKERS", 2)
+        monkeypatch.setattr(montecarlo, "_BLOCK_VALUES", 1)
+        with pytest.raises(RuntimeError, match="TwoArgumentError: walk and worker"):
+            lemma2_empirical(0.25, "chi2_upper", k_max=100, replicates=20, seed=1)
+        assert_engine_left_nothing()
+
+    def test_a_worker_that_dies_is_reported(self, monkeypatch):
+        draw = montecarlo.standard_normals
+        words = walk_words(15)
+        caller = os.getpid()
+
+        def dying(seed, n, out=None):
+            if np.array_equal(seed.words, words):
+                if os.getpid() == caller:
+                    raise AssertionError("walk 15 belongs to the worker's share")
+                os._exit(7)
+            return draw(seed, n, out=out)
+
+        monkeypatch.setattr(montecarlo, "standard_normals", dying)
+        monkeypatch.setattr(montecarlo, "_WORKERS", 2)
+        monkeypatch.setattr(montecarlo, "_BLOCK_VALUES", 1)
+        with pytest.raises(RuntimeError, match="ended without a result"):
+            lemma2_empirical(0.25, "chi2_upper", k_max=100, replicates=20, seed=1)
+        assert_engine_left_nothing()
+
+    def test_no_child_is_left_by_any_entry_point(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_WORKERS", 2)
+        cfg = make_config(mu_spec="poly:beta=1,scale=1", models=np.arange(1, 101), replicates=97)
+        verify_oracle_inequalities(cfg)
+        unbiasedness_check(cfg.mu, 1.0, [1, 50], replicates=97, base_seed=1)
+        lemma2_empirical(0.25, "chi2_upper", k_max=100, replicates=97, seed=1)
+        assert_engine_left_nothing()
 
 
 class TestUnbiasednessCheck:

@@ -307,9 +307,11 @@ def test_kernels_write_the_bits_of_a_fresh_result_into_out(case):
     profile = risk_profile(y, sigma, models)
     weights = exponential_weights(profile, sigma)
     mhat = models[np.argmin(profile, axis=-1)]
+    penalty = 2.0 * (sigma * sigma) * models  # as the simulation forms it once per scenario
     calls = [
         (lambda out: draw_observations(mu, sigma, seeds, out=out), y),
         (lambda out: risk_profile(y, sigma, models, out=out), profile),
+        (lambda out: risk_profile(y, sigma, models, out=out, penalty=penalty), profile),
         (lambda out: exponential_weights(profile, sigma, out=out), weights),
         (lambda out: projection_estimate(y, mhat, out=out), projection_estimate(y, mhat)),
         (lambda out: projection_estimate(y, int(models[-1]), out=out),
