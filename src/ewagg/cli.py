@@ -154,7 +154,11 @@ def model_set_text(models: np.ndarray) -> str:
 
 
 def config_digest(scenarios: list[ScenarioConfig]) -> str:
-    """Stable hash of the canonicalized (fully resolved) scenario grid."""
+    """SHA-256 of the scenarios as canonical text, with each mean as its spec text.
+
+    Model sets are written as runs, so 1..5 and 1,2,3,4,5 give one digest; two
+    spellings of one mean (poly:beta=1 and poly:beta=1.0) give two.
+    """
     lines = []
     for cfg in scenarios:
         lines.append(f"[{cfg.scenario_id}]")

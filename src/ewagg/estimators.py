@@ -82,8 +82,8 @@ def risk_profile(
     """Unbiased risk estimates rbar(Y, m) for every m in M, shape (..., #M).
 
     The profile is written into out when it is given, else into a new array.
-    penalty is the row 2.0 * (sigma * sigma) * M, formed here when it is not
-    given; a caller that profiles many blocks forms it once and passes it.
+    penalty is the row 2 sigma^2 M, the profile of a zero observation; a caller
+    that profiles many blocks takes that profile once and passes it.
     """
     Y = np.asarray(Y, dtype=float)
     top = M[-1]

@@ -3,7 +3,7 @@
 Each Monte Carlo result has one entry point: verify_oracle_inequalities gives
 a scenario's URE and EW risks checked against the regret budgets (one
 ComparisonRow), lemma2_empirical the mean of one maximal statistic of Lemma 2,
-and unbiasedness_check the centred risk estimates per model.
+and unbiasedness_check a scenario's centred risk estimates per model.
 
 Every replicate draws from its own substream keyed by (base seed, scenario
 or walk, replicate index).  One engine, _per_replicate, runs every entry
@@ -12,8 +12,8 @@ the same bits as it would alone and results are kept in replicate order, so
 estimates are bit-identical whatever the block size, worker count or
 execution order.
 
-A ScenarioConfig checks its sigma and model set and resolves its mean once;
-the kernels then take them as a float, an int64 array and a float64 array.
+A ScenarioConfig checks its inputs and resolves its mean once; the kernels
+then take sigma, models and mu as a float, an int64 array and a float64 array.
 
 verify_oracle_inequalities allocates one workspace per call, that is per
 scenario: the observation, profile, weight and difference buffers of a full
@@ -245,6 +245,7 @@ class ScenarioConfig:
     sigma is checked by check_sigma and models by check_models.  models and mu
     are stored as read-only copies, so a validated config cannot be changed
     through the caller's array.  Equality and hashing are by identity.
+    Replicate rep draws from the substream (*substream_prefix, rep).
     """
 
     scenario_id: str
@@ -254,6 +255,7 @@ class ScenarioConfig:
     replicates: int
     base_seed: int
     mu: np.ndarray = field(init=False, repr=False)
+    substream_prefix: tuple[int, int] = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "sigma", check_sigma(self.sigma))
@@ -268,6 +270,8 @@ class ScenarioConfig:
                 f"below the max model index {models[-1]}"
             )
         object.__setattr__(self, "mu", _read_only(mu))
+        prefix = (self.base_seed, _stable_key(self.scenario_id))
+        object.__setattr__(self, "substream_prefix", prefix)
 
 
 @dataclass(frozen=True)
@@ -314,16 +318,16 @@ class ComparisonRow:
 def _replicate_losses(config: ScenarioConfig) -> np.ndarray:
     """Per-replicate squared losses, shape (2, replicates): row 0 URE, row 1 EW.
 
-    The block buffers and the URE penalty row 2 sigma^2 M are made once per
-    call, the buffers sized for a full block, and every kernel writes into
-    the buffers through out=; a shorter last block uses their leading rows.
-    Each worker process writes into its own fork-copied buffers.
+    The block buffers and the URE penalty row (the risk profile of a zero
+    observation) are made once per call, the buffers sized for a full block,
+    and every kernel writes into the buffers through out=; a shorter last
+    block uses their leading rows.  Each worker writes into its own copies.
     """
     mu, sigma, models = config.mu, config.sigma, config.models
     rows = min(_block_rows(mu.size), config.replicates)
     obs, diff = np.empty((2, rows, mu.size))
     profile, weights = np.empty((2, rows, models.size))
-    penalty = 2.0 * (sigma * sigma) * models
+    penalty = risk_profile(np.zeros(models[-1]), sigma, models)
 
     def losses(seeds) -> np.ndarray:
         block = len(seeds)
@@ -340,8 +344,7 @@ def _replicate_losses(config: ScenarioConfig) -> np.ndarray:
         ew = squared_loss(aggregate(y, models, w, out=d), mu, out=d)
         return np.stack([ure, ew])
 
-    prefix = (config.base_seed, _stable_key(config.scenario_id))
-    return _per_replicate(losses, config.replicates, mu.size, prefix)
+    return _per_replicate(losses, config.replicates, mu.size, config.substream_prefix)
 
 
 def verify_oracle_inequalities(config: ScenarioConfig) -> ComparisonRow:
@@ -434,24 +437,14 @@ def lemma2_empirical(
     return RiskEstimate.from_samples(_per_replicate(walks, replicates, width, prefix))
 
 
-def unbiasedness_check(
-    mu: np.ndarray,
-    sigma: float,
-    m_values,
-    replicates: int,
-    base_seed: int,
-) -> dict[int, RiskEstimate]:
-    """Per m in the model set m_values, MC estimate of rbar(Y, m) + ||mu||^2 - true risk (~0)."""
-    mu, sigma = check_mean(mu), check_sigma(sigma)
-    replicates = check_replicates(replicates)
-    indices = check_models(m_values)
-    if indices[-1] > mu.size:
-        raise ValueError(f"every m must be <= the mean vector length {mu.size}")
-    offsets = tail_squared_norms(mu)[0] - true_projection_risk(mu, sigma, indices)
+def unbiasedness_check(config: ScenarioConfig) -> dict[int, RiskEstimate]:
+    """Per m in config.models, MC estimate of rbar(Y, m) + ||mu||^2 - true risk (~0)."""
+    mu, sigma, models = config.mu, config.sigma, config.models
+    offsets = tail_squared_norms(mu)[0] - true_projection_risk(mu, sigma, models)
 
     def centered(seeds) -> np.ndarray:
         obs = draw_observations(mu, sigma, seeds)
-        return (risk_profile(obs, sigma, indices) + offsets).T
+        return (risk_profile(obs, sigma, models) + offsets).T
 
-    stats = _per_replicate(centered, replicates, mu.size, (base_seed, _stable_key("unbiasedness")))
-    return {m: RiskEstimate.from_samples(row) for m, row in zip(indices.tolist(), stats)}
+    stats = _per_replicate(centered, config.replicates, mu.size, config.substream_prefix)
+    return {m: RiskEstimate.from_samples(row) for m, row in zip(models.tolist(), stats)}

@@ -72,10 +72,15 @@ def scenario_grid():
 def test_criterion_01_unbiased_risk_identity():
     # E rbar(Y, m) + ||mu||^2 must equal the exact projection risk.
     started = time.perf_counter()
-    mu = mean_vector_from_spec("poly:beta=1,scale=1,N=50")
-    results = unbiasedness_check(
-        mu, 1.0, [1, 5, 20], replicates=100_000, base_seed=GRID_SEED
+    config = ScenarioConfig(
+        scenario_id="unbiasedness",
+        mu_spec="poly:beta=1,scale=1,N=50",
+        sigma=1.0,
+        models=[1, 5, 20],
+        replicates=100_000,
+        base_seed=GRID_SEED,
     )
+    results = unbiasedness_check(config)
     elapsed = time.perf_counter() - started
     gaps = {m: (abs(est.mean), 4.0 * est.std_error) for m, est in results.items()}
     ok = all(gap <= tol for gap, tol in gaps.values()) and elapsed < 30.0

@@ -33,8 +33,8 @@ def scenario(sigma=1.0, models=(1, 2)):
     return ScenarioConfig("s", "zero", sigma, np.asarray(models), replicates=2, base_seed=0)
 
 
-class TestTypes:
-    def test_mean_vector_rejects_non_finite(self):
+class TestInputChecks:
+    def test_check_mean_rejects_non_finite_or_empty(self):
         with pytest.raises(ValueError):
             check_mean(np.array([1.0, np.inf]))
         with pytest.raises(ValueError):
@@ -42,11 +42,11 @@ class TestTypes:
         with pytest.raises(ValueError):
             check_mean(np.array([]))
 
-    def test_mean_vector_norms(self):
+    def test_tail_squared_norms(self):
         tails = tail_squared_norms(np.array([3.0, 4.0]))
         assert tails.tolist() == [25.0, 16.0, 0.0]
 
-    def test_noise_level_must_be_positive(self):
+    def test_sigma_squared_must_be_a_normal_positive_float(self):
         # sigma^2 subnormal, underflowing to 0, or overflowing to inf
         for sigma in (0.0, -1.0, float("nan"), 1e-160, 1e-200, 1e200, float("inf")):
             with pytest.raises(ValueError):
@@ -57,7 +57,7 @@ class TestTypes:
         assert check_sigma(1e-150) == 1e-150
         assert scenario(sigma=1e-150).sigma == 1e-150
 
-    def test_model_index_set_validation(self):
+    def test_models_must_be_increasing_whole_indices(self):
         # Non-integer values are rejected, not truncated, and raise no RuntimeWarning.
         non_integers = ([1.5, 2.9], [1.0, np.nan], [1.0, np.inf], [1.0, 2.0**63])
         for models in ([0, 1], [2, 2], [3, 1], np.array([], dtype=int), *non_integers):
