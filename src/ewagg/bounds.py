@@ -80,11 +80,11 @@ _U_MAX = u_alpha(math.nextafter(0.5, 0.0))
 def u_star_alpha(alpha: float) -> float:
     """Downward drift rate U*(alpha) = (alpha - log(1 + 2 alpha)/2) / alpha.
 
-    Defined for alpha > 0; strictly increasing with range (0, 1).
+    Defined for finite alpha > 0; strictly increasing with range (0, 1).
     """
     alpha = float(alpha)
-    if not alpha > 0.0:
-        raise ValueError(f"u_star_alpha needs alpha > 0, got {alpha}")
+    if not 0.0 < alpha < math.inf:
+        raise ValueError(f"u_star_alpha needs 0 < alpha < inf, got {alpha}")
     if alpha < _SERIES_ALPHA:
         return _drift_series(alpha, -2.0 * alpha)
     if alpha > sys.float_info.max / 2.0:
@@ -170,29 +170,29 @@ def r_rho(rho: float) -> float:
     e rho passes about 1.30.
     """
     rho = float(rho)
-    if not rho > 0.0:
-        raise ValueError(f"r_rho needs rho > 0, got {rho}")
+    if not 0.0 < rho < math.inf:
+        raise ValueError(f"r_rho needs 0 < rho < inf, got {rho}")
     x = math.e * rho
     if x < 1.0:
         return 2.0 / x
     return (1.0 + 1.0 / x) * math.exp((1.0 - x) / (1.0 + x))
 
 
-def lemma4_bound(K: int, rho: float) -> float:
+def lemma4_bound(K: float | np.ndarray, rho: float) -> float | np.ndarray:
     """Entropy budget log(K - 1 + exp(R(rho))) for a head plus geometric tail.
 
     Hypothesis on w: a head of K - 1 arbitrary entries w_1..w_{K-1}, then a
     tail w_K, w_{K+1}, ... with w_{K+j} <= w_K exp(-1 - rho (j - 1)).  The
     budget bounds H(w) for e rho <= 1; beyond that r_rho is not an entropy
     bound (K=2, rho=1 with the tail on its envelope gives H = 1.3431 > 1.2141).
+    K is real (>= 1) or an array.  Concave in K, it bounds E log(m - 1 + e^R) at K = E m.
     """
-    K = int(K)
-    if K < 1:
+    K = np.asarray(K, dtype=float)
+    if not np.all(K >= 1.0):  # nan fails too
         raise ValueError(f"lemma4_bound needs K >= 1, got {K}")
-    r_val = r_rho(rho)
-    if K == 1:
-        return r_val
-    return float(np.logaddexp(math.log(K - 1.0), r_val))
+    with np.errstate(divide="ignore"):
+        bound = np.logaddexp(np.log(K - 1.0), r_rho(rho))
+    return float(bound) if bound.ndim == 0 else bound
 
 
 class PsiEvaluation(NamedTuple):
@@ -319,6 +319,16 @@ class RegretBudgets(NamedTuple):
     t3: float
 
 
+def _checked_risk(oracle_risk: float, sigma: float) -> tuple[np.float64, np.float64]:
+    """(r, sigma^2) as float64; ValueError unless check_sigma takes sigma and sigma^2 <= r < inf."""
+    sigma = check_sigma(sigma)
+    variance = np.float64(sigma * sigma)
+    r = np.float64(oracle_risk)
+    if not variance <= r < np.inf:
+        raise ValueError(f"oracle risk must be finite and >= sigma^2 = {variance}, got {r}")
+    return r, variance
+
+
 def theorem_bounds(oracle_risk: float, sigma: float, model_count: int) -> RegretBudgets:
     """The three regret budgets at oracle risk r over #M = model_count models.
 
@@ -329,15 +339,11 @@ def theorem_bounds(oracle_risk: float, sigma: float, model_count: int) -> Regret
 
     Domain: sigma as check_sigma takes it, a finite oracle_risk >= sigma^2
     (formed as sigma * sigma, which a projection risk tail + (sigma * sigma) m
-    meets) and model_count >= 1.
+    meets) and a whole model_count >= 1.
     """
-    sigma = check_sigma(sigma)
-    variance = np.float64(sigma * sigma)
-    r = np.float64(oracle_risk)
-    if not variance <= r < np.inf:
-        raise ValueError(f"oracle risk must be finite and >= sigma^2 = {variance}, got {r}")
-    if model_count < 1:
-        raise ValueError(f"model count must be >= 1, got {model_count}")
+    r, variance = _checked_risk(oracle_risk, sigma)
+    if not (model_count >= 1 and model_count % 1 == 0):
+        raise ValueError(f"model count must be a whole number >= 1, got {model_count}")
     return RegretBudgets(
         t1=float(variance * math.sqrt(r / variance)),
         t2=float(4.0 * variance * math.log(model_count)),
@@ -347,9 +353,9 @@ def theorem_bounds(oracle_risk: float, sigma: float, model_count: int) -> Regret
 
 def m_epsilon_budget(oracle_value: float, sigma: float, epsilon: float) -> float:
     """Analytic budget r/sigma^2 + 7 eps r / ((1-6 eps) sigma^2) + 15 / ((1-6 eps) eps)."""
-    sigma, epsilon = check_sigma(sigma), float(epsilon)
+    (r, variance), epsilon = _checked_risk(oracle_value, sigma), float(epsilon)
     if not 0.0 < epsilon <= 1.0 / 7.0:
         raise ValueError("epsilon must lie in (0, 1/7]")
-    ratio = oracle_value / (sigma * sigma)
+    ratio = float(r) / float(variance)
     shrink = 1.0 - 6.0 * epsilon
     return ratio + 7.0 * epsilon * ratio / shrink + 15.0 / (shrink * epsilon)

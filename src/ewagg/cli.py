@@ -36,7 +36,6 @@ from . import __version__
 from .bounds import psi, theorem_bounds
 from .montecarlo import (
     LEMMA2_VARIANTS,
-    PASS_TOLERANCE_SE,
     ComparisonRow,
     ScenarioConfig,
     engine_record,
@@ -88,10 +87,11 @@ def parse_model_set_text(text: str) -> np.ndarray:
     return np.flatnonzero(flags) + 1
 
 
-def _default_seed() -> int | None:
-    raw = os.environ.get(SEED_ENV)
-    if raw is None:
-        return None
+def _seed_or_default(seed: str | int | None) -> str | int | None:
+    """seed, or EWAGG_SEED's value when seed is None (None when that is unset too)."""
+    if seed is not None or SEED_ENV not in os.environ:
+        return seed
+    raw = os.environ[SEED_ENV]
     try:
         return int(raw)
     except ValueError as exc:
@@ -103,13 +103,9 @@ def _scenario_from_section(name: str, options: dict[str, str]) -> ScenarioConfig
     missing = sorted(required - options.keys())
     if missing:
         raise ConfigError(f"scenario [{name}] is missing keys: {', '.join(missing)}")
-    base_seed = options.get("base_seed")
+    base_seed = _seed_or_default(options.get("base_seed"))
     if base_seed is None:
-        base_seed = _default_seed()
-        if base_seed is None:
-            raise ConfigError(
-                f"scenario [{name}] has no base_seed and {SEED_ENV} is not set"
-            )
+        raise ConfigError(f"scenario [{name}] has no base_seed and {SEED_ENV} is not set")
     known = required | {"base_seed"}
     unknown = sorted(options.keys() - known)
     if unknown:
@@ -330,15 +326,14 @@ def cmd_lemma_check(
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     budget = 1.0 / alpha
-    tolerance = PASS_TOLERANCE_SE * estimate.std_error
-    passed = estimate.mean <= budget + tolerance
+    passed = estimate.within(budget)
     payload = {
         "which": which,
         "alpha": alpha,
         **dataclasses.asdict(estimate),
         "k_max": k_max,
         "budget": budget,
-        "tolerance": tolerance,
+        "tolerance": estimate.tolerance,
         "passed": passed,
     }
     _emit(json.dumps(payload, indent=2) + "\n")
@@ -407,12 +402,10 @@ def main(argv: list[str] | None = None) -> int:
             if args.command == "psi":
                 return cmd_psi(args.r_values)
             # lemma-check: the required subparsers admit no other command.
-            seed = args.seed
-            if seed is None:
-                seed = _default_seed()
-                if seed is None:
-                    seed = 0
-            return cmd_lemma_check(args.which, args.alpha, args.mu, args.kmax, args.reps, seed)
+            seed = _seed_or_default(args.seed)
+            return cmd_lemma_check(
+                args.which, args.alpha, args.mu, args.kmax, args.reps, 0 if seed is None else seed
+            )
     except ConfigError as exc:
         print(f"error: {_one_line(exc)}", file=sys.stderr)
         return EXIT_CONFIG_ERROR

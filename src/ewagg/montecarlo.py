@@ -28,11 +28,8 @@ process boundary.  The pinning is what makes the processes overlap: on a
 2-vCPU x86_64 host the kernel often left two busy unpinned processes on one
 CPU, so two unpinned CPU-bound processes ran at x0.81-1.07 of one process's
 speed in 3 of 4 rounds, and at x1.25-1.99 once each was pinned to its own
-CPU.  On that host two pinned processes took three N=20,000 scenarios of 40
-replicates from 858 to 1,066 replicates/s (x1.24, median of 10 interleaved
-runs of 30 s each), where threads had run the nine N=100 grid scenarios at
-x0.52-0.79.  A call with one block, or on a platform without fork or
-affinity masks, runs in the calling process.
+CPU.  A call with one block, or on a platform without fork or affinity
+masks, runs in the calling process.
 """
 
 from __future__ import annotations
@@ -75,8 +72,8 @@ __all__ = [
     "PASS_TOLERANCE_SE",
 ]
 
-# Pass tolerance for every Monte Carlo bound check: estimate <= bound + 4 SE.
-# Four standard errors keep the two-sided false-alarm rate near 6e-5 per check.
+# RiskEstimate.within's tolerance in standard errors.  Four keep the
+# two-sided false-alarm rate near 6e-5 per check.
 PASS_TOLERANCE_SE = 4.0
 
 LEMMA2_VARIANTS = ("chi2_upper", "linear", "chi2_lower")
@@ -105,6 +102,11 @@ def _block_rows(width: int) -> int:
     return max(1, _BLOCK_VALUES // width)
 
 
+def _worker_cpus(mask) -> list[int]:
+    """The CPUs the engine pins its processes to: the first _WORKERS of the sorted mask."""
+    return sorted(mask)[:_WORKERS]
+
+
 def engine_record(configs) -> dict:
     """How simulate runs the configs: for the run manifest.
 
@@ -112,10 +114,7 @@ def engine_record(configs) -> dict:
     the calling process runs alone, unpinned), and blocks the block count of
     each scenario, which runs in min(workers, blocks) processes.
     """
-    cpus = None
-    if _WORKERS > 1:
-        mask = sorted(os.sched_getaffinity(0))
-        cpus = sorted({mask[w % len(mask)] for w in range(_WORKERS)})
+    cpus = _worker_cpus(os.sched_getaffinity(0)) if _WORKERS > 1 else None
     blocks = {cfg.scenario_id: -(-cfg.replicates // _block_rows(cfg.mu.size)) for cfg in configs}
     return {"workers": _WORKERS, "cpus": cpus, "blocks": blocks}
 
@@ -195,7 +194,7 @@ def _per_replicate(kernel: Callable, replicates: int, width: int, prefix: tuple)
     if not others:
         return run(own)
     mask = os.sched_getaffinity(0)
-    cpus = sorted(mask)
+    cpus = _worker_cpus(mask)
     children: dict[int, int] = {}  # pid -> read end of its pipe, until reaped
     try:
         os.sched_setaffinity(0, {cpus[0]})
@@ -282,6 +281,15 @@ class RiskEstimate:
     std_error: float
     replicates: int
 
+    @property
+    def tolerance(self) -> float:
+        """PASS_TOLERANCE_SE standard errors: the slack of every Monte Carlo bound check."""
+        return PASS_TOLERANCE_SE * self.std_error
+
+    def within(self, budget: float) -> bool:
+        """The pass rule of every Monte Carlo bound check: mean <= budget + tolerance."""
+        return self.mean <= budget + self.tolerance
+
     @classmethod
     def from_samples(cls, samples: np.ndarray) -> "RiskEstimate":
         samples = np.asarray(samples, dtype=float)
@@ -352,7 +360,6 @@ def verify_oracle_inequalities(config: ScenarioConfig) -> ComparisonRow:
     oracle = oracle_risk(config.mu, config.sigma, config.models)
     budgets = theorem_bounds(oracle.oracle_risk, config.sigma, config.models.size)
     ure_est, ew_est = map(RiskEstimate.from_samples, _replicate_losses(config))
-    slack = PASS_TOLERANCE_SE * ew_est.std_error
     return ComparisonRow(
         scenario_id=config.scenario_id,
         oracle_risk=oracle.oracle_risk,
@@ -365,8 +372,8 @@ def verify_oracle_inequalities(config: ScenarioConfig) -> ComparisonRow:
         t2_budget=budgets.t2,
         t3_budget=budgets.t3,
         empirical_K=(ure_est.mean - oracle.oracle_risk) / budgets.t1,
-        t2_pass=ew_est.mean <= oracle.oracle_risk + budgets.t2 + slack,
-        t3_pass=ew_est.mean <= oracle.oracle_risk + budgets.t3 + slack,
+        t2_pass=ew_est.within(oracle.oracle_risk + budgets.t2),
+        t3_pass=ew_est.within(oracle.oracle_risk + budgets.t3),
     )
 
 
@@ -398,12 +405,6 @@ def lemma2_empirical(
         raise ValueError(f"alpha must be positive and finite, with 1/alpha finite, got {alpha}")
     if (which == "linear") != (mu is not None):
         raise ValueError("mu must be given for the linear variant and only for it")
-    if which == "chi2_upper":
-        drift = u_alpha(alpha)  # validates alpha < 1/2
-    elif which == "chi2_lower":
-        drift = u_star_alpha(alpha)
-    else:
-        mu = check_mean(mu)
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     replicates = check_replicates(replicates)
@@ -411,8 +412,10 @@ def lemma2_empirical(
     # The drift line, sized by k_max or by the support of mu, is built here
     # before any worker starts, so an oversized input fails in the caller.
     if which == "linear":
+        mu = check_mean(mu)
         width, drift_line = mu.size, 0.5 * alpha * tail_squared_norms(mu)[:-1]
-    else:
+    else:  # u_alpha also checks alpha < 1/2
+        drift = u_alpha(alpha) if which == "chi2_upper" else u_star_alpha(alpha)
         width, drift_line = k_max, drift * np.arange(1, k_max + 1, dtype=float)
 
     def walks(seeds) -> np.ndarray:

@@ -10,12 +10,8 @@ mu's length are exactly zero, so every risk quantity is computable in closed
 form with no truncation error.
 
 The kernels trust their sigma, M and mu, and the Monte Carlo engine its
-replicate count.  check_sigma, check_models, check_mean and check_replicates
-check them once, where they enter: ScenarioConfig, mean_vector_from_spec, the
-CLI's model-set parser and the Monte Carlo entry points call them (check_replicates:
-ScenarioConfig, lemma2_empirical, RiskEstimate.from_samples).
-A single model index m given to projection_estimate, unbiased_risk or
-true_projection_risk goes through check_models too.
+replicate count: check_sigma, check_models, check_mean and check_replicates
+check them once, where they enter.
 """
 
 from __future__ import annotations

@@ -75,6 +75,8 @@ class TestUStarAlpha:
             u_star_alpha(0.0)
         with pytest.raises(ValueError):
             u_star_alpha(-2.0)
+        with pytest.raises(ValueError, match="alpha < inf"):
+            u_star_alpha(math.inf)
 
     def test_below_one(self):
         for a in np.geomspace(1e-3, 1e3, 200):
@@ -241,6 +243,8 @@ class TestRRho:
     def test_domain(self):
         with pytest.raises(ValueError):
             r_rho(0.0)
+        with pytest.raises(ValueError, match="rho < inf"):
+            r_rho(math.inf)
 
 
 class TestLemma4Bound:
@@ -256,9 +260,27 @@ class TestLemma4Bound:
         vals = [lemma4_bound(k, 0.7) for k in (1, 2, 5, 20, 1000)]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
 
-    def test_domain(self):
+    def test_real_k_is_the_formula_at_k(self):
+        # K is not truncated to an integer.
+        for rho in (0.05, 1.0 / (2.0 * math.e), 0.7):
+            assert lemma4_bound(2.5, rho) == pytest.approx(
+                math.log(1.5 + math.exp(r_rho(rho))), rel=1e-15
+            )
+
+    def test_array_of_k_gives_the_scalar_budgets(self):
+        ks = np.array([[1.0, 1.5, 2.0], [7.25, 100.0, 1e6]])
+        budgets = lemma4_bound(ks, 0.2)
+        assert budgets.shape == ks.shape
+        for k, budget in zip(ks.flat, budgets.flat):
+            assert budget == lemma4_bound(float(k), 0.2)
+        assert lemma4_bound(ks[0, :1], 0.2)[0] == r_rho(0.2)
+
+    @pytest.mark.parametrize(
+        "K, rho", [(0, 1.0), (0.999, 1.0), (math.nan, 1.0), ([2.0, 0.5], 1.0), (3, math.inf)]
+    )
+    def test_domain(self, K, rho):
         with pytest.raises(ValueError):
-            lemma4_bound(0, 1.0)
+            lemma4_bound(K, rho)
 
     def test_entropy_bound_holds_in_slow_decay_regime(self):
         # Below the seam (e * rho <= 1), the regime the aggregation analysis
@@ -486,13 +508,24 @@ class TestTheoremBounds:
             (math.nextafter(1.0, 0.0), 3),  # one ulp below sigma^2: no rounding allowance
             (2.0, 0),
             (2.0, -1),
+            (2.0, 2.7),  # a fraction of a model
         ],
     )
     def test_risk_below_variance_rejected(self, risk, count):
         with pytest.raises(ValueError) as exc:
             theorem_bounds(risk, 1.0, count)
         assert "\n" not in str(exc.value)
-        assert ("model count" if count < 1 else "oracle risk") in str(exc.value)
+        assert ("oracle risk" if count == 3 else "model count") in str(exc.value)
+
+    @pytest.mark.parametrize("risk", [math.nan, -5.0, math.inf, 0.5])
+    @pytest.mark.parametrize(
+        "budget",
+        [lambda r: theorem_bounds(r, 1.0, 3), lambda r: m_epsilon_budget(r, 1.0, 0.1)],
+        ids=["theorem_bounds", "m_epsilon_budget"],
+    )
+    def test_oracle_risk_rule_applies(self, budget, risk):
+        with pytest.raises(ValueError, match=r"^oracle risk must be finite and >= sigma\^2"):
+            budget(risk)
 
     @pytest.mark.parametrize("sigma", [0.0, -1.0, 1e-160])  # 1e-160: sigma^2 is subnormal
     @pytest.mark.parametrize(

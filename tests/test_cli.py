@@ -275,7 +275,7 @@ class TestSimulate:
         )
         assert code == 2
 
-    def test_env_seed_supplies_missing_base_seed(self, tmp_path, monkeypatch):
+    def test_env_seed_supplies_missing_base_seed(self, tmp_path, monkeypatch, capsys):
         no_seed = GOOD_CONFIG.replace("base_seed = 90210\n", "")
         cfg = write_config(tmp_path, no_seed)
         code = cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "o0")])
@@ -288,6 +288,11 @@ class TestSimulate:
         assert (out1 / "results.csv").read_bytes() == (out2 / "results.csv").read_bytes()
         manifest = json.loads((out1 / "run_manifest.json").read_text())
         assert set(manifest["base_seeds"].values()) == {31415}
+
+        capsys.readouterr()
+        monkeypatch.setenv(cli.SEED_ENV, "abc")
+        assert cli.main(["simulate", "--config", cfg, "--out", str(tmp_path / "o3")]) == 2
+        assert capsys.readouterr().err == "error: EWAGG_SEED must be an integer, got 'abc'\n"
 
     def test_bound_violation_exits_one(self, tmp_path, monkeypatch):
         # Exit-code contract only; a real violation would contradict the bounds.
@@ -501,6 +506,13 @@ class TestLemmaCheck:
         )
         second = json.loads(capsys.readouterr().out)
         assert first == second
+
+        monkeypatch.setenv(cli.SEED_ENV, "abc")
+        code = cli.main(["lemma-check", "--which", "chi2_lower", "--alpha", "0.5"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert captured.err == "error: EWAGG_SEED must be an integer, got 'abc'\n"
 
 
 class TestClosedStdout:

@@ -16,11 +16,13 @@ from ewagg.estimators import (
     ure_weights,
 )
 from ewagg.sequence_model import (
+    draw_observations,
     generate_observation,
     mean_vector_from_spec,
     tail_squared_norms,
     true_projection_risk,
 )
+from ewagg.substreams import SubstreamSeed, substream_words
 
 SIGMA1 = 1.0
 
@@ -82,10 +84,9 @@ class TestUnbiasedRisk:
         sig = 1.0
         m = 7
         reps = 20_000
-        vals = np.empty(reps)
-        for rep in range(reps):
-            y = generate_observation(mu, sig, (881, rep))
-            vals[rep] = unbiased_risk(y, sig, m)
+        # One block of the rows generate_observation(mu, sig, (881, rep)) gives.
+        words = substream_words((881,), np.arange(reps, dtype=np.uint64))
+        vals = unbiased_risk(draw_observations(mu, sig, map(SubstreamSeed, words)), sig, m)
         se = vals.std(ddof=1) / np.sqrt(reps)
         target = true_projection_risk(mu, sig, m) - tail_squared_norms(mu)[0]
         assert abs(vals.mean() - target) <= 4.0 * se

@@ -335,6 +335,23 @@ def test_kernels_write_the_bits_of_a_fresh_result_into_out(case):
         assert estimate.tobytes() == fresh.tobytes()
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: draw_observations(np.zeros(3), 1.0, [1, 2], out=np.empty((2, 4))), "out has"),
+        (lambda: draw_observations(np.zeros(3), 1.0, [1, 2], out=np.empty((3, 3))), "out has"),
+        # A strided row would be summed in another order than a contiguous one.
+        (lambda: exponential_weights(np.zeros((2, 3)), 1.0, out=np.empty((3, 2)).T),
+         "C-contiguous"),
+        (lambda: squared_loss(np.ones((2, 3)), np.zeros(3), out=np.empty((2, 6))[:, ::2]),
+         "C-contiguous"),
+    ],
+)
+def test_kernels_refuse_an_out_they_cannot_fill_with_the_fresh_bits(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 @SETTINGS
 @given(
     st.lists(st.integers(-(2**130), 2**130), min_size=1, max_size=4),

@@ -129,6 +129,11 @@ class TestGenerateObservation:
         obs = generate_observation(np.array([1.0, 2.0]), 1.0, 42)
         np.testing.assert_allclose(obs, [1.3047170797544314, 0.9600158937595045], rtol=1e-15)
 
+    @pytest.mark.parametrize("seed", [(), (7, 2.0), "7", [3, None]])
+    def test_seed_must_be_integers(self, seed):
+        with pytest.raises(ValueError, match="^seed must be an integer"):
+            generate_observation(np.zeros(2), 1.0, seed)
+
     def test_sequence_seed_addresses_substreams(self):
         mu = np.zeros(4)
         sig = 1.0
@@ -291,6 +296,10 @@ class TestSquaredLoss:
         mu = np.array([1.0])
         assert squared_loss([1.0, 3.0], mu) == 9.0
         assert squared_loss([0.0], np.array([1.0, 2.0])) == 5.0
+
+    def test_scalar_estimate_rejected(self):
+        with pytest.raises(ValueError, match="sequence of reals"):
+            squared_loss(2.0, np.array([1.0, 2.0]))
 
     def test_block_gives_one_loss_per_row(self):
         mu = np.array([1.0, 2.0])
