@@ -42,6 +42,7 @@ from .montecarlo import (
     lemma2_empirical,
     unbiasedness_check,
     verify_oracle_inequalities,
+    verify_scenarios,
 )
 
 __all__ = [
@@ -75,6 +76,7 @@ __all__ = [
     "RiskEstimate",
     "ComparisonRow",
     "verify_oracle_inequalities",
+    "verify_scenarios",
     "lemma2_empirical",
     "unbiasedness_check",
 ]

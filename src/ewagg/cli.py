@@ -40,7 +40,7 @@ from .montecarlo import (
     ScenarioConfig,
     engine_record,
     lemma2_empirical,
-    verify_oracle_inequalities,
+    verify_scenarios,
 )
 from .sequence_model import check_models, mean_vector_from_spec
 
@@ -225,13 +225,10 @@ def cmd_simulate(config_path: str, out_dir: str) -> int:
         raise ConfigError(f"cannot read config {config_path!r}: {exc}") from exc
     scenarios = parse_scenarios(text)
 
-    rows, seconds = [], {}
     started = time.perf_counter()
-    for cfg in scenarios:
-        begun = time.perf_counter()
-        rows.append(verify_oracle_inequalities(cfg))
-        seconds[cfg.scenario_id] = time.perf_counter() - begun
+    rows, caller_seconds = verify_scenarios(scenarios)
     elapsed = time.perf_counter() - started
+    seconds = {cfg.scenario_id: s for cfg, s in zip(scenarios, caller_seconds)}
 
     csv_path = os.path.join(out_dir, "results.csv")
     json_path = os.path.join(out_dir, "results.json")

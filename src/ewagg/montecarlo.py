@@ -1,9 +1,10 @@
 """Reproducible Monte Carlo engine for risk estimation and bound verification.
 
-Each Monte Carlo result has one entry point: verify_oracle_inequalities gives
-a scenario's URE and EW risks checked against the regret budgets (one
-ComparisonRow), lemma2_empirical the mean of one maximal statistic of Lemma 2,
-and unbiasedness_check a scenario's centred risk estimates per model.
+Each Monte Carlo result has one entry point: verify_scenarios gives each
+scenario's URE and EW risks checked against the regret budgets (one
+ComparisonRow per scenario, and verify_oracle_inequalities the row of one),
+lemma2_empirical the mean of one maximal statistic of Lemma 2, and
+unbiasedness_check a scenario's centred risk estimates per model.
 
 Every replicate draws from its own substream keyed by (base seed, scenario
 or walk, replicate index).  One engine, _per_replicate, runs every entry
@@ -15,21 +16,25 @@ execution order.
 A ScenarioConfig checks its inputs and resolves its mean once; the kernels
 then take sigma, models and mu as a float, an int64 array and a float64 array.
 
-verify_oracle_inequalities allocates one workspace per call, that is per
-scenario: the observation, profile, weight and difference buffers of a full
-block, which every block's kernels write into through their out= argument (a
+Each process that runs a share of a scenario allocates one workspace for it:
+the observation, profile, weight and difference buffers of a full block,
+which every block's kernels write into through their out= argument (a
 shorter last block uses their leading rows).
 
-The engine runs a call's blocks in _WORKERS processes, one per CPU in the
-affinity mask: the calling process and workers forked from it, each pinned
-to its own CPU, each with a contiguous share of the blocks and its own
-fork-copied workspace.  Only the result arrays and a failure cross the
-process boundary.  The pinning is what makes the processes overlap: on a
-2-vCPU x86_64 host the kernel often left two busy unpinned processes on one
-CPU, so two unpinned CPU-bound processes ran at x0.81-1.07 of one process's
-speed in 3 of 4 rounds, and at x1.25-1.99 once each was pinned to its own
-CPU.  A call with one block, or on a platform without fork or affinity
-masks, runs in the calling process.
+The engine runs a call in _WORKERS processes, one per CPU in the affinity
+mask: the calling process and workers forked from it once per call, each
+pinned to its own CPU.  A call takes a list of jobs (simulate passes every
+scenario of its config, the other entry points one job), and each process
+runs a contiguous share of every job's blocks, job after job.  Only the
+result arrays and a failure cross the process boundary.  Forking once per
+call rather than once per scenario matters on the grid's short scenarios,
+where each fork cost 2.5-6 ms before the worker ran and its copy-on-write
+faults slowed the caller's share.  The pinning is what makes the processes
+overlap: on a 2-vCPU x86_64 host the kernel often left two busy unpinned
+processes on one CPU, so two unpinned CPU-bound processes ran at
+x0.81-1.07 of one process's speed in 3 of 4 rounds, and at x1.25-1.99 once
+each was pinned to its own CPU.  A call where no job has two blocks, or on a
+platform without fork or affinity masks, runs in the calling process.
 """
 
 from __future__ import annotations
@@ -39,9 +44,10 @@ import math
 import os
 import pickle
 import signal
+import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from typing import NoReturn
+from typing import NamedTuple, NoReturn
 
 import numpy as np
 
@@ -66,6 +72,7 @@ __all__ = [
     "RiskEstimate",
     "ComparisonRow",
     "verify_oracle_inequalities",
+    "verify_scenarios",
     "lemma2_empirical",
     "unbiasedness_check",
     "engine_record",
@@ -112,7 +119,9 @@ def engine_record(configs) -> dict:
 
     workers is _WORKERS, cpus the CPUs the processes are pinned to (None when
     the calling process runs alone, unpinned), and blocks the block count of
-    each scenario, which runs in min(workers, blocks) processes.
+    each scenario.  The command runs in min(workers, most blocks) processes,
+    the caller and the workers it forks once, and each scenario's blocks are
+    dealt to min(workers, blocks) of them.
     """
     cpus = _worker_cpus(os.sched_getaffinity(0)) if _WORKERS > 1 else None
     blocks = {cfg.scenario_id: -(-cfg.replicates // _block_rows(cfg.mu.size)) for cfg in configs}
@@ -126,79 +135,147 @@ def _shares(blocks: int, workers: int) -> list[range]:
     return [range(lo, hi) for lo, hi in zip(ends, ends[1:])]
 
 
-def _pickled(exc: BaseException) -> bytes:
-    """exc pickled, or a RuntimeError naming it when it does not survive pickling."""
+class _Job(NamedTuple):
+    """One entry point's replicates: replicate rep draws from the substream (*prefix, rep).
+
+    The replicates run in blocks of _block_rows(width) rows.  Each process
+    that has a share of the job calls make_kernel() once, when it reaches the
+    job, and gets the block kernel: kernel(seeds) takes one SubstreamSeed per
+    row of a block and returns a float64 array (..., B).  So a process holds
+    one job's workspace at a time.
+    """
+
+    make_kernel: Callable[[], Callable]
+    replicates: int
+    width: int
+    prefix: tuple
+
+
+def _pickled_failure(job: int, exc: BaseException) -> bytes:
+    """(job, exc) pickled; exc becomes a RuntimeError naming it if it does not survive pickling."""
     try:
-        data = pickle.dumps(exc)
+        data = pickle.dumps((job, exc))
         pickle.loads(data)
     except Exception:
-        data = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
+        data = pickle.dumps((job, RuntimeError(f"{type(exc).__name__}: {exc}")))
     return data
 
 
-def _run_worker(run: Callable, share: range, cpu: int, fd: int) -> NoReturn:
-    """In a forked child: run share pinned to cpu, write the outcome to fd and exit.
+def _run_in_order(run: Callable[[int], np.ndarray | None], jobs: int):
+    """run(0), run(1), ..., run(jobs - 1) until one raises.
 
-    The outcome is b"R" and the result's raw float64 bytes, or b"E" and the
-    pickled exception.  The child leaves through os._exit, so none of the
-    caller's exit handlers or buffered output runs twice.
+    Returns their results and seconds, and the (job, exception) that stopped
+    them, or None when every job ran.
+    """
+    results, seconds = [], []
+    for job in range(jobs):
+        begun = time.perf_counter()
+        try:
+            results.append(run(job))
+        except Exception as exc:
+            return results, seconds, (job, exc)
+        seconds.append(time.perf_counter() - begun)
+    return results, seconds, None
+
+
+def _run_worker(run: Callable, jobs: int, cpu: int, fd: int) -> NoReturn:
+    """In a forked child: run every job pinned to cpu, write the outcome to fd and exit.
+
+    The outcome is b"R" and the raw float64 bytes of each result in job
+    order, or b"E" and the pickled (job, exception) of the first failure.
+    The child leaves through os._exit, so none of the caller's exit handlers
+    or buffered output runs twice.
     """
     try:
         try:
             os.sched_setaffinity(0, {cpu})
-            payload = b"R" + run(share).tobytes()
+            results, _, failure = _run_in_order(run, jobs)
         except BaseException as exc:  # every failure goes to the caller
-            payload = b"E" + _pickled(exc)
+            results, failure = None, (0, exc)
+        if failure:
+            payload = b"E" + _pickled_failure(*failure)
+        else:
+            payload = b"".join([b"R"] + [r.tobytes() for r in results if r is not None])
         with open(fd, "wb") as pipe:
             pipe.write(payload)
     finally:
         os._exit(0)
 
 
-def _outcome(data: bytes, status: int, lead: tuple) -> np.ndarray:
-    """The result a worker wrote as data, shaped (*lead, replicates), or its exception."""
-    if data[:1] == b"R":
-        return np.frombuffer(data[1:]).reshape(*lead, -1)
-    if data[:1] == b"E":
-        raise pickle.loads(data[1:])  # bytes that our own worker wrote
-    raise RuntimeError(f"a worker process ended without a result (wait status {status})")
+def _outcome(tag: bytes, data: bytes, status: int) -> tuple[np.ndarray | None, tuple | None]:
+    """The float64 values a worker wrote after tag, or the (job, exception) of its first failure.
+
+    A worker that wrote neither is reported at job 0, since where it stopped
+    is unknown.
+    """
+    if tag == b"R":
+        return np.frombuffer(data), None
+    if tag == b"E":
+        return None, pickle.loads(data)  # bytes that our own worker wrote
+    error = RuntimeError(f"a worker process ended without a result (wait status {status})")
+    return None, (0, error)
 
 
-def _per_replicate(kernel: Callable, replicates: int, width: int, prefix: tuple):
-    """kernel's results for replicates 0..replicates-1, joined along the last axis.
+def _per_replicate(jobs: list[_Job]) -> tuple[list[np.ndarray], list[float]]:
+    """Each job's results for its replicates 0..replicates-1, joined along the last axis.
 
-    Replicate rep draws from the substream (*prefix, rep).  The replicates
-    run in blocks of _block_rows(width) rows; kernel(seeds) gets one
-    SubstreamSeed per row of a block and returns a float64 array (..., B).
-    The blocks are dealt in contiguous shares to min(_WORKERS, blocks)
-    processes.  The calling process runs the first share pinned to the first
-    CPU of its mask, which is restored on return; each forked worker pins
-    itself to the next CPU and inherits the caller's memory, numpy error
-    state included.  The first failure in replicate order, in a kernel or in
-    a fork, is raised in the caller, and every worker has been reaped by
-    then, whether the call returns, raises or is interrupted.
+    Also returns the calling process's seconds on each job.  Every job's
+    blocks are dealt in contiguous shares to the same min(_WORKERS, most
+    blocks of any job) processes, forked once per call, and each process runs
+    its share of every job in job order, deriving the seed words of its own
+    share only.  The calling process runs the first share of each job pinned
+    to the first CPU of its mask, which is restored on return; each forked
+    worker pins itself to the next CPU and inherits the caller's memory,
+    numpy error state included.  The first failure in (job, replicate)
+    order, in a kernel or in a fork, is raised in the caller, and every
+    worker has been reaped by then, whether the call returns, raises or is
+    interrupted.  A worker writes its results only when it has run all its
+    shares, and the caller reads them only after its own, so no process
+    waits on another while it still has work.
     """
     # substreams imports numpy.random, about 17 ms; importing it here keeps
     # that out of the commands that draw nothing (psi, bounds).
     from .substreams import SubstreamSeed, substream_words
 
-    words = substream_words(prefix, np.arange(replicates, dtype=np.uint64))
-    rows = _block_rows(width)
-    blocks = [words[first : first + rows] for first in range(0, replicates, rows)]
+    rows = [_block_rows(job.width) for job in jobs]
+    blocks = [-(-job.replicates // r) for job, r in zip(jobs, rows)]
+    processes = min(_WORKERS, max(blocks, default=1))
+    shares = [_shares(count, processes) for count in blocks]
 
-    def run(share: range) -> np.ndarray:
-        results = [kernel(list(map(SubstreamSeed, blocks[i]))) for i in share]
+    def span(j: int, w: int) -> range:
+        """The replicates of process w's share of job j."""
+        share, r = shares[j][w], rows[j]
+        return range(share.start * r, min(share.stop * r, jobs[j].replicates))
+
+    def run(j: int, w: int) -> np.ndarray | None:
+        """Process w's share of job j, or None when it has none."""
+        reps, r = span(j, w), rows[j]
+        if not reps:
+            return None
+        words = substream_words(jobs[j].prefix, np.arange(reps.start, reps.stop, dtype=np.uint64))
+        kernel = jobs[j].make_kernel()
+        results = [
+            kernel(list(map(SubstreamSeed, words[i : i + r]))) for i in range(0, len(reps), r)
+        ]
         return np.concatenate(results, axis=-1)
 
-    own, *others = _shares(len(blocks), min(_WORKERS, len(blocks)))
-    if not others:
-        return run(own)
-    mask = os.sched_getaffinity(0)
-    cpus = _worker_cpus(mask)
+    def split(values: np.ndarray, w: int, own: list[np.ndarray]) -> list[np.ndarray | None]:
+        """Worker w's values as one array per job, shaped as the caller's own result."""
+        parts, start = [], 0
+        for j, mine in enumerate(own):
+            n = len(span(j, w))
+            size = n * math.prod(mine.shape[:-1])
+            parts.append(values[start : start + size].reshape(*mine.shape[:-1], n) if n else None)
+            start += size
+        return parts
+
+    mask = os.sched_getaffinity(0) if processes > 1 else None
     children: dict[int, int] = {}  # pid -> read end of its pipe, until reaped
     try:
-        os.sched_setaffinity(0, {cpus[0]})
-        for w, share in enumerate(others, start=1):
+        if mask is not None:
+            cpus = _worker_cpus(mask)
+            os.sched_setaffinity(0, {cpus[0]})
+        for w in range(1, processes):
             fd, write_fd = os.pipe()
             try:
                 pid = os.fork()
@@ -207,17 +284,23 @@ def _per_replicate(kernel: Callable, replicates: int, width: int, prefix: tuple)
                 os.close(write_fd)
                 raise
             if pid == 0:
-                _run_worker(run, share, cpus[w % len(cpus)], write_fd)
+                _run_worker(lambda j: run(j, w), len(jobs), cpus[w % len(cpus)], write_fd)
             os.close(write_fd)
             children[pid] = fd
-        results = [run(own)]
-        for pid, fd in list(children.items()):
+        own, seconds, failure = _run_in_order(lambda j: run(j, 0), len(jobs))
+        outcomes = [own]
+        failures = [] if failure is None else [(*failure, 0)]  # (job, exception, process)
+        for w, (pid, fd) in enumerate(list(children.items()), start=1):
             with open(fd, "rb", closefd=False) as pipe:
-                data = pipe.read()  # to the end: the worker has closed its end
+                tag, data = pipe.read(1), pipe.read()  # to the end: the worker has closed its end
             _, status = os.waitpid(pid, 0)
             del children[pid]
             os.close(fd)
-            results.append(_outcome(data, status, results[0].shape[:-1]))
+            values, failure = _outcome(tag, data, status)
+            if failure is not None:
+                failures.append((*failure, w))
+            elif not failures:
+                outcomes.append(split(values, w, own))
     finally:
         for pid, fd in children.items():  # those not reaped above: stop them first
             os.close(fd)
@@ -226,8 +309,17 @@ def _per_replicate(kernel: Callable, replicates: int, width: int, prefix: tuple)
                 os.waitpid(pid, 0)
             except (ProcessLookupError, ChildProcessError):  # already reaped
                 pass
-        os.sched_setaffinity(0, mask)
-    return np.concatenate(results, axis=-1)
+        if mask is not None:
+            os.sched_setaffinity(0, mask)
+    if failures:
+        raise min(failures, key=lambda f: (f[0], f[2]))[1]
+    joined = []
+    for j in range(len(jobs)):  # each part is dropped once joined, to keep the peak memory low
+        parts = [out[j] for out in outcomes if out[j] is not None]
+        for out in outcomes:
+            out[j] = None
+        joined.append(np.concatenate(parts, axis=-1))
+    return joined, seconds
 
 
 def _read_only(values: np.ndarray) -> np.ndarray:
@@ -323,58 +415,89 @@ class ComparisonRow:
     t3_pass: bool
 
 
-def _replicate_losses(config: ScenarioConfig) -> np.ndarray:
-    """Per-replicate squared losses, shape (2, replicates): row 0 URE, row 1 EW.
+def _loss_job(config: ScenarioConfig) -> _Job:
+    """The job of a scenario's per-replicate squared losses: row 0 URE, row 1 EW.
 
-    The block buffers and the URE penalty row (the risk profile of a zero
-    observation) are made once per call, the buffers sized for a full block,
-    and every kernel writes into the buffers through out=; a shorter last
-    block uses their leading rows.  Each worker writes into its own copies.
+    Its kernel's block buffers and URE penalty row (the risk profile of a
+    zero observation) are made once per process that runs a share of the
+    scenario, the buffers sized for a full block, and every kernel writes into
+    the buffers through out=; a shorter last block uses their leading rows.
     """
     mu, sigma, models = config.mu, config.sigma, config.models
-    rows = min(_block_rows(mu.size), config.replicates)
-    obs, diff = np.empty((2, rows, mu.size))
-    profile, weights = np.empty((2, rows, models.size))
-    penalty = risk_profile(np.zeros(models[-1]), sigma, models)
 
-    def losses(seeds) -> np.ndarray:
-        block = len(seeds)
-        y = draw_observations(mu, sigma, seeds, out=obs[:block])
-        rbar = risk_profile(y, sigma, models, out=profile[:block], penalty=penalty)
-        w = exponential_weights(rbar, sigma, out=weights[:block])
-        # URE puts all weight on mhat, the first argmin model, so its aggregate
-        # is Y * 1.0 = Y up to mhat and Y * 0.0 = +-0.0 beyond.  The projection
-        # at mhat has the same bits up to mhat and +0.0 beyond, where
-        # (+-0.0 - mu_i)^2 is the same square, so the loss keeps its bits.
-        mhat = models[np.argmin(rbar, axis=-1)]
-        d = diff[:block]
-        ure = squared_loss(projection_estimate(y, mhat, out=d), mu, out=d)
-        ew = squared_loss(aggregate(y, models, w, out=d), mu, out=d)
-        return np.stack([ure, ew])
+    def make_kernel() -> Callable:
+        rows = min(_block_rows(mu.size), config.replicates)
+        obs, diff = np.empty((2, rows, mu.size))
+        profile, weights = np.empty((2, rows, models.size))
+        penalty = risk_profile(np.zeros(models[-1]), sigma, models)
 
-    return _per_replicate(losses, config.replicates, mu.size, config.substream_prefix)
+        def losses(seeds) -> np.ndarray:
+            block = len(seeds)
+            y = draw_observations(mu, sigma, seeds, out=obs[:block])
+            rbar = risk_profile(y, sigma, models, out=profile[:block], penalty=penalty)
+            w = exponential_weights(rbar, sigma, out=weights[:block])
+            # URE puts all weight on mhat, the first argmin model, so its aggregate
+            # is Y * 1.0 = Y up to mhat and Y * 0.0 = +-0.0 beyond.  The projection
+            # at mhat has the same bits up to mhat and +0.0 beyond, where
+            # (+-0.0 - mu_i)^2 is the same square, so the loss keeps its bits.
+            mhat = models[np.argmin(rbar, axis=-1)]
+            d = diff[:block]
+            ure = squared_loss(projection_estimate(y, mhat, out=d), mu, out=d)
+            ew = squared_loss(aggregate(y, models, w, out=d), mu, out=d)
+            return np.stack([ure, ew])
+
+        return losses
+
+    return _Job(make_kernel, config.replicates, mu.size, config.substream_prefix)
+
+
+def verify_scenarios(
+    configs: list[ScenarioConfig],
+) -> tuple[list[ComparisonRow], list[float]]:
+    """Run both estimators on every scenario and check their risks against the regret budgets.
+
+    Returns one ComparisonRow per config, in order, and the calling
+    process's seconds on each scenario: its oracle scan, its budgets and its
+    own share of the replicates.  Every oracle risk and budget is computed
+    before the replicates run, so a scenario that cannot be bounded fails
+    before any worker starts; the replicates of all scenarios then run in one
+    engine call.
+    """
+    checks, seconds = [], []
+    for config in configs:
+        begun = time.perf_counter()
+        oracle = oracle_risk(config.mu, config.sigma, config.models)
+        budgets = theorem_bounds(oracle.oracle_risk, config.sigma, config.models.size)
+        checks.append((oracle, budgets))
+        seconds.append(time.perf_counter() - begun)
+    losses, shares = _per_replicate([_loss_job(config) for config in configs])
+    rows = []
+    for config, (oracle, budgets), samples in zip(configs, checks, losses):
+        ure_est, ew_est = map(RiskEstimate.from_samples, samples)
+        rows.append(
+            ComparisonRow(
+                scenario_id=config.scenario_id,
+                oracle_risk=oracle.oracle_risk,
+                oracle_index=oracle.oracle_index,
+                ure_mean=ure_est.mean,
+                ure_se=ure_est.std_error,
+                ew_mean=ew_est.mean,
+                ew_se=ew_est.std_error,
+                t1_shape=budgets.t1,
+                t2_budget=budgets.t2,
+                t3_budget=budgets.t3,
+                empirical_K=(ure_est.mean - oracle.oracle_risk) / budgets.t1,
+                t2_pass=ew_est.within(oracle.oracle_risk + budgets.t2),
+                t3_pass=ew_est.within(oracle.oracle_risk + budgets.t3),
+            )
+        )
+    return rows, [own + share for own, share in zip(seconds, shares)]
 
 
 def verify_oracle_inequalities(config: ScenarioConfig) -> ComparisonRow:
     """Run both estimators and check their Monte Carlo risks against the regret budgets."""
-    oracle = oracle_risk(config.mu, config.sigma, config.models)
-    budgets = theorem_bounds(oracle.oracle_risk, config.sigma, config.models.size)
-    ure_est, ew_est = map(RiskEstimate.from_samples, _replicate_losses(config))
-    return ComparisonRow(
-        scenario_id=config.scenario_id,
-        oracle_risk=oracle.oracle_risk,
-        oracle_index=oracle.oracle_index,
-        ure_mean=ure_est.mean,
-        ure_se=ure_est.std_error,
-        ew_mean=ew_est.mean,
-        ew_se=ew_est.std_error,
-        t1_shape=budgets.t1,
-        t2_budget=budgets.t2,
-        t3_budget=budgets.t3,
-        empirical_K=(ure_est.mean - oracle.oracle_risk) / budgets.t1,
-        t2_pass=ew_est.within(oracle.oracle_risk + budgets.t2),
-        t3_pass=ew_est.within(oracle.oracle_risk + budgets.t3),
-    )
+    (row,), _ = verify_scenarios([config])
+    return row
 
 
 def lemma2_empirical(
@@ -437,7 +560,8 @@ def lemma2_empirical(
         return np.where(top < 0.0, 0.0, top) if which == "linear" else top
 
     prefix = (seed, _stable_key(f"lemma2:{which}:{alpha!r}"))
-    return RiskEstimate.from_samples(_per_replicate(walks, replicates, width, prefix))
+    (maxima,), _ = _per_replicate([_Job(lambda: walks, replicates, width, prefix)])
+    return RiskEstimate.from_samples(maxima)
 
 
 def unbiasedness_check(config: ScenarioConfig) -> dict[int, RiskEstimate]:
@@ -449,5 +573,6 @@ def unbiasedness_check(config: ScenarioConfig) -> dict[int, RiskEstimate]:
         obs = draw_observations(mu, sigma, seeds)
         return (risk_profile(obs, sigma, models) + offsets).T
 
-    stats = _per_replicate(centered, config.replicates, mu.size, config.substream_prefix)
+    job = _Job(lambda: centered, config.replicates, mu.size, config.substream_prefix)
+    (stats,), _ = _per_replicate([job])
     return {m: RiskEstimate.from_samples(row) for m, row in zip(models.tolist(), stats)}

@@ -17,6 +17,7 @@ check them once, where they enter.
 from __future__ import annotations
 
 import sys
+from collections.abc import Iterable
 from typing import Sequence, Union
 
 import numpy as np
@@ -102,7 +103,10 @@ def tail_squared_norms(mu: np.ndarray) -> np.ndarray:
 
 def _seed_entropy(seed: SeedLike) -> list[int]:
     # SeedSequence wants nonnegative entropy words; fold negatives deterministically.
-    parts = [seed] if isinstance(seed, (int, np.integer)) else list(seed)
+    if isinstance(seed, (int, np.integer)):
+        parts = [seed]
+    else:  # a float or other non-iterable seed gives no parts, and so the error below
+        parts = list(seed) if isinstance(seed, Iterable) else []
     if not parts or not all(isinstance(p, (int, np.integer)) for p in parts):
         raise ValueError("seed must be an integer or a non-empty sequence of integers")
     return [int(p) % (1 << 128) for p in parts]

@@ -311,17 +311,19 @@ class TestSimulate:
             t2_pass=False,
             t3_pass=True,
         )
-        monkeypatch.setattr(cli, "verify_oracle_inequalities", lambda cfg: fake_row)
+        monkeypatch.setattr(
+            cli, "verify_scenarios", lambda cfgs: ([fake_row] * len(cfgs), [1e-3] * len(cfgs))
+        )
         code = cli.main(
             ["simulate", "--config", write_config(tmp_path), "--out", str(tmp_path / "o")]
         )
         assert code == 1
 
     def test_unexpected_exception_exits_three(self, tmp_path, monkeypatch, capsys):
-        def broken(cfg):
+        def broken(cfgs):
             raise RuntimeError("engine fault\nsecond line")
 
-        monkeypatch.setattr(cli, "verify_oracle_inequalities", broken)
+        monkeypatch.setattr(cli, "verify_scenarios", broken)
         code = cli.main(
             ["simulate", "--config", write_config(tmp_path), "--out", str(tmp_path / "o")]
         )

@@ -1,5 +1,6 @@
 """Tests for the reproducible Monte Carlo engine and empirical bound checks."""
 
+import dataclasses
 import errno
 import math
 import os
@@ -19,11 +20,13 @@ from ewagg.montecarlo import (
     LEMMA2_VARIANTS,
     RiskEstimate,
     ScenarioConfig,
-    _replicate_losses,
+    _loss_job,
+    _per_replicate,
     _stable_key,
     lemma2_empirical,
     unbiasedness_check,
     verify_oracle_inequalities,
+    verify_scenarios,
 )
 from ewagg.sequence_model import (
     generate_observation,
@@ -47,6 +50,12 @@ def make_config(**overrides):
     )
     defaults.update(overrides)
     return ScenarioConfig(**defaults)
+
+
+def replicate_losses(cfg):
+    """cfg's per-replicate squared losses from the engine, shape (2, replicates)."""
+    (losses,), _ = _per_replicate([_loss_job(cfg)])
+    return losses
 
 
 class TestScenarioConfig:
@@ -96,7 +105,7 @@ class TestReplicateLosses:
     def test_single_model_family(self):
         # With one candidate both estimators are that projection; true risk is 1.
         cfg = make_config(models=np.array([1]), replicates=10_000)
-        ure, ew = _replicate_losses(cfg)
+        ure, ew = replicate_losses(cfg)
         np.testing.assert_array_equal(ure, ew)
         row = verify_oracle_inequalities(cfg)
         for mean, se in ((row.ure_mean, row.ure_se), (row.ew_mean, row.ew_se)):
@@ -111,7 +120,7 @@ class TestReplicateLosses:
 
         def run():
             return (
-                _replicate_losses(cfg),
+                replicate_losses(cfg),
                 unbiasedness_check(unbiased_cfg),
                 [lemma2_empirical(**lemma_case(w), replicates=97, seed=5)
                  for w in LEMMA2_VARIANTS],
@@ -135,7 +144,7 @@ class TestReplicateLosses:
             models=np.array([1, 3, 8]),
             replicates=25,
         )
-        losses = _replicate_losses(cfg)
+        losses = replicate_losses(cfg)
         mu = cfg.mu
         key = _stable_key(cfg.scenario_id)
         for rep in range(cfg.replicates):
@@ -196,7 +205,7 @@ class TestReplicateLosses:
                 diff[:length] = estimate
                 diff[: mu.size] -= mu
                 expected[row, rep] = np.sum(diff * diff)
-        assert _replicate_losses(cfg).tobytes() == expected.tobytes()
+        assert replicate_losses(cfg).tobytes() == expected.tobytes()
 
     def test_ew_respects_log_cardinality_budget(self):
         cfg = make_config(models=np.arange(1, 101), replicates=10_000)
@@ -509,6 +518,117 @@ class TestProcessEngine:
         unbiasedness_check(make_config(mu_spec="poly:beta=1,scale=1,N=100", models=[1, 50],
                                        replicates=97, base_seed=1))
         lemma2_empirical(0.25, "chi2_upper", k_max=100, replicates=97, seed=1)
+        assert_engine_left_nothing()
+
+
+def batch_configs(one_block_middle=False):
+    """Three scenarios of N = 100 and 97 replicates: blocks of 40, 40 and 17 rows.
+
+    With one_block_middle the second has N = 10 and a single block of 97 rows.
+    """
+    middle = ("zero:N=10", np.arange(1, 11)) if one_block_middle else ("zero", np.arange(1, 101))
+    specs = [("poly:beta=1,scale=1", np.arange(1, 101)), middle,
+             ("sparse:k=5,amp=1", np.r_[1:40:3, 50, 100])]
+    return [make_config(scenario_id=f"s{i}", mu_spec=mu_spec, models=models, replicates=97,
+                        sigma=0.3, base_seed=11)
+            for i, (mu_spec, models) in enumerate(specs, start=1)]
+
+
+class TestBatchEngine:
+    """verify_scenarios runs every scenario of a call in one set of forked workers."""
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        fork = os.fork
+        pids = []
+
+        def counting_fork():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(montecarlo.os, "fork", counting_fork)
+        monkeypatch.setattr(montecarlo, "_WORKERS", 2)
+        return pids
+
+    def test_simulate_forks_once_for_all_its_scenarios(self, forks, tmp_path):
+        # Three scenarios of 130 replicates at N = 100: four blocks each.
+        config = tmp_path / "three.cfg"
+        config.write_text("".join(
+            f"[{name}]\nmu = {mu}\nsigma = 0.3\nmodels = 1..100\nreplicates = 130\n"
+            "base_seed = 5\n\n"
+            for name, mu in [("a", "zero"), ("b", "poly:beta=1,scale=1"), ("c", "sparse:k=5,amp=1")]
+        ))
+        assert cli.main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
+        assert len(forks) == 1
+        assert_engine_left_nothing()
+
+    def test_one_block_scenarios_do_not_fork(self, forks, tmp_path):
+        # 300 rows of N = 10 fit one block of 409 rows.
+        config = tmp_path / "small.cfg"
+        config.write_text("".join(
+            f"[{name}]\nmu = {mu}\nsigma = 1.0\nmodels = 1..10\nreplicates = 300\n"
+            "base_seed = 5\n\n"
+            for name, mu in [("a", "zero"), ("b", "poly:beta=1,scale=1")]
+        ))
+        assert cli.main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
+        assert forks == []
+
+    def test_lemma_check_forks_once(self, forks, capsys):
+        # At the default --kmax each walk is its own block: 200 blocks.
+        argv = ["lemma-check", "--which", "chi2_upper", "--alpha", "0.25", "--reps", "200"]
+        assert cli.main(argv) == 0
+        assert len(forks) == 1
+        assert_engine_left_nothing()
+
+    def test_a_bound_that_fails_stops_the_call_before_any_fork(self, forks):
+        configs = batch_configs()
+        configs.append(make_config(scenario_id="huge", mu_spec="explicit:1e200,1", models=[1, 2]))
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            verify_scenarios(configs)
+        assert forks == []
+
+    def test_an_empty_batch_runs_nothing(self, forks):
+        assert verify_scenarios([]) == ([], [])
+        assert forks == []
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_batch_rows_are_the_single_scenario_rows(self, monkeypatch, workers):
+        configs = batch_configs(one_block_middle=True)
+        monkeypatch.setattr(montecarlo, "_WORKERS", 1)
+        singles = [verify_oracle_inequalities(cfg) for cfg in configs]
+        monkeypatch.setattr(montecarlo, "_WORKERS", workers)
+        rows, seconds = verify_scenarios(configs)
+        assert [dataclasses.astuple(row) for row in rows] == [
+            dataclasses.astuple(row) for row in singles
+        ]
+        assert len(seconds) == len(configs) and all(s > 0.0 for s in seconds)
+        assert_engine_left_nothing()
+
+    def test_the_first_failure_in_scenario_order_reaches_the_caller(self, monkeypatch):
+        # Blocks 0 and 1 (rows 0..79) of each scenario run in the caller, block
+        # 2 (rows 80..96) in the worker.  Scenario 2 fails in the worker's
+        # share, scenario 3 earlier in time, in the caller's.
+        configs = batch_configs()
+        worker_fault = substream_words(configs[1].substream_prefix, np.array([90]))[0]
+        caller_fault = substream_words(configs[2].substream_prefix, np.array([5]))[0]
+        draw, caller = montecarlo.draw_observations, os.getpid()
+
+        def failing(mu, sigma, seeds, out=None):
+            for seed in seeds:
+                if np.array_equal(seed.words, worker_fault):
+                    if os.getpid() == caller:
+                        raise AssertionError("row 90 belongs to the worker's share")
+                    raise RuntimeError("scenario 2 failed")
+                if np.array_equal(seed.words, caller_fault):
+                    raise RuntimeError("scenario 3 failed")
+            return draw(mu, sigma, seeds, out=out)
+
+        monkeypatch.setattr(montecarlo, "draw_observations", failing)
+        monkeypatch.setattr(montecarlo, "_WORKERS", 2)
+        with pytest.raises(RuntimeError, match="scenario 2 failed"):
+            verify_scenarios(configs)
         assert_engine_left_nothing()
 
 

@@ -129,7 +129,7 @@ class TestGenerateObservation:
         obs = generate_observation(np.array([1.0, 2.0]), 1.0, 42)
         np.testing.assert_allclose(obs, [1.3047170797544314, 0.9600158937595045], rtol=1e-15)
 
-    @pytest.mark.parametrize("seed", [(), (7, 2.0), "7", [3, None]])
+    @pytest.mark.parametrize("seed", [(), (7, 2.0), "7", [3, None], 1.5, np.float64(2.0)])
     def test_seed_must_be_integers(self, seed):
         with pytest.raises(ValueError, match="^seed must be an integer"):
             generate_observation(np.zeros(2), 1.0, seed)
