@@ -25,22 +25,25 @@ The engine runs a call in _WORKERS processes, one per CPU in the affinity
 mask: the calling process and workers forked from it once per call, each
 pinned to its own CPU.  A call takes a list of jobs (simulate passes every
 scenario of its config, the other entry points one job), and each process
-runs a contiguous share of every job's blocks, job after job.  Only the
-result arrays and a failure cross the process boundary.  Forking once per
-call rather than once per scenario matters on the grid's short scenarios,
-where each fork cost 2.5-6 ms before the worker ran and its copy-on-write
-faults slowed the caller's share.  The pinning is what makes the processes
-overlap: on a 2-vCPU x86_64 host the kernel often left two busy unpinned
-processes on one CPU, so two unpinned CPU-bound processes ran at
-x0.81-1.07 of one process's speed in 3 of 4 rounds, and at x1.25-1.99 once
-each was pinned to its own CPU.  A call where no job has two blocks, or on a
-platform without fork or affinity masks, runs in the calling process.
+runs a contiguous share of every job's blocks, job after job, writing their
+results straight into result arrays that the caller shares with its workers;
+a worker's pipe carries only a failure.  Forking once per call rather than
+once per scenario matters on the grid's short scenarios, where each fork
+cost 2.5-6 ms before the worker ran and its copy-on-write faults slowed the
+caller's share.  The pinning is what makes the processes overlap: on a
+2-vCPU x86_64 host the kernel often left two busy unpinned processes on one
+CPU, so two unpinned CPU-bound processes ran at x0.81-1.07 of one process's
+speed in 3 of 4 rounds, and at x1.25-1.99 once each was pinned to its own
+CPU.  A call where no job has two blocks, or on a platform without fork or
+affinity masks, runs in the calling process.
 """
 
 from __future__ import annotations
 
+import errno
 import hashlib
 import math
+import mmap
 import os
 import pickle
 import signal
@@ -109,23 +112,24 @@ def _block_rows(width: int) -> int:
     return max(1, _BLOCK_VALUES // width)
 
 
-def _worker_cpus(mask) -> list[int]:
-    """The CPUs the engine pins its processes to: the first _WORKERS of the sorted mask."""
-    return sorted(mask)[:_WORKERS]
+def _worker_cpus(mask, processes: int) -> list[int]:
+    """The CPUs the engine pins its processes to: the lowest `processes` CPUs of the mask."""
+    return sorted(mask)[:processes]
 
 
 def engine_record(configs) -> dict:
     """How simulate runs the configs: for the run manifest.
 
-    workers is _WORKERS, cpus the CPUs the processes are pinned to (None when
-    the calling process runs alone, unpinned), and blocks the block count of
-    each scenario.  The command runs in min(workers, most blocks) processes,
-    the caller and the workers it forks once, and each scenario's blocks are
-    dealt to min(workers, blocks) of them.
+    workers is _WORKERS, blocks the block count of each scenario, and cpus the
+    CPUs of the processes that run them (None when the calling process runs
+    alone, unpinned).  The command runs in min(workers, most blocks)
+    processes, the caller and the workers it forks once, and each scenario's
+    blocks are dealt to min(workers, blocks) of them.
     """
-    cpus = _worker_cpus(os.sched_getaffinity(0)) if _WORKERS > 1 else None
-    blocks = {cfg.scenario_id: -(-cfg.replicates // _block_rows(cfg.mu.size)) for cfg in configs}
-    return {"workers": _WORKERS, "cpus": cpus, "blocks": blocks}
+    _, blocks, processes = _plan([_loss_job(cfg) for cfg in configs])
+    cpus = _worker_cpus(os.sched_getaffinity(0), processes) if processes > 1 else None
+    return {"workers": _WORKERS, "cpus": cpus,
+            "blocks": {cfg.scenario_id: count for cfg, count in zip(configs, blocks)}}
 
 
 def _shares(blocks: int, workers: int) -> list[range]:
@@ -141,7 +145,7 @@ class _Job(NamedTuple):
     The replicates run in blocks of _block_rows(width) rows.  Each process
     that has a share of the job calls make_kernel() once, when it reaches the
     job, and gets the block kernel: kernel(seeds) takes one SubstreamSeed per
-    row of a block and returns a float64 array (..., B).  So a process holds
+    row of a block and returns a float64 array (*shape, B).  So a process holds
     one job's workspace at a time.
     """
 
@@ -149,6 +153,29 @@ class _Job(NamedTuple):
     replicates: int
     width: int
     prefix: tuple
+    shape: tuple[int, ...]
+
+
+def _plan(jobs: list[_Job]) -> tuple[list[int], list[int], int]:
+    """Rows per block and blocks of each job, and the processes: min(_WORKERS, most blocks)."""
+    rows = [_block_rows(job.width) for job in jobs]
+    blocks = [-(-job.replicates // r) for job, r in zip(jobs, rows)]
+    return rows, blocks, min(_WORKERS, max(blocks, default=1))
+
+
+def _shared_zeros(shape: tuple[int, ...]) -> np.ndarray:
+    """A zeroed float64 array in its own anonymous MAP_SHARED mapping: forked workers share it.
+
+    A mapping the system cannot give raises MemoryError.
+    """
+    nbytes = 8 * math.prod(shape)
+    try:
+        mapping = mmap.mmap(-1, nbytes)
+    except (OSError, OverflowError) as exc:  # OverflowError: more bytes than ssize_t holds
+        if isinstance(exc, OSError) and exc.errno != errno.ENOMEM:
+            raise
+        raise MemoryError(f"cannot map {nbytes} bytes of results") from None
+    return np.frombuffer(mapping).reshape(shape)
 
 
 def _pickled_failure(job: int, exc: BaseException) -> bytes:
@@ -161,119 +188,89 @@ def _pickled_failure(job: int, exc: BaseException) -> bytes:
     return data
 
 
-def _run_in_order(run: Callable[[int], np.ndarray | None], jobs: int):
+def _run_in_order(run: Callable[[int], None], jobs: int) -> tuple[list[float], tuple | None]:
     """run(0), run(1), ..., run(jobs - 1) until one raises.
 
-    Returns their results and seconds, and the (job, exception) that stopped
-    them, or None when every job ran.
+    Returns their seconds, and the (job, exception) that stopped them, or
+    None when every job ran.
     """
-    results, seconds = [], []
+    seconds = []
     for job in range(jobs):
         begun = time.perf_counter()
         try:
-            results.append(run(job))
+            run(job)
         except Exception as exc:
-            return results, seconds, (job, exc)
+            return seconds, (job, exc)
         seconds.append(time.perf_counter() - begun)
-    return results, seconds, None
+    return seconds, None
 
 
 def _run_worker(run: Callable, jobs: int, cpu: int, fd: int) -> NoReturn:
-    """In a forked child: run every job pinned to cpu, write the outcome to fd and exit.
+    """In a forked child: run every job pinned to cpu, then leave through os._exit.
 
-    The outcome is b"R" and the raw float64 bytes of each result in job
-    order, or b"E" and the pickled (job, exception) of the first failure.
-    The child leaves through os._exit, so none of the caller's exit handlers
-    or buffered output runs twice.
+    run writes the results into the shared arrays; fd gets only the pickled
+    (job, exception) of the first failure.  The exit status is 0 unless that
+    write fails, and os._exit runs none of the caller's exit handlers or
+    buffered output a second time.
     """
+    status = 1
     try:
         try:
             os.sched_setaffinity(0, {cpu})
-            results, _, failure = _run_in_order(run, jobs)
+            _, failure = _run_in_order(run, jobs)
         except BaseException as exc:  # every failure goes to the caller
-            results, failure = None, (0, exc)
+            failure = (0, exc)
         if failure:
-            payload = b"E" + _pickled_failure(*failure)
-        else:
-            payload = b"".join([b"R"] + [r.tobytes() for r in results if r is not None])
-        with open(fd, "wb") as pipe:
-            pipe.write(payload)
+            with open(fd, "wb") as pipe:
+                pipe.write(_pickled_failure(*failure))
+        status = 0
     finally:
-        os._exit(0)
-
-
-def _outcome(tag: bytes, data: bytes, status: int) -> tuple[np.ndarray | None, tuple | None]:
-    """The float64 values a worker wrote after tag, or the (job, exception) of its first failure.
-
-    A worker that wrote neither is reported at job 0, since where it stopped
-    is unknown.
-    """
-    if tag == b"R":
-        return np.frombuffer(data), None
-    if tag == b"E":
-        return None, pickle.loads(data)  # bytes that our own worker wrote
-    error = RuntimeError(f"a worker process ended without a result (wait status {status})")
-    return None, (0, error)
+        os._exit(status)
 
 
 def _per_replicate(jobs: list[_Job]) -> tuple[list[np.ndarray], list[float]]:
-    """Each job's results for its replicates 0..replicates-1, joined along the last axis.
+    """Each job's results for its replicates 0..replicates-1: an array (*shape, replicates).
 
-    Also returns the calling process's seconds on each job.  Every job's
-    blocks are dealt in contiguous shares to the same min(_WORKERS, most
-    blocks of any job) processes, forked once per call, and each process runs
-    its share of every job in job order, deriving the seed words of its own
-    share only.  The calling process runs the first share of each job pinned
-    to the first CPU of its mask, which is restored on return; each forked
-    worker pins itself to the next CPU and inherits the caller's memory,
-    numpy error state included.  The first failure in (job, replicate)
-    order, in a kernel or in a fork, is raised in the caller, and every
-    worker has been reaped by then, whether the call returns, raises or is
-    interrupted.  A worker writes its results only when it has run all its
-    shares, and the caller reads them only after its own, so no process
-    waits on another while it still has work.
+    Also returns the calling process's seconds on each job.  The result
+    arrays are allocated first, in memory that the forked workers share.
+    Every job's blocks are dealt in contiguous shares to the same _plan
+    processes, forked once per call, and each process runs its share of every
+    job in job order, deriving the seed words of its own share only and
+    writing each block's results into its replicate columns.  The calling
+    process runs the first share of each job pinned to the first CPU of its
+    mask, which is restored on return; each forked worker pins itself to the
+    next CPU and inherits the caller's memory, numpy error state included.
+    The first failure in (job, replicate) order, in a kernel or in a fork, is
+    raised in the caller, and every worker has been reaped by then, whether
+    the call returns, raises or is interrupted.  The caller waits for the
+    workers only after its own shares, so no process waits on another while
+    it still has work.
     """
     # substreams imports numpy.random, about 17 ms; importing it here keeps
     # that out of the commands that draw nothing (psi, bounds).
     from .substreams import SubstreamSeed, substream_words
 
-    rows = [_block_rows(job.width) for job in jobs]
-    blocks = [-(-job.replicates // r) for job, r in zip(jobs, rows)]
-    processes = min(_WORKERS, max(blocks, default=1))
+    rows, blocks, processes = _plan(jobs)
     shares = [_shares(count, processes) for count in blocks]
+    results = [_shared_zeros((*job.shape, job.replicates)) for job in jobs]
 
-    def span(j: int, w: int) -> range:
-        """The replicates of process w's share of job j."""
+    def run(j: int, w: int) -> None:
+        """Process w's share of job j, written into its replicate columns of results[j]."""
         share, r = shares[j][w], rows[j]
-        return range(share.start * r, min(share.stop * r, jobs[j].replicates))
-
-    def run(j: int, w: int) -> np.ndarray | None:
-        """Process w's share of job j, or None when it has none."""
-        reps, r = span(j, w), rows[j]
+        reps = range(share.start * r, min(share.stop * r, jobs[j].replicates))
         if not reps:
-            return None
+            return
         words = substream_words(jobs[j].prefix, np.arange(reps.start, reps.stop, dtype=np.uint64))
         kernel = jobs[j].make_kernel()
-        results = [
-            kernel(list(map(SubstreamSeed, words[i : i + r]))) for i in range(0, len(reps), r)
-        ]
-        return np.concatenate(results, axis=-1)
-
-    def split(values: np.ndarray, w: int, own: list[np.ndarray]) -> list[np.ndarray | None]:
-        """Worker w's values as one array per job, shaped as the caller's own result."""
-        parts, start = [], 0
-        for j, mine in enumerate(own):
-            n = len(span(j, w))
-            size = n * math.prod(mine.shape[:-1])
-            parts.append(values[start : start + size].reshape(*mine.shape[:-1], n) if n else None)
-            start += size
-        return parts
+        for i in range(0, len(reps), r):
+            seeds = list(map(SubstreamSeed, words[i : i + r]))
+            results[j][..., reps.start + i : reps.start + i + r] = kernel(seeds)
 
     mask = os.sched_getaffinity(0) if processes > 1 else None
     children: dict[int, int] = {}  # pid -> read end of its pipe, until reaped
     try:
         if mask is not None:
-            cpus = _worker_cpus(mask)
+            cpus = _worker_cpus(mask, processes)
             os.sched_setaffinity(0, {cpus[0]})
         for w in range(1, processes):
             fd, write_fd = os.pipe()
@@ -287,20 +284,19 @@ def _per_replicate(jobs: list[_Job]) -> tuple[list[np.ndarray], list[float]]:
                 _run_worker(lambda j: run(j, w), len(jobs), cpus[w % len(cpus)], write_fd)
             os.close(write_fd)
             children[pid] = fd
-        own, seconds, failure = _run_in_order(lambda j: run(j, 0), len(jobs))
-        outcomes = [own]
+        seconds, failure = _run_in_order(lambda j: run(j, 0), len(jobs))
         failures = [] if failure is None else [(*failure, 0)]  # (job, exception, process)
         for w, (pid, fd) in enumerate(list(children.items()), start=1):
             with open(fd, "rb", closefd=False) as pipe:
-                tag, data = pipe.read(1), pipe.read()  # to the end: the worker has closed its end
+                data = pipe.read()  # to the end, which comes when the worker exits
             _, status = os.waitpid(pid, 0)
             del children[pid]
             os.close(fd)
-            values, failure = _outcome(tag, data, status)
-            if failure is not None:
-                failures.append((*failure, w))
-            elif not failures:
-                outcomes.append(split(values, w, own))
+            if data:
+                failures.append((*pickle.loads(data), w))  # bytes that our own worker wrote
+            elif status:  # where it stopped is unknown, so it is reported at job 0
+                ended = f"a worker process ended without a result (wait status {status})"
+                failures.append((0, RuntimeError(ended), w))
     finally:
         for pid, fd in children.items():  # those not reaped above: stop them first
             os.close(fd)
@@ -313,13 +309,7 @@ def _per_replicate(jobs: list[_Job]) -> tuple[list[np.ndarray], list[float]]:
             os.sched_setaffinity(0, mask)
     if failures:
         raise min(failures, key=lambda f: (f[0], f[2]))[1]
-    joined = []
-    for j in range(len(jobs)):  # each part is dropped once joined, to keep the peak memory low
-        parts = [out[j] for out in outcomes if out[j] is not None]
-        for out in outcomes:
-            out[j] = None
-        joined.append(np.concatenate(parts, axis=-1))
-    return joined, seconds
+    return results, seconds
 
 
 def _read_only(values: np.ndarray) -> np.ndarray:
@@ -448,7 +438,7 @@ def _loss_job(config: ScenarioConfig) -> _Job:
 
         return losses
 
-    return _Job(make_kernel, config.replicates, mu.size, config.substream_prefix)
+    return _Job(make_kernel, config.replicates, mu.size, config.substream_prefix, (2,))
 
 
 def verify_scenarios(
@@ -519,7 +509,8 @@ def lemma2_empirical(
     linear statistic is exact: the finite support of mu makes suffixes beyond
     it empty, contributing the value 0 to the maximum.  mu is required by the
     linear variant and rejected by the others.  alpha must be finite and
-    positive, with 1/alpha finite, so that the budget is a number.
+    positive, with 1/alpha finite, so that the budget is a number, and k_max
+    a whole number >= 1.
     """
     alpha = float(alpha)
     if which not in LEMMA2_VARIANTS:
@@ -528,8 +519,9 @@ def lemma2_empirical(
         raise ValueError(f"alpha must be positive and finite, with 1/alpha finite, got {alpha}")
     if (which == "linear") != (mu is not None):
         raise ValueError("mu must be given for the linear variant and only for it")
-    if k_max < 1:
-        raise ValueError("k_max must be >= 1")
+    if not (k_max >= 1 and k_max % 1 == 0):
+        raise ValueError(f"k_max must be a whole number >= 1, got {k_max}")
+    k_max = int(k_max)
     replicates = check_replicates(replicates)
 
     # The drift line, sized by k_max or by the support of mu, is built here
@@ -560,7 +552,7 @@ def lemma2_empirical(
         return np.where(top < 0.0, 0.0, top) if which == "linear" else top
 
     prefix = (seed, _stable_key(f"lemma2:{which}:{alpha!r}"))
-    (maxima,), _ = _per_replicate([_Job(lambda: walks, replicates, width, prefix)])
+    (maxima,), _ = _per_replicate([_Job(lambda: walks, replicates, width, prefix, ())])
     return RiskEstimate.from_samples(maxima)
 
 
@@ -573,6 +565,6 @@ def unbiasedness_check(config: ScenarioConfig) -> dict[int, RiskEstimate]:
         obs = draw_observations(mu, sigma, seeds)
         return (risk_profile(obs, sigma, models) + offsets).T
 
-    job = _Job(lambda: centered, config.replicates, mu.size, config.substream_prefix)
+    job = _Job(lambda: centered, config.replicates, mu.size, config.substream_prefix, models.shape)
     (stats,), _ = _per_replicate([job])
     return {m: RiskEstimate.from_samples(row) for m, row in zip(models.tolist(), stats)}

@@ -112,18 +112,27 @@ class TestSimulate:
             assert isinstance(kernel, str) and kernel
 
     @pytest.mark.parametrize("workers", [1, 3])
-    def test_manifest_records_the_engine(self, monkeypatch, tmp_path, workers):
+    @pytest.mark.parametrize(
+        "text, blocks",
+        [
+            # 300 rows of N = 10 values fit one block of 409 rows; of N = 20, two of 204.
+            (GOOD_CONFIG, {"zero_small": 1, "poly_small": 2}),
+            (GOOD_CONFIG.split("[poly_small]")[0], {"zero_small": 1}),  # nothing forks
+        ],
+        ids=["two_blocks", "one_block"],
+    )
+    def test_manifest_records_the_engine(self, monkeypatch, tmp_path, workers, text, blocks):
         monkeypatch.setattr(montecarlo, "_WORKERS", workers)
-        out = tmp_path / "out"
-        assert cli.main(["simulate", "--config", write_config(tmp_path), "--out", str(out)]) == 0
+        out, config = tmp_path / "out", write_config(tmp_path, text)
+        assert cli.main(["simulate", "--config", config, "--out", str(out)]) == 0
         engine = json.loads((out / "run_manifest.json").read_text())["engine"]
-        # 300 rows of N = 10 values fit one block of 409 rows; of N = 20, two of 204.
-        assert engine["blocks"] == {"zero_small": 1, "poly_small": 2}
+        assert engine["blocks"] == blocks
         assert engine["workers"] == workers
-        if workers == 1:
+        processes = min(workers, max(blocks.values()))
+        if processes == 1:  # the caller runs alone, unpinned
             assert engine["cpus"] is None
         else:
-            assert engine["cpus"] == sorted(os.sched_getaffinity(0))[:workers]
+            assert engine["cpus"] == sorted(os.sched_getaffinity(0))[:processes]
 
     def test_results_do_not_depend_on_workers_or_blocks(self, monkeypatch, tmp_path):
         # N = 100 in 40-row blocks with a short last one, a gapped model set,

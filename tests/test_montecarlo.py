@@ -316,6 +316,15 @@ class TestLemma2Empirical:
             with pytest.raises(ValueError, match="replicates"):
                 lemma2_empirical(0.25, "chi2_upper", k_max=10, replicates=replicates)
 
+    @pytest.mark.parametrize("k_max", [2.5, 0.5, math.nan, math.inf, -math.inf])
+    def test_k_max_must_be_a_whole_number(self, k_max):
+        with pytest.raises(ValueError, match="k_max must be a whole number >= 1"):
+            lemma2_empirical(0.25, "chi2_upper", k_max=k_max, replicates=10)
+
+    def test_a_whole_float_k_max_is_its_int(self):
+        whole = lemma2_empirical(0.25, "chi2_upper", k_max=3.0, replicates=10, seed=2)
+        assert whole == lemma2_empirical(0.25, "chi2_upper", k_max=3, replicates=10, seed=2)
+
 
 def lemma_case(which):
     """Arguments of the pinned lemma-2 checks, one per variant."""
@@ -638,6 +647,31 @@ class TestUnbiasednessCheck:
                           replicates=5000, base_seed=3)
         for est in unbiasedness_check(cfg).values():
             assert abs(est.mean) <= 4.0 * est.std_error
+
+    def test_same_estimates_for_any_worker_count_and_block_size(self, monkeypatch):
+        # 97 rows of N = 100: 3 blocks of 40 rows, or 97 one-row blocks, whose
+        # (#M, replicates) result each process writes by columns.
+        cfg = make_config(mu_spec="poly:beta=1,scale=1,N=100", models=[1, 7, 50, 100],
+                          replicates=97, base_seed=5)
+        outputs = []
+        for workers in (1, 2, 3):
+            for block_values in (1, montecarlo._BLOCK_VALUES):
+                monkeypatch.setattr(montecarlo, "_WORKERS", workers)
+                monkeypatch.setattr(montecarlo, "_BLOCK_VALUES", block_values)
+                outputs.append(unbiasedness_check(cfg))
+                monkeypatch.undo()
+        assert all(out == outputs[0] for out in outputs)
+        assert_engine_left_nothing()
+
+    @pytest.mark.parametrize("count", [2, 5], ids=["no_memory", "beyond_ssize_t"])
+    def test_results_that_cannot_be_mapped_are_a_memory_error(self, count):
+        # (count, 2**58 - 1) float64 results, refused before any fork: about
+        # 2**62 bytes at count 2, more than an address space maps, and more
+        # bytes than ssize_t holds at count 5.
+        cfg = make_config(mu_spec=f"zero:N={count}", models=np.arange(1, count + 1),
+                          replicates=np.iinfo(np.intp).max // 32)
+        with pytest.raises(MemoryError, match="cannot map"):
+            unbiasedness_check(cfg)
 
     def test_keys_are_the_model_indices_as_ints(self):
         cfg = make_config(mu_spec="zero:N=3", models=np.array([1.0, 3.0]), replicates=2)
