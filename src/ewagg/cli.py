@@ -238,6 +238,7 @@ def cmd_simulate(config_path: str, out_dir: str) -> int:
         "tool_version": __version__,
         "config_digest": config_digest(scenarios),
         "base_seeds": {cfg.scenario_id: cfg.base_seed for cfg in scenarios},
+        "replicates": {cfg.scenario_id: cfg.replicates for cfg in scenarios},
         "timings_seconds": {"simulate": elapsed, "scenarios": seconds},
         "outputs": [csv_path, json_path],
         "engine": engine,

@@ -24,18 +24,22 @@ their out= argument (a shorter block uses their leading rows).
 The engine runs a call in _WORKERS processes, one per CPU in the affinity
 mask: the calling process and workers forked from it once per call, each
 pinned to its own CPU.  A call takes a list of jobs (simulate passes every
-scenario of its config, the other entry points one job), and each process
-runs a contiguous share of every job's blocks, job after job, writing their
-results straight into result arrays that the caller shares with its workers;
-a worker's pipe carries only a failure.  Forking once per call rather than
-once per scenario matters on the grid's short scenarios, where each fork
-cost 2.5-6 ms before the worker ran and its copy-on-write faults slowed the
-caller's share.  The pinning is what makes the processes overlap: on a
-2-vCPU x86_64 host the kernel often left two busy unpinned processes on one
-CPU, so two unpinned CPU-bound processes ran at x0.81-1.07 of one process's
-speed in 3 of 4 rounds, and at x1.25-1.99 once each was pinned to its own
-CPU.  A call where no job has two blocks, or on a platform without fork or
-affinity masks, runs in the calling process.
+scenario of its config, the other entry points one job).  Each job's
+replicates are dealt into contiguous near-equal shares, one per process, and
+each process runs its share of every job in blocks of at most the job's rows,
+job after job, writing their results straight into result arrays that the
+caller shares with its workers; a worker's pipe carries only a failure.
+Dealing replicates rather than whole blocks keeps the shares equal: 1,200
+replicates at N = 100 in blocks of 163 rows would split 652/548 by blocks.
+Forking once per call rather than once per scenario matters on the grid's
+short scenarios, where each fork cost 2.5-6 ms before the worker ran and its
+copy-on-write faults slowed the caller's share.  The pinning is what makes
+the processes overlap: on a 2-vCPU x86_64 host the kernel often left two
+busy unpinned processes on one CPU, so two unpinned CPU-bound processes ran
+at x0.81-1.07 of one process's speed in 3 of 4 rounds, and at x1.25-1.99
+once each was pinned to its own CPU.  A call where no job needs two blocks
+in one process, or on a platform without fork or affinity masks, runs in the
+calling process.
 """
 
 from __future__ import annotations
@@ -89,8 +93,9 @@ PASS_TOLERANCE_SE = 4.0
 LEMMA2_VARIANTS = ("chi2_upper", "linear", "chi2_lower")
 
 # Normals drawn per block of replicates (at least one row).  Outputs do not
-# depend on it; it trades per-call overhead against the block's memory.
-_BLOCK_VALUES = 1 << 12
+# depend on it; it trades per-call overhead against the block's memory.  At
+# N = 100 a block is 163 rows; N = 20,000 and the 10^4-step walks stay at one.
+_BLOCK_VALUES = 1 << 14
 
 
 # Processes that run the blocks of one call, the calling process among them
@@ -107,21 +112,23 @@ def _stable_key(label: str) -> int:
     return int.from_bytes(hashlib.sha256(label.encode("utf-8")).digest()[:8], "big")
 
 
-def _shares(blocks: int, workers: int) -> list[range]:
-    """Blocks 0..blocks-1 dealt into workers contiguous runs, in order."""
-    size, extra = divmod(blocks, workers)
-    ends = [w * size + min(w, extra) for w in range(workers + 1)]
+def _shares(count: int, parts: int) -> list[range]:
+    """0..count-1 dealt into parts contiguous runs of near-equal length, in order."""
+    size, extra = divmod(count, parts)
+    ends = [w * size + min(w, extra) for w in range(parts + 1)]
     return [range(lo, hi) for lo, hi in zip(ends, ends[1:])]
 
 
 class _Job(NamedTuple):
     """One entry point's replicates: replicate rep draws from the substream (*prefix, rep).
 
-    _per_replicate runs the replicates in blocks sized from width.  Each process
-    with a share of the job calls make_kernel(rows) once, on reaching the job,
-    with its share's largest block, and gets the block kernel: kernel(seeds)
-    takes one SubstreamSeed per row of a block (at most rows) and returns a
-    float64 array (*shape, B).  So a process holds one job's workspace at a time.
+    _per_replicate deals the replicates into one contiguous share per process
+    and runs each share in blocks of at most _BLOCK_VALUES // width rows.  Each
+    process with a share of the job calls make_kernel(rows) once, on reaching
+    the job, with its share's largest block, and gets the block kernel:
+    kernel(seeds) takes one SubstreamSeed per row of a block (at most rows) and
+    returns a float64 array (*shape, B).  So a process holds one job's
+    workspace at a time.
     """
 
     make_kernel: Callable[[int], Callable]
@@ -200,45 +207,48 @@ def _per_replicate(jobs: list[_Job]) -> tuple[list[np.ndarray], list[float], dic
     """Each job's results for its replicates 0..replicates-1: an array (*shape, replicates).
 
     Also returns the calling process's seconds on each job and the engine
-    record {"workers": _WORKERS, "cpus", "blocks": each job's block count}.
-    The call runs in min(_WORKERS, most blocks) processes, forked once; cpus
-    lists their CPUs, or is None when the caller runs alone, unpinned.  The
-    result arrays are allocated first, in memory that the forked workers
-    share.  Each job's blocks are dealt in contiguous shares to the processes,
-    and each process runs its share of every job in job order, deriving the
-    seed words of its own share only and writing each block's results into its
-    replicate columns.  The calling process runs the first share of each job
-    pinned to the first CPU of its mask, which is restored on return; each
-    forked worker pins itself to the next CPU and inherits the caller's
-    memory, numpy error state included.  The first failure in (job, replicate)
-    order, in a kernel or in a fork, is raised in the caller, and every worker
-    has been reaped by then, whether the call returns, raises or is
-    interrupted.  The caller waits for the workers only after its own shares,
-    so no process waits on another while it still has work.
+    record {"workers": _WORKERS, "cpus", "blocks": each job's count of blocks
+    run, over all processes}.  A job's rows per block are _BLOCK_VALUES //
+    width (at least one), and the call runs in min(_WORKERS, most blocks that
+    a job would take in one process) processes, forked once; cpus lists their
+    CPUs, or is None when the caller runs alone, unpinned.  The result arrays
+    are allocated first, in memory that the forked workers share.  Each job's
+    replicates are dealt in contiguous near-equal shares to the processes, and
+    each process runs its share of every job in job order, in blocks of at
+    most the job's rows, deriving the seed words of its own share only and
+    writing each block's results into its replicate columns.  The calling
+    process runs the first share of each job pinned to the first CPU of its
+    mask, which is restored on return; each forked worker pins itself to the
+    next CPU and inherits the caller's memory, numpy error state included.
+    The first failure in (job, replicate) order, in a kernel or in a fork, is
+    raised in the caller, and every worker has been reaped by then, whether
+    the call returns, raises or is interrupted.  The caller waits for the
+    workers only after its own shares, so no process waits on another while
+    it still has work.
     """
     # substreams imports numpy.random, about 17 ms; importing it here keeps
     # that out of the commands that draw nothing (psi, bounds).
     from .substreams import SubstreamSeed, substream_words
 
     rows = [max(1, _BLOCK_VALUES // job.width) for job in jobs]
-    blocks = [-(-job.replicates // r) for job, r in zip(jobs, rows)]
-    processes = min(_WORKERS, max(blocks, default=1))
+    most = max((-(-job.replicates // r) for job, r in zip(jobs, rows)), default=1)
+    processes = min(_WORKERS, most)
     mask = os.sched_getaffinity(0) if processes > 1 else None
     cpus = None if mask is None else sorted(mask)[:processes]
-    shares = [_shares(count, processes) for count in blocks]
+    shares = [_shares(job.replicates, processes) for job in jobs]
+    blocks = [sum(-(-len(reps) // r) for reps in parts) for parts, r in zip(shares, rows)]
     results = [_shared_zeros((*job.shape, job.replicates)) for job in jobs]
 
     def run(j: int, w: int) -> None:
         """Process w's share of job j, written into its replicate columns of results[j]."""
-        share, r = shares[j][w], rows[j]
-        reps = range(share.start * r, min(share.stop * r, jobs[j].replicates))
+        reps, r = shares[j][w], rows[j]
         if not reps:
             return
         words = substream_words(jobs[j].prefix, np.arange(reps.start, reps.stop, dtype=np.uint64))
         kernel = jobs[j].make_kernel(min(r, len(reps)))
         for i in range(0, len(reps), r):
-            seeds = list(map(SubstreamSeed, words[i : i + r]))
-            results[j][..., reps.start + i : reps.start + i + r] = kernel(seeds)
+            block, seeds = reps[i : i + r], list(map(SubstreamSeed, words[i : i + r]))
+            results[j][..., block.start : block.stop] = kernel(seeds)
 
     children: dict[int, int] = {}  # pid -> read end of its pipe, until reaped
     try:

@@ -139,11 +139,14 @@ def generate_observation(
 ) -> np.ndarray:
     """Draw Y = mu + sigma * Z with Z i.i.d. standard normal (see standard_normals).
 
-    Z is drawn into out when it is given, then scaled and shifted in place.
-    IEEE products and sums commute, so the bits are those of mu + sigma * Z.
+    Z is drawn into a fresh array, and sigma * Z is written to out when it is
+    given (into Z otherwise) before mu is added in place.  IEEE products and
+    sums commute, so the bits are those of mu + sigma * Z.  A fresh Z skips
+    standard_normal's checks of an out array, which cost more than the
+    allocation at N = 100.
     """
-    out = standard_normals(seed, mu.size, out=out)
-    out *= sigma
+    z = standard_normals(seed, mu.size)
+    out = np.multiply(z, sigma, out=z if out is None else out)
     out += mu
     return out
 

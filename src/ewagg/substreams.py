@@ -139,6 +139,7 @@ class SubstreamSeed(ISeedSequence):
         self.words = words
 
     def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 4 or np.dtype(dtype) != np.uint64:
+        # PCG64 passes np.uint64 itself; the identity test skips np.dtype's lookup.
+        if n_words != 4 or (dtype is not np.uint64 and np.dtype(dtype) != np.uint64):
             raise ValueError("a substream seed holds only the 4 uint64 words that PCG64 asks for")
         return self.words

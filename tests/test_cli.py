@@ -91,6 +91,7 @@ class TestSimulate:
         assert manifest["tool_version"]
         assert len(manifest["config_digest"]) == 64
         assert manifest["base_seeds"] == {"zero_small": 90210, "poly_small": 90210}
+        assert manifest["replicates"] == {"zero_small": 300, "poly_small": 300}
         assert "simulate" in manifest["timings_seconds"]
         assert len(manifest["outputs"]) == 2
         assert set(manifest["engine"]) == {"workers", "cpus", "blocks"}
@@ -113,45 +114,54 @@ class TestSimulate:
 
     @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize(
-        "text, blocks",
+        "text, most, blocks",
         [
-            # 300 rows of N = 10 values fit one block of 409 rows; of N = 20, two of 204.
-            (GOOD_CONFIG, {"zero_small": 1, "poly_small": 2}),
-            (GOOD_CONFIG.split("[poly_small]")[0], {"zero_small": 1}),  # nothing forks
+            # In one process, 300 rows of N = 10 values fit one block of 1,638
+            # rows and 1,000 of N = 20 take two of 819.  So a call with
+            # workers >= 2 runs in two processes, and each runs a half of each
+            # scenario as one block.
+            (GOOD_CONFIG.replace("models = 1..20", "models = 1..20\nreplicates = 1000"), 2,
+             {1: {"zero_small": 1, "poly_small": 2}, 3: {"zero_small": 2, "poly_small": 2}}),
+            # Nothing forks.
+            (GOOD_CONFIG.split("[poly_small]")[0], 1,
+             {1: {"zero_small": 1}, 3: {"zero_small": 1}}),
         ],
         ids=["two_blocks", "one_block"],
     )
-    def test_manifest_records_the_engine(self, monkeypatch, tmp_path, workers, text, blocks):
+    def test_manifest_records_the_engine(
+        self, monkeypatch, tmp_path, workers, text, most, blocks
+    ):
         monkeypatch.setattr(montecarlo, "_WORKERS", workers)
         out, config = tmp_path / "out", write_config(tmp_path, text)
         assert cli.main(["simulate", "--config", config, "--out", str(out)]) == 0
         engine = json.loads((out / "run_manifest.json").read_text())["engine"]
-        assert engine["blocks"] == blocks
+        assert engine["blocks"] == blocks[workers]
         assert engine["workers"] == workers
-        processes = min(workers, max(blocks.values()))
+        processes = min(workers, most)  # most: a scenario's blocks in one process
         if processes == 1:  # the caller runs alone, unpinned
             assert engine["cpus"] is None
         else:
             assert engine["cpus"] == sorted(os.sched_getaffinity(0))[:processes]
 
     def test_results_do_not_depend_on_workers_or_blocks(self, monkeypatch, tmp_path):
-        # N = 100 in 40-row blocks with a short last one, a gapped model set,
-        # and N = 5,000 in one-row blocks.
+        # N = 100 in 163-row blocks with a short last one (40-row blocks at
+        # 2^12 values), a gapped model set, and N = 10,000 in one-row blocks.
         config = write_config(tmp_path, GOOD_CONFIG + (
             "[poly_wide]\nmu = poly:beta=1,scale=1,N=100\nsigma = 0.3\nmodels = 1..100\n"
-            "replicates = 130\n\n"
+            "replicates = 400\n\n"
             "[sparse_gapped]\nmu = sparse:k=5,amp=1,N=100\nsigma = 0.1\nmodels = 1..5,20,50..60\n"
-            "replicates = 130\n\n"
-            "[one_row]\nmu = poly:beta=1,scale=1\nsigma = 0.05\nmodels = 1..5000\nreplicates = 5\n"
+            "replicates = 400\n\n"
+            "[one_row]\nmu = poly:beta=1,scale=1\nsigma = 0.05\nmodels = 1..10000\nreplicates = 5\n"
         ))
         outputs = set()
         for workers in (1, 2, 3):
-            for block_values in (1, montecarlo._BLOCK_VALUES):
+            for block_values in (1, 1 << 12, montecarlo._BLOCK_VALUES):
                 monkeypatch.setattr(montecarlo, "_WORKERS", workers)
                 monkeypatch.setattr(montecarlo, "_BLOCK_VALUES", block_values)
                 out = tmp_path / f"out_{workers}_{block_values}"
                 assert cli.main(["simulate", "--config", config, "--out", str(out)]) == 0
-                outputs.add((out / "results.csv").read_bytes())
+                outputs.add(((out / "results.csv").read_bytes(),
+                             (out / "results.json").read_bytes()))
                 monkeypatch.undo()
         assert len(outputs) == 1
 

@@ -198,8 +198,8 @@ class TestReplicateLosses:
             ("poly:beta=1,scale=1", np.r_[1:40:3, 100:2000:7, 2500, 3999, 4000], 6),
             # A mean longer than the largest model: #M < N with M the prefix 1..#M.
             ("poly:beta=1,scale=1,N=4100", np.arange(1, 4001), 6),
-            # 97 replicates in blocks of 40 rows: the last block uses 17 rows of the buffers.
-            ("poly:beta=1,scale=1", np.arange(1, 101), 97),
+            # 200 replicates in blocks of 163 rows: the last block uses 37 rows of the buffers.
+            ("poly:beta=1,scale=1", np.arange(1, 101), 200),
         ],
         ids=["full", "gapped", "mean_beyond_models", "short_last_block"],
     )
@@ -394,7 +394,8 @@ class TestProcessEngine:
     @pytest.mark.parametrize("which", LEMMA2_VARIANTS)
     def test_same_estimate_for_any_worker_count(self, monkeypatch, which, workers):
         # replicates=3 with 5 workers: the count is capped at the replicates.
-        for replicates in (3, 41):
+        # 400 linear walks of N = 100 take three blocks, so they fork too.
+        for replicates in (3, 41, 400):
             monkeypatch.setattr(montecarlo, "_WORKERS", 1)
             serial = lemma2_empirical(**lemma_case(which), replicates=replicates, seed=9)
             monkeypatch.setattr(montecarlo, "_WORKERS", workers)
@@ -437,7 +438,7 @@ class TestProcessEngine:
         ]
         outputs = {}
         for workers in (1, 2):
-            for block_values in (1, montecarlo._BLOCK_VALUES):
+            for block_values in (1, 1 << 12, montecarlo._BLOCK_VALUES):
                 monkeypatch.setattr(montecarlo, "_WORKERS", workers)
                 monkeypatch.setattr(montecarlo, "_BLOCK_VALUES", block_values)
                 for argv in commands:
@@ -542,11 +543,22 @@ class TestProcessEngine:
             lemma2_empirical(0.25, "chi2_upper", k_max=100, replicates=20, seed=1)
         assert_engine_left_nothing()
 
-    def test_each_process_sizes_its_workspace_for_its_largest_block(self, monkeypatch, tmp_path):
-        # 97 rows of N = 100 run in blocks of 40, 40 and 17, one per process, so
-        # the process with the short last block makes a 17-row workspace.
+    @pytest.mark.parametrize(
+        "workers, workspaces, blocks",
+        [
+            # Shares of 200 rows run in blocks of 163 and 37: each workspace has 163 rows.
+            (2, [163, 163], 4),
+            # Shares of 134, 133 and 133 rows are one block each, sized to the share.
+            (3, [133, 133, 134], 3),
+        ],
+        ids=["2_processes", "3_processes"],
+    )
+    def test_each_process_sizes_its_workspace_for_its_largest_block(
+        self, monkeypatch, tmp_path, workers, workspaces, blocks
+    ):
+        # 400 rows of N = 100, dealt to the processes in contiguous shares.
         log = tmp_path / "rows.txt"
-        cfg = make_config(mu_spec="poly:beta=1,scale=1", models=np.arange(1, 101), replicates=97)
+        cfg = make_config(mu_spec="poly:beta=1,scale=1", models=np.arange(1, 101), replicates=400)
         job = _loss_job(cfg)
 
         def logged(rows):
@@ -555,32 +567,64 @@ class TestProcessEngine:
             return job.make_kernel(rows)
 
         expected = replicate_losses(cfg)
-        monkeypatch.setattr(montecarlo, "_WORKERS", 3)
+        monkeypatch.setattr(montecarlo, "_WORKERS", workers)
         (losses,), _, engine = _per_replicate([job._replace(make_kernel=logged)])
-        assert sorted(map(int, log.read_text().split())) == [17, 40, 40]
-        assert engine["blocks"] == [3]
+        assert sorted(map(int, log.read_text().split())) == workspaces
+        assert engine["blocks"] == [blocks]
+        np.testing.assert_array_equal(losses, expected)
+        assert_engine_left_nothing()
+
+    def test_two_processes_run_equal_shares_of_replicates(self, monkeypatch, tmp_path):
+        # 1,200 rows of N = 100 are dealt 600 to each process, which runs its
+        # share in blocks of 163, 163, 163 and 111 rows.
+        log = tmp_path / "blocks.txt"
+        cfg = make_config(mu_spec="poly:beta=1,scale=1", models=np.arange(1, 101), replicates=1200)
+        job = _loss_job(cfg)
+
+        def make_logged(rows):
+            kernel = job.make_kernel(rows)
+
+            def logged(seeds):
+                with open(log, "a", encoding="utf-8") as fh:
+                    fh.write(f"{os.getpid()} {len(seeds)}\n")
+                return kernel(seeds)
+
+            return logged
+
+        expected = replicate_losses(cfg)
+        monkeypatch.setattr(montecarlo, "_WORKERS", 2)
+        (losses,), _, engine = _per_replicate([job._replace(make_kernel=make_logged)])
+        runs: dict[int, list[int]] = {}
+        for line in log.read_text().splitlines():
+            pid, rows = map(int, line.split())
+            runs.setdefault(pid, []).append(rows)
+        assert sorted(runs.values()) == [[163, 163, 163, 111]] * 2
+        assert os.getpid() in runs
+        assert engine["blocks"] == [8]
         np.testing.assert_array_equal(losses, expected)
         assert_engine_left_nothing()
 
     def test_no_child_is_left_by_any_entry_point(self, monkeypatch):
+        # 400 rows of N = 100 take three blocks, so every entry point forks.
         monkeypatch.setattr(montecarlo, "_WORKERS", 2)
-        cfg = make_config(mu_spec="poly:beta=1,scale=1", models=np.arange(1, 101), replicates=97)
+        cfg = make_config(mu_spec="poly:beta=1,scale=1", models=np.arange(1, 101), replicates=400)
         verify_oracle_inequalities(cfg)
         unbiasedness_check(make_config(mu_spec="poly:beta=1,scale=1,N=100", models=[1, 50],
-                                       replicates=97, base_seed=1))
-        lemma2_empirical(0.25, "chi2_upper", k_max=100, replicates=97, seed=1)
+                                       replicates=400, base_seed=1))
+        lemma2_empirical(0.25, "chi2_upper", k_max=100, replicates=400, seed=1)
         assert_engine_left_nothing()
 
 
 def batch_configs(one_block_middle=False):
-    """Three scenarios of N = 100 and 97 replicates: blocks of 40, 40 and 17 rows.
+    """Three scenarios of N = 100 and 400 replicates: blocks of 163, 163 and 74 rows in one process.
 
-    With one_block_middle the second has N = 10 and a single block of 97 rows.
+    With one_block_middle the second has N = 10 and a single block of 400
+    rows in one process.
     """
     middle = ("zero:N=10", np.arange(1, 11)) if one_block_middle else ("zero", np.arange(1, 101))
     specs = [("poly:beta=1,scale=1", np.arange(1, 101)), middle,
              ("sparse:k=5,amp=1", np.r_[1:40:3, 50, 100])]
-    return [make_config(scenario_id=f"s{i}", mu_spec=mu_spec, models=models, replicates=97,
+    return [make_config(scenario_id=f"s{i}", mu_spec=mu_spec, models=models, replicates=400,
                         sigma=0.3, base_seed=11)
             for i, (mu_spec, models) in enumerate(specs, start=1)]
 
@@ -604,10 +648,10 @@ class TestBatchEngine:
         return pids
 
     def test_simulate_forks_once_for_all_its_scenarios(self, forks, tmp_path):
-        # Three scenarios of 130 replicates at N = 100: four blocks each.
+        # Three scenarios of 400 replicates at N = 100: three blocks each in one process.
         config = tmp_path / "three.cfg"
         config.write_text("".join(
-            f"[{name}]\nmu = {mu}\nsigma = 0.3\nmodels = 1..100\nreplicates = 130\n"
+            f"[{name}]\nmu = {mu}\nsigma = 0.3\nmodels = 1..100\nreplicates = 400\n"
             "base_seed = 5\n\n"
             for name, mu in [("a", "zero"), ("b", "poly:beta=1,scale=1"), ("c", "sparse:k=5,amp=1")]
         ))
@@ -616,7 +660,7 @@ class TestBatchEngine:
         assert_engine_left_nothing()
 
     def test_one_block_scenarios_do_not_fork(self, forks, tmp_path):
-        # 300 rows of N = 10 fit one block of 409 rows.
+        # 300 rows of N = 10 fit one block of 1,638 rows.
         config = tmp_path / "small.cfg"
         config.write_text("".join(
             f"[{name}]\nmu = {mu}\nsigma = 1.0\nmodels = 1..10\nreplicates = 300\n"
@@ -645,14 +689,24 @@ class TestBatchEngine:
         assert verify_scenarios([]) == ([], [], engine)
         assert forks == []
 
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    def test_batch_rows_are_the_single_scenario_rows(self, monkeypatch, workers):
+    @pytest.mark.parametrize(
+        "workers, blocks",
+        [
+            (1, {"s1": 3, "s2": 1, "s3": 3}),
+            # Shares of 200 rows: 163 and 37 at N = 100, one block at N = 10.
+            (2, {"s1": 4, "s2": 2, "s3": 4}),
+            # Shares of 134, 133 and 133 rows: one block each.
+            (3, {"s1": 3, "s2": 3, "s3": 3}),
+        ],
+        ids=["1", "2", "3"],
+    )
+    def test_batch_rows_are_the_single_scenario_rows(self, monkeypatch, workers, blocks):
         configs = batch_configs(one_block_middle=True)
         monkeypatch.setattr(montecarlo, "_WORKERS", 1)
         singles = [verify_oracle_inequalities(cfg) for cfg in configs]
         monkeypatch.setattr(montecarlo, "_WORKERS", workers)
         rows, seconds, engine = verify_scenarios(configs)
-        assert engine["workers"] == workers and engine["blocks"] == {"s1": 3, "s2": 1, "s3": 3}
+        assert engine["workers"] == workers and engine["blocks"] == blocks
         assert [dataclasses.astuple(row) for row in rows] == [
             dataclasses.astuple(row) for row in singles
         ]
@@ -660,11 +714,11 @@ class TestBatchEngine:
         assert_engine_left_nothing()
 
     def test_the_first_failure_in_scenario_order_reaches_the_caller(self, monkeypatch):
-        # Blocks 0 and 1 (rows 0..79) of each scenario run in the caller, block
-        # 2 (rows 80..96) in the worker.  Scenario 2 fails in the worker's
-        # share, scenario 3 earlier in time, in the caller's.
+        # Rows 0..199 of each scenario run in the caller, rows 200..399 in the
+        # worker.  Scenario 2 fails in the worker's share, scenario 3 earlier
+        # in time, in the caller's.
         configs = batch_configs()
-        worker_fault = substream_words(configs[1].substream_prefix, np.array([90]))[0]
+        worker_fault = substream_words(configs[1].substream_prefix, np.array([290]))[0]
         caller_fault = substream_words(configs[2].substream_prefix, np.array([5]))[0]
         draw, caller = montecarlo.draw_observations, os.getpid()
 
@@ -672,7 +726,7 @@ class TestBatchEngine:
             for seed in seeds:
                 if np.array_equal(seed.words, worker_fault):
                     if os.getpid() == caller:
-                        raise AssertionError("row 90 belongs to the worker's share")
+                        raise AssertionError("row 290 belongs to the worker's share")
                     raise RuntimeError("scenario 2 failed")
                 if np.array_equal(seed.words, caller_fault):
                     raise RuntimeError("scenario 3 failed")
@@ -693,10 +747,10 @@ class TestUnbiasednessCheck:
             assert abs(est.mean) <= 4.0 * est.std_error
 
     def test_same_estimates_for_any_worker_count_and_block_size(self, monkeypatch):
-        # 97 rows of N = 100: 3 blocks of 40 rows, or 97 one-row blocks, whose
-        # (#M, replicates) result each process writes by columns.
+        # 400 rows of N = 100: blocks of at most 163 rows, or 400 one-row blocks,
+        # whose (#M, replicates) result each process writes by columns.
         cfg = make_config(mu_spec="poly:beta=1,scale=1,N=100", models=[1, 7, 50, 100],
-                          replicates=97, base_seed=5)
+                          replicates=400, base_seed=5)
         outputs = []
         for workers in (1, 2, 3):
             for block_values in (1, montecarlo._BLOCK_VALUES):

@@ -216,10 +216,14 @@ class TestSubstreamWords:
 
     def test_seed_serves_only_the_pcg64_request(self):
         seed = SubstreamSeed(substream_words((1, 2), np.arange(1, dtype=np.uint64))[0])
-        assert np.array_equal(seed.generate_state(4, np.uint64), seed.words)
-        for n_words, dtype in [(4, np.uint32), (8, np.uint32), (2, np.uint64), (5, np.uint64)]:
-            with pytest.raises(ValueError):
+        for dtype in [np.uint64, "u8", "uint64", np.dtype(np.uint64)]:
+            assert np.array_equal(seed.generate_state(4, dtype), seed.words)
+        for n_words, dtype in [(4, np.uint32), (8, np.uint32), (2, np.uint64), (5, np.uint64),
+                               (4, "u4"), (4, np.dtype(np.uint32)), (4, np.int64), (4, "f8")]:
+            with pytest.raises(ValueError, match="only the 4 uint64 words"):
                 seed.generate_state(n_words, dtype)
+        with pytest.raises(ValueError):
+            seed.generate_state(4)  # SeedSequence's default word type, uint32
         with pytest.raises(ValueError):
             SubstreamSeed(np.zeros(3, dtype=np.uint64))
         with pytest.raises(ValueError):
