@@ -17,7 +17,6 @@ from .estimators import (
     m_epsilon,
     projection_estimate,
     risk_profile,
-    unbiased_risk,
     ure_weights,
 )
 from .risk import OracleReport, oracle_risk
@@ -52,7 +51,6 @@ __all__ = [
     "squared_loss",
     "mean_vector_from_spec",
     "projection_estimate",
-    "unbiased_risk",
     "risk_profile",
     "ure_weights",
     "exponential_weights",

@@ -36,7 +36,6 @@ from .sequence_model import check_models
 
 __all__ = [
     "projection_estimate",
-    "unbiased_risk",
     "risk_profile",
     "ure_weights",
     "exponential_weights",
@@ -63,12 +62,6 @@ def projection_estimate(
     out.fill(0.0)
     np.copyto(out, Y, where=keep)
     return out
-
-
-def unbiased_risk(Y: np.ndarray, sigma: float, m: int) -> float | np.ndarray:
-    """Unbiased risk estimate -sum_{i<=m} Y_i^2 + 2 sigma^2 m of the m-projection."""
-    values = risk_profile(Y, sigma, check_models([m]))[..., 0]
-    return float(values) if values.ndim == 0 else values
 
 
 def risk_profile(

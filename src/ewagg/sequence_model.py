@@ -23,7 +23,6 @@ from typing import Sequence, Union
 import numpy as np
 
 __all__ = [
-    "SeedLike",
     "check_sigma",
     "check_models",
     "check_mean",

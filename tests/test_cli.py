@@ -116,10 +116,10 @@ class TestSimulate:
     @pytest.mark.parametrize(
         "text, most, blocks",
         [
-            # In one process, 300 rows of N = 10 values fit one block of 1,638
-            # rows and 1,000 of N = 20 take two of 819.  So a call with
-            # workers >= 2 runs in two processes, and each runs a half of each
-            # scenario as one block.
+            # At 10,000 values per block, 300 rows of N = 10 fit one block of
+            # 1,000 rows in one process, and 1,000 rows of N = 20 take two of
+            # 500.  So a call with workers >= 2 runs in two processes, and each
+            # runs a half of each scenario as one block.
             (GOOD_CONFIG.replace("models = 1..20", "models = 1..20\nreplicates = 1000"), 2,
              {1: {"zero_small": 1, "poly_small": 2}, 3: {"zero_small": 2, "poly_small": 2}}),
             # Nothing forks.
@@ -132,6 +132,7 @@ class TestSimulate:
         self, monkeypatch, tmp_path, workers, text, most, blocks
     ):
         monkeypatch.setattr(montecarlo, "_WORKERS", workers)
+        monkeypatch.setattr(montecarlo, "_BLOCK_VALUES", 10_000)
         out, config = tmp_path / "out", write_config(tmp_path, text)
         assert cli.main(["simulate", "--config", config, "--out", str(out)]) == 0
         engine = json.loads((out / "run_manifest.json").read_text())["engine"]
@@ -144,8 +145,9 @@ class TestSimulate:
             assert engine["cpus"] == sorted(os.sched_getaffinity(0))[:processes]
 
     def test_results_do_not_depend_on_workers_or_blocks(self, monkeypatch, tmp_path):
-        # N = 100 in 163-row blocks with a short last one (40-row blocks at
-        # 2^12 values), a gapped model set, and N = 10,000 in one-row blocks.
+        # 400 rows of N = 100, once with a gapped model set: one-row blocks,
+        # blocks of 40 rows, and blocks of 150 rows with a short last one in
+        # one or two processes.  N = 10,000 runs in one-row blocks at each size.
         config = write_config(tmp_path, GOOD_CONFIG + (
             "[poly_wide]\nmu = poly:beta=1,scale=1,N=100\nsigma = 0.3\nmodels = 1..100\n"
             "replicates = 400\n\n"
@@ -155,14 +157,16 @@ class TestSimulate:
         ))
         outputs = set()
         for workers in (1, 2, 3):
-            for block_values in (1, 1 << 12, montecarlo._BLOCK_VALUES):
+            for block_values in (1, 40 * 100, 150 * 100):
                 monkeypatch.setattr(montecarlo, "_WORKERS", workers)
                 monkeypatch.setattr(montecarlo, "_BLOCK_VALUES", block_values)
                 out = tmp_path / f"out_{workers}_{block_values}"
                 assert cli.main(["simulate", "--config", config, "--out", str(out)]) == 0
                 outputs.add(((out / "results.csv").read_bytes(),
                              (out / "results.json").read_bytes()))
-                monkeypatch.undo()
+                # Every size takes several blocks at N = 100, so workers > 1 fork.
+                cpus = json.loads((out / "run_manifest.json").read_text())["engine"]["cpus"]
+                assert (cpus is None) == (workers == 1)
         assert len(outputs) == 1
 
     def test_manifest_times_each_scenario(self, tmp_path):
@@ -307,6 +311,10 @@ class TestSimulate:
         assert (out1 / "results.csv").read_bytes() == (out2 / "results.csv").read_bytes()
         manifest = json.loads((out1 / "run_manifest.json").read_text())
         assert set(manifest["base_seeds"].values()) == {31415}
+        # The seed from the environment gives the bytes of the same seed in the config.
+        seeded = write_config(tmp_path, GOOD_CONFIG.replace("90210", "31415"), name="seeded.cfg")
+        assert cli.main(["simulate", "--config", seeded, "--out", str(tmp_path / "o4")]) == 0
+        assert (tmp_path / "o4" / "results.csv").read_bytes() == (out1 / "results.csv").read_bytes()
 
         capsys.readouterr()
         monkeypatch.setenv(cli.SEED_ENV, "abc")
@@ -568,6 +576,72 @@ class TestClosedStdout:
             patch.setattr(cli, "lemma2_empirical", lambda *args, **kwargs: failed)
             code = cli.main(["lemma-check", "--which", "chi2_upper", "--alpha", "0.25"])
         assert code == 1
+
+
+def run_cli(argv, cwd, cpu=None):
+    """Run the CLI in a child process, confined to the one CPU cpu unless cpu is None.
+
+    The mask is set in the child before it starts Python, so the engine there
+    sees a one-CPU machine; the test process keeps its own mask.
+    """
+    confine = None if cpu is None else (lambda: os.sched_setaffinity(0, {cpu}))
+    return subprocess.run(
+        [sys.executable, "-m", "ewagg.cli", *argv],
+        cwd=cwd, env=_child_env(), capture_output=True, timeout=120, preexec_fn=confine,
+    )
+
+
+class TestOneCpuMask:
+    """A run confined to one CPU by a real affinity mask writes the bytes of an unconfined run.
+
+    Each command is sized against the engine's block size so that one process
+    takes several blocks: the confined run then runs them in one unpinned
+    process, and the unconfined one forks when its mask has more than one CPU.
+    """
+
+    CPU = min(os.sched_getaffinity(0))
+
+    @staticmethod
+    def replicates(width):
+        """Two full blocks and a short third of width values per replicate, in one process."""
+        return 2 * max(1, montecarlo._BLOCK_VALUES // width) + 1
+
+    def test_simulate(self, tmp_path):
+        # a and c take three blocks in one process, b (N = 10, 50 rows) one.
+        config = write_config(tmp_path, (
+            f"[a]\nmu = poly:beta=1,scale=1\nsigma = 0.3\nmodels = 1..100\n"
+            f"replicates = {self.replicates(100)}\nbase_seed = 3\n\n"
+            "[b]\nmu = zero\nsigma = 1.0\nmodels = 1..10\nreplicates = 50\nbase_seed = 3\n\n"
+            f"[c]\nmu = sparse:k=5,amp=1\nsigma = 0.1\nmodels = 1..5000\n"
+            f"replicates = {self.replicates(5000)}\nbase_seed = 3\n"
+        ))
+        runs = {}
+        for name, cpu in (("one", self.CPU), ("all", None)):
+            proc = run_cli(["simulate", "--config", config, "--out", name], tmp_path, cpu)
+            assert (proc.returncode, proc.stderr) == (0, b"")
+            runs[name] = json.loads((tmp_path / name / "run_manifest.json").read_text())["engine"]
+        for output in ("results.csv", "results.json"):
+            one, unconfined = (tmp_path / name / output for name in ("one", "all"))
+            assert one.read_bytes() == unconfined.read_bytes()
+        assert runs["one"] == {"workers": 1, "cpus": None, "blocks": {"a": 3, "b": 1, "c": 3}}
+        mask = sorted(os.sched_getaffinity(0))
+        assert runs["all"]["workers"] == len(mask)
+        if len(mask) > 1:  # one pinned process per CPU, at most one per block of a
+            assert runs["all"]["cpus"] == mask[:3]
+
+    @pytest.mark.parametrize(
+        "argv, width",
+        [
+            (["--which", "chi2_upper", "--alpha", "0.25", "--kmax", "500"], 500),
+            (["--which", "linear", "--alpha", "0.5", "--mu", "poly:beta=1,scale=1,N=100"], 100),
+        ],
+        ids=["chi2_upper", "linear"],
+    )
+    def test_lemma_check(self, tmp_path, argv, width):
+        argv = ["lemma-check", *argv, "--reps", str(self.replicates(width)), "--seed", "4"]
+        one, unconfined = (run_cli(argv, tmp_path, cpu) for cpu in (self.CPU, None))
+        assert (one.returncode, one.stderr) == (0, b"")
+        assert (unconfined.returncode, unconfined.stdout) == (one.returncode, one.stdout)
 
 
 class TestOversizedInputs:

@@ -12,10 +12,10 @@ from ewagg.estimators import (
     m_epsilon,
     projection_estimate,
     risk_profile,
-    unbiased_risk,
     ure_weights,
 )
 from ewagg.sequence_model import (
+    check_models,
     draw_observations,
     generate_observation,
     mean_vector_from_spec,
@@ -54,11 +54,13 @@ class TestProjectionEstimate:
 
 
 class TestUnbiasedRisk:
+    """rbar(Y, m) is the profile entry of the one-model set {m}."""
+
     def test_arithmetic(self):
-        assert unbiased_risk([2.0, 1.0], SIGMA1, 2) == -5.0 + 4.0 == -1.0
+        assert risk_profile([2.0, 1.0], SIGMA1, check_models([2]))[..., 0] == -5.0 + 4.0 == -1.0
 
     def test_zero_data(self):
-        assert unbiased_risk([0.0, 0.0], SIGMA1, 1) == 2.0
+        assert risk_profile([0.0, 0.0], SIGMA1, check_models([1]))[..., 0] == 2.0
 
     def test_equals_the_profile_entry_exactly(self):
         rng = np.random.default_rng(4)
@@ -67,16 +69,12 @@ class TestUnbiasedRisk:
             y = rng.normal(0.0, 3.0, size=40)
             sigma = float(rng.uniform(0.1, 2.0))
             profile = risk_profile(y, sigma, M)
-            assert [unbiased_risk(y, sigma, m) for m in M] == profile.tolist()
+            single = [risk_profile(y, sigma, check_models([m]))[..., 0] for m in M]
+            assert single == profile.tolist()
 
     def test_m_beyond_support_rejected(self):
         with pytest.raises(ValueError):
-            unbiased_risk([1.0, 2.0], SIGMA1, 3)
-
-    @pytest.mark.parametrize("m", [1.5, 2**63, 0])
-    def test_m_follows_the_model_set_rule(self, m):
-        with pytest.raises(ValueError, match="model indices"):
-            unbiased_risk(np.ones(3), SIGMA1, m)
+            risk_profile([1.0, 2.0], SIGMA1, check_models([3]))
 
     def test_expectation_matches_true_risk_up_to_norm(self):
         # E rbar(Y, m) + ||mu||^2 equals the exact projection risk.
@@ -86,7 +84,8 @@ class TestUnbiasedRisk:
         reps = 20_000
         # One block of the rows generate_observation(mu, sig, (881, rep)) gives.
         words = substream_words((881,), np.arange(reps, dtype=np.uint64))
-        vals = unbiased_risk(draw_observations(mu, sig, map(SubstreamSeed, words)), sig, m)
+        block = draw_observations(mu, sig, map(SubstreamSeed, words))
+        vals = risk_profile(block, sig, check_models([m]))[..., 0]
         se = vals.std(ddof=1) / np.sqrt(reps)
         target = true_projection_risk(mu, sig, m) - tail_squared_norms(mu)[0]
         assert abs(vals.mean() - target) <= 4.0 * se
@@ -397,7 +396,8 @@ class TestBlocks:
             for b, row in enumerate(values):
                 one = risk_profile(row, sigma, M)
                 assert np.array_equal(profile[b], one)
-                assert unbiased_risk(values, sigma, 9)[b] == unbiased_risk(row, sigma, 9)
+                nine = check_models([9])
+                assert np.array_equal(risk_profile(values, sigma, nine)[b], risk_profile(row, sigma, nine))
                 assert np.array_equal(projection_estimate(values, 5)[b], projection_estimate(row, 5))
                 assert m_epsilon(profile, M, sigma, 0.1)[b] == m_epsilon(one, M, sigma, 0.1)
                 assert np.array_equal(f_ordered[b], exponential_weights(one, sigma))

@@ -58,6 +58,31 @@ def replicate_losses(cfg):
     return losses
 
 
+def logging_blocks(job, log):
+    """job, with each block's process id and row count appended to the file log as it runs."""
+
+    def make_kernel(rows):
+        kernel = job.make_kernel(rows)
+
+        def logged(seeds):
+            with open(log, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()} {len(seeds)}\n")
+            return kernel(seeds)
+
+        return logged
+
+    return job._replace(make_kernel=make_kernel)
+
+
+def blocks_by_process(log):
+    """{process id: the row counts of its blocks, in run order} from a logging_blocks log."""
+    runs: dict[int, list[int]] = {}
+    for line in log.read_text().splitlines():
+        pid, rows = map(int, line.split())
+        runs.setdefault(pid, []).append(rows)
+    return runs
+
+
 class TestScenarioConfig:
     @pytest.mark.parametrize("replicates", [0, 1, -3])  # one sample gives no standard error
     def test_replicates_must_be_positive(self, replicates):
@@ -192,25 +217,26 @@ class TestReplicateLosses:
         assert verify_oracle_inequalities(cfg).ure_mean != ure_mean
 
     @pytest.mark.parametrize(
-        "mu_spec, models, replicates",
+        "mu_spec, models, blocks",
         [
-            ("poly:beta=1,scale=1", np.arange(1, 4001), 6),
-            ("poly:beta=1,scale=1", np.r_[1:40:3, 100:2000:7, 2500, 3999, 4000], 6),
+            ("poly:beta=1,scale=1", np.arange(1, 4001), [4, 2]),
+            ("poly:beta=1,scale=1", np.r_[1:40:3, 100:2000:7, 2500, 3999, 4000], [4, 2]),
             # A mean longer than the largest model: #M < N with M the prefix 1..#M.
-            ("poly:beta=1,scale=1,N=4100", np.arange(1, 4001), 6),
-            # 200 replicates in blocks of 163 rows: the last block uses 37 rows of the buffers.
-            ("poly:beta=1,scale=1", np.arange(1, 101), 200),
+            ("poly:beta=1,scale=1,N=4100", np.arange(1, 4001), [4, 2]),
+            ("poly:beta=1,scale=1", np.arange(1, 101), [150, 50]),
         ],
         ids=["full", "gapped", "mean_beyond_models", "short_last_block"],
     )
-    def test_kernel_bits_equal_the_dense_reference(self, mu_spec, models, replicates):
+    def test_kernel_bits_equal_the_dense_reference(
+        self, monkeypatch, tmp_path, mu_spec, models, blocks
+    ):
         # Up to M = 4,000 at sigma = 0.05: the EW weights end in runs of exact
         # zeros (at 3,000 the last ones are still subnormal).
         # The reference spells out the dense pipeline: mu + sigma * Z, one-hot
         # URE weights, every weight scattered before the reversed cumsum, and
         # the zero-padded loss.  Both sides call the same numpy kernels, so the
         # bytes agree on any build.
-        cfg = make_config(mu_spec=mu_spec, sigma=0.05, models=models, replicates=replicates)
+        cfg = make_config(mu_spec=mu_spec, sigma=0.05, models=models, replicates=sum(blocks))
         mu, sigma, length = cfg.mu, cfg.sigma, cfg.mu.size
         key = _stable_key(cfg.scenario_id)
         expected = np.empty((2, cfg.replicates))
@@ -227,7 +253,14 @@ class TestReplicateLosses:
                 diff[:length] = estimate
                 diff[: mu.size] -= mu
                 expected[row, rep] = np.sum(diff * diff)
-        assert replicate_losses(cfg).tobytes() == expected.tobytes()
+        # One process runs a full block and then a short one in the leading
+        # rows of the same buffers.
+        monkeypatch.setattr(montecarlo, "_WORKERS", 1)
+        monkeypatch.setattr(montecarlo, "_BLOCK_VALUES", blocks[0] * length)
+        log = tmp_path / "blocks.txt"
+        (losses,), _, _ = _per_replicate([logging_blocks(_loss_job(cfg), log)])
+        assert blocks_by_process(log) == {os.getpid(): blocks}
+        assert losses.tobytes() == expected.tobytes()
 
     def test_ew_respects_log_cardinality_budget(self):
         cfg = make_config(models=np.arange(1, 101), replicates=10_000)
@@ -365,6 +398,23 @@ def walk_words(rep):
 CPU_MASK = os.sched_getaffinity(0)
 
 
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the workers the engine forks, with _WORKERS = 2 unless the test sets it."""
+    fork = os.fork
+    pids = []
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(montecarlo.os, "fork", counting_fork)
+    monkeypatch.setattr(montecarlo, "_WORKERS", 2)
+    return pids
+
+
 def assert_engine_left_nothing():
     """No child of the test process, running or unreaped, and the CPU mask restored."""
     with pytest.raises(ChildProcessError):
@@ -392,16 +442,20 @@ class TestProcessEngine:
 
     @pytest.mark.parametrize("workers", [1, 2, 3, 5])
     @pytest.mark.parametrize("which", LEMMA2_VARIANTS)
-    def test_same_estimate_for_any_worker_count(self, monkeypatch, which, workers):
-        # replicates=3 with 5 workers: the count is capped at the replicates.
-        # 400 linear walks of N = 100 take three blocks, so they fork too.
+    def test_same_estimate_for_any_worker_count(self, monkeypatch, forks, which, workers):
+        # At 10,000 values per block a chi2 walk (k_max = 500) takes 20 rows
+        # and a linear one (N = 100) 100.  3 replicates are one block, so even
+        # 5 workers run them in one process; 400 take four blocks or more, so
+        # every count above one forks.
+        monkeypatch.setattr(montecarlo, "_BLOCK_VALUES", 10_000)
         for replicates in (3, 41, 400):
             monkeypatch.setattr(montecarlo, "_WORKERS", 1)
             serial = lemma2_empirical(**lemma_case(which), replicates=replicates, seed=9)
             monkeypatch.setattr(montecarlo, "_WORKERS", workers)
             assert lemma2_empirical(**lemma_case(which), replicates=replicates, seed=9) == serial
+        assert bool(forks) == (workers > 1)
 
-    def test_more_workers_than_cpus(self, monkeypatch):
+    def test_more_workers_than_cpus(self, monkeypatch, forks):
         # Eight processes sharing the CPUs, 50 one-walk blocks each: a share
         # joined out of order, or lost, changes the estimate.
         monkeypatch.setattr(montecarlo, "_WORKERS", 1)
@@ -409,6 +463,7 @@ class TestProcessEngine:
         monkeypatch.setattr(montecarlo, "_WORKERS", 8)
         monkeypatch.setattr(montecarlo, "_BLOCK_VALUES", 1)
         assert lemma2_empirical(0.25, "chi2_upper", k_max=50, replicates=400, seed=2) == serial
+        assert len(forks) == 7
         assert_engine_left_nothing()
 
     def test_a_fork_that_fails_stops_the_others(self, monkeypatch):
@@ -430,7 +485,10 @@ class TestProcessEngine:
         assert len(forks) == 1
         assert_engine_left_nothing()
 
-    def test_lemma_check_bytes_do_not_depend_on_workers(self, monkeypatch, capsys):
+    def test_lemma_check_bytes_do_not_depend_on_workers(self, monkeypatch, forks, capsys):
+        # 99 walks of 400 or 100 values: one walk per block, then 10 or 40
+        # walks per block at 4,000 values, and all 99 in one block at 40,000.
+        # So two workers fork once per command at the first two sizes only.
         commands = [
             ["--which", "chi2_upper", "--alpha", "0.25", "--kmax", "400"],
             ["--which", "chi2_lower", "--alpha", "0.5", "--kmax", "400"],
@@ -438,13 +496,14 @@ class TestProcessEngine:
         ]
         outputs = {}
         for workers in (1, 2):
-            for block_values in (1, 1 << 12, montecarlo._BLOCK_VALUES):
+            for block_values, forking in ((1, True), (4_000, True), (40_000, False)):
                 monkeypatch.setattr(montecarlo, "_WORKERS", workers)
                 monkeypatch.setattr(montecarlo, "_BLOCK_VALUES", block_values)
+                forked = len(forks)
                 for argv in commands:
                     assert cli.main(["lemma-check", *argv, "--reps", "99", "--seed", "3"]) == 0
                 outputs[workers, block_values] = capsys.readouterr().out
-                monkeypatch.undo()
+                assert len(forks) - forked == (3 if workers == 2 and forking else 0)
         assert len(set(outputs.values())) == 1
 
     def test_walks_run_in_two_pinned_processes(self, monkeypatch, tmp_path):
@@ -471,7 +530,7 @@ class TestProcessEngine:
         assert_engine_left_nothing()
 
     @pytest.mark.parametrize("failing_rep", [0, 15])  # the caller's share, then a worker's
-    def test_a_walk_exception_reaches_the_caller(self, monkeypatch, failing_rep):
+    def test_a_walk_exception_reaches_the_caller(self, monkeypatch, forks, failing_rep):
         draw = montecarlo.standard_normals
         words = walk_words(failing_rep)
 
@@ -481,13 +540,13 @@ class TestProcessEngine:
             return draw(seed, n, out=out)
 
         monkeypatch.setattr(montecarlo, "standard_normals", failing)
-        monkeypatch.setattr(montecarlo, "_WORKERS", 2)
         monkeypatch.setattr(montecarlo, "_BLOCK_VALUES", 1)
         with pytest.raises(RuntimeError, match=f"walk {failing_rep} failed"):
             lemma2_empirical(0.25, "chi2_upper", k_max=100, replicates=20, seed=1)
+        assert len(forks) == 1
         assert_engine_left_nothing()
 
-    def test_the_callers_error_state_reaches_the_workers(self, monkeypatch):
+    def test_the_callers_error_state_reaches_the_workers(self, monkeypatch, forks):
         draw = montecarlo.standard_normals
         words = walk_words(15)  # blocks 10..19 of 20 run on worker 1 of 2
 
@@ -498,13 +557,13 @@ class TestProcessEngine:
             return out
 
         monkeypatch.setattr(montecarlo, "standard_normals", overflowing)
-        monkeypatch.setattr(montecarlo, "_WORKERS", 2)
         monkeypatch.setattr(montecarlo, "_BLOCK_VALUES", 1)
         with np.errstate(over="raise"), pytest.raises(FloatingPointError):
             lemma2_empirical(0.25, "chi2_upper", k_max=100, replicates=20, seed=1)
+        assert len(forks) == 1
         assert_engine_left_nothing()
 
-    def test_an_exception_that_cannot_be_pickled_arrives_as_its_text(self, monkeypatch):
+    def test_an_exception_that_cannot_be_pickled_arrives_as_its_text(self, monkeypatch, forks):
         class TwoArgumentError(Exception):
             def __init__(self, first, second):
                 super().__init__(f"{first} and {second}")
@@ -518,13 +577,13 @@ class TestProcessEngine:
             return draw(seed, n, out=out)
 
         monkeypatch.setattr(montecarlo, "standard_normals", failing)
-        monkeypatch.setattr(montecarlo, "_WORKERS", 2)
         monkeypatch.setattr(montecarlo, "_BLOCK_VALUES", 1)
         with pytest.raises(RuntimeError, match="TwoArgumentError: walk and worker"):
             lemma2_empirical(0.25, "chi2_upper", k_max=100, replicates=20, seed=1)
+        assert len(forks) == 1
         assert_engine_left_nothing()
 
-    def test_a_worker_that_dies_is_reported(self, monkeypatch):
+    def test_a_worker_that_dies_is_reported(self, monkeypatch, forks):
         draw = montecarlo.standard_normals
         words = walk_words(15)
         caller = os.getpid()
@@ -537,28 +596,29 @@ class TestProcessEngine:
             return draw(seed, n, out=out)
 
         monkeypatch.setattr(montecarlo, "standard_normals", dying)
-        monkeypatch.setattr(montecarlo, "_WORKERS", 2)
         monkeypatch.setattr(montecarlo, "_BLOCK_VALUES", 1)
         with pytest.raises(RuntimeError, match="ended without a result"):
             lemma2_empirical(0.25, "chi2_upper", k_max=100, replicates=20, seed=1)
+        assert len(forks) == 1
         assert_engine_left_nothing()
 
     @pytest.mark.parametrize(
         "workers, workspaces, blocks",
         [
-            # Shares of 200 rows run in blocks of 163 and 37: each workspace has 163 rows.
-            (2, [163, 163], 4),
-            # Shares of 134, 133 and 133 rows are one block each, sized to the share.
-            (3, [133, 133, 134], 3),
+            # Shares of 210 rows run in blocks of 150 and 60: each workspace has 150 rows.
+            (2, [150, 150], 4),
+            # Shares of 140 rows are one block each, sized to the share.
+            (3, [140, 140, 140], 3),
         ],
         ids=["2_processes", "3_processes"],
     )
     def test_each_process_sizes_its_workspace_for_its_largest_block(
         self, monkeypatch, tmp_path, workers, workspaces, blocks
     ):
-        # 400 rows of N = 100, dealt to the processes in contiguous shares.
+        # 420 rows of N = 100 in blocks of at most 150 rows, dealt to the
+        # processes in contiguous shares.
         log = tmp_path / "rows.txt"
-        cfg = make_config(mu_spec="poly:beta=1,scale=1", models=np.arange(1, 101), replicates=400)
+        cfg = make_config(mu_spec="poly:beta=1,scale=1", models=np.arange(1, 101), replicates=420)
         job = _loss_job(cfg)
 
         def logged(rows):
@@ -568,6 +628,7 @@ class TestProcessEngine:
 
         expected = replicate_losses(cfg)
         monkeypatch.setattr(montecarlo, "_WORKERS", workers)
+        monkeypatch.setattr(montecarlo, "_BLOCK_VALUES", 150 * 100)
         (losses,), _, engine = _per_replicate([job._replace(make_kernel=logged)])
         assert sorted(map(int, log.read_text().split())) == workspaces
         assert engine["blocks"] == [blocks]
@@ -575,52 +636,38 @@ class TestProcessEngine:
         assert_engine_left_nothing()
 
     def test_two_processes_run_equal_shares_of_replicates(self, monkeypatch, tmp_path):
-        # 1,200 rows of N = 100 are dealt 600 to each process, which runs its
-        # share in blocks of 163, 163, 163 and 111 rows.
+        # 1,000 rows of N = 100 in blocks of at most 150 rows are dealt 500 to
+        # each process, which runs its share in blocks of 150, 150, 150 and 50
+        # rows.  Dealt as whole blocks (six of 150 and one of 100), they
+        # would split 600/400.
         log = tmp_path / "blocks.txt"
-        cfg = make_config(mu_spec="poly:beta=1,scale=1", models=np.arange(1, 101), replicates=1200)
-        job = _loss_job(cfg)
-
-        def make_logged(rows):
-            kernel = job.make_kernel(rows)
-
-            def logged(seeds):
-                with open(log, "a", encoding="utf-8") as fh:
-                    fh.write(f"{os.getpid()} {len(seeds)}\n")
-                return kernel(seeds)
-
-            return logged
-
+        cfg = make_config(mu_spec="poly:beta=1,scale=1", models=np.arange(1, 101), replicates=1000)
         expected = replicate_losses(cfg)
         monkeypatch.setattr(montecarlo, "_WORKERS", 2)
-        (losses,), _, engine = _per_replicate([job._replace(make_kernel=make_logged)])
-        runs: dict[int, list[int]] = {}
-        for line in log.read_text().splitlines():
-            pid, rows = map(int, line.split())
-            runs.setdefault(pid, []).append(rows)
-        assert sorted(runs.values()) == [[163, 163, 163, 111]] * 2
+        monkeypatch.setattr(montecarlo, "_BLOCK_VALUES", 150 * 100)
+        (losses,), _, engine = _per_replicate([logging_blocks(_loss_job(cfg), log)])
+        runs = blocks_by_process(log)
+        assert sorted(runs.values()) == [[150, 150, 150, 50]] * 2
         assert os.getpid() in runs
         assert engine["blocks"] == [8]
         np.testing.assert_array_equal(losses, expected)
         assert_engine_left_nothing()
 
-    def test_no_child_is_left_by_any_entry_point(self, monkeypatch):
-        # 400 rows of N = 100 take three blocks, so every entry point forks.
-        monkeypatch.setattr(montecarlo, "_WORKERS", 2)
+    def test_no_child_is_left_by_any_entry_point(self, monkeypatch, forks):
+        # 400 rows of N = 100 take three blocks of at most 150 rows, so every
+        # entry point forks.
+        monkeypatch.setattr(montecarlo, "_BLOCK_VALUES", 150 * 100)
         cfg = make_config(mu_spec="poly:beta=1,scale=1", models=np.arange(1, 101), replicates=400)
         verify_oracle_inequalities(cfg)
         unbiasedness_check(make_config(mu_spec="poly:beta=1,scale=1,N=100", models=[1, 50],
                                        replicates=400, base_seed=1))
         lemma2_empirical(0.25, "chi2_upper", k_max=100, replicates=400, seed=1)
+        assert len(forks) == 3
         assert_engine_left_nothing()
 
 
 def batch_configs(one_block_middle=False):
-    """Three scenarios of N = 100 and 400 replicates: blocks of 163, 163 and 74 rows in one process.
-
-    With one_block_middle the second has N = 10 and a single block of 400
-    rows in one process.
-    """
+    """Three scenarios of 400 replicates at N = 100; with one_block_middle the second has N = 10."""
     middle = ("zero:N=10", np.arange(1, 11)) if one_block_middle else ("zero", np.arange(1, 101))
     specs = [("poly:beta=1,scale=1", np.arange(1, 101)), middle,
              ("sparse:k=5,amp=1", np.r_[1:40:3, 50, 100])]
@@ -632,23 +679,10 @@ def batch_configs(one_block_middle=False):
 class TestBatchEngine:
     """verify_scenarios runs every scenario of a call in one set of forked workers."""
 
-    @pytest.fixture
-    def forks(self, monkeypatch):
-        fork = os.fork
-        pids = []
-
-        def counting_fork():
-            pid = fork()
-            if pid:
-                pids.append(pid)
-            return pid
-
-        monkeypatch.setattr(montecarlo.os, "fork", counting_fork)
-        monkeypatch.setattr(montecarlo, "_WORKERS", 2)
-        return pids
-
-    def test_simulate_forks_once_for_all_its_scenarios(self, forks, tmp_path):
-        # Three scenarios of 400 replicates at N = 100: three blocks each in one process.
+    def test_simulate_forks_once_for_all_its_scenarios(self, monkeypatch, forks, tmp_path):
+        # Three scenarios of 400 replicates at N = 100: three blocks each of
+        # at most 150 rows in one process.
+        monkeypatch.setattr(montecarlo, "_BLOCK_VALUES", 150 * 100)
         config = tmp_path / "three.cfg"
         config.write_text("".join(
             f"[{name}]\nmu = {mu}\nsigma = 0.3\nmodels = 1..100\nreplicates = 400\n"
@@ -659,8 +693,9 @@ class TestBatchEngine:
         assert len(forks) == 1
         assert_engine_left_nothing()
 
-    def test_one_block_scenarios_do_not_fork(self, forks, tmp_path):
-        # 300 rows of N = 10 fit one block of 1,638 rows.
+    def test_one_block_scenarios_do_not_fork(self, monkeypatch, forks, tmp_path):
+        # 300 rows of N = 10 fit one block of 1,500 rows.
+        monkeypatch.setattr(montecarlo, "_BLOCK_VALUES", 150 * 100)
         config = tmp_path / "small.cfg"
         config.write_text("".join(
             f"[{name}]\nmu = {mu}\nsigma = 1.0\nmodels = 1..10\nreplicates = 300\n"
@@ -670,14 +705,17 @@ class TestBatchEngine:
         assert cli.main(["simulate", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
         assert forks == []
 
-    def test_lemma_check_forks_once(self, forks, capsys):
-        # At the default --kmax each walk is its own block: 200 blocks.
+    def test_lemma_check_forks_once(self, monkeypatch, forks, capsys):
+        # At the default --kmax of 10,000 values each walk is its own block: 200 blocks.
+        monkeypatch.setattr(montecarlo, "_BLOCK_VALUES", 150 * 100)
         argv = ["lemma-check", "--which", "chi2_upper", "--alpha", "0.25", "--reps", "200"]
         assert cli.main(argv) == 0
         assert len(forks) == 1
         assert_engine_left_nothing()
 
-    def test_a_bound_that_fails_stops_the_call_before_any_fork(self, forks):
+    def test_a_bound_that_fails_stops_the_call_before_any_fork(self, monkeypatch, forks):
+        # Three blocks of at most 150 rows per scenario would fork.
+        monkeypatch.setattr(montecarlo, "_BLOCK_VALUES", 150 * 100)
         configs = batch_configs()
         configs.append(make_config(scenario_id="huge", mu_spec="explicit:1e200,1", models=[1, 2]))
         with np.errstate(over="raise"), pytest.raises(FloatingPointError):
@@ -692,31 +730,37 @@ class TestBatchEngine:
     @pytest.mark.parametrize(
         "workers, blocks",
         [
+            # 150, 150 and 100 rows at N = 100, and all 400 rows at N = 10.
             (1, {"s1": 3, "s2": 1, "s3": 3}),
-            # Shares of 200 rows: 163 and 37 at N = 100, one block at N = 10.
+            # Shares of 200 rows: 150 and 50 at N = 100, one block at N = 10.
             (2, {"s1": 4, "s2": 2, "s3": 4}),
-            # Shares of 134, 133 and 133 rows: one block each.
+            # Shares of a third of the rows: one block each.
             (3, {"s1": 3, "s2": 3, "s3": 3}),
         ],
         ids=["1", "2", "3"],
     )
     def test_batch_rows_are_the_single_scenario_rows(self, monkeypatch, workers, blocks):
+        # Blocks of at most 150 rows at N = 100 and 1,500 at N = 10.
+        monkeypatch.setattr(montecarlo, "_BLOCK_VALUES", 150 * 100)
         configs = batch_configs(one_block_middle=True)
         monkeypatch.setattr(montecarlo, "_WORKERS", 1)
         singles = [verify_oracle_inequalities(cfg) for cfg in configs]
         monkeypatch.setattr(montecarlo, "_WORKERS", workers)
         rows, seconds, engine = verify_scenarios(configs)
         assert engine["workers"] == workers and engine["blocks"] == blocks
+        assert (engine["cpus"] is None) == (workers == 1)
         assert [dataclasses.astuple(row) for row in rows] == [
             dataclasses.astuple(row) for row in singles
         ]
         assert len(seconds) == len(configs) and all(s > 0.0 for s in seconds)
         assert_engine_left_nothing()
 
-    def test_the_first_failure_in_scenario_order_reaches_the_caller(self, monkeypatch):
-        # Rows 0..199 of each scenario run in the caller, rows 200..399 in the
-        # worker.  Scenario 2 fails in the worker's share, scenario 3 earlier
-        # in time, in the caller's.
+    def test_the_first_failure_in_scenario_order_reaches_the_caller(self, monkeypatch, forks):
+        # Each scenario takes three blocks of at most 150 rows in one process,
+        # so two processes run: rows 0..199 of each scenario in the caller,
+        # rows 200..399 in the worker.  Scenario 2 fails in the worker's share,
+        # scenario 3 earlier in time, in the caller's.
+        monkeypatch.setattr(montecarlo, "_BLOCK_VALUES", 150 * 100)
         configs = batch_configs()
         worker_fault = substream_words(configs[1].substream_prefix, np.array([290]))[0]
         caller_fault = substream_words(configs[2].substream_prefix, np.array([5]))[0]
@@ -733,9 +777,9 @@ class TestBatchEngine:
             return draw(mu, sigma, seeds, out=out)
 
         monkeypatch.setattr(montecarlo, "draw_observations", failing)
-        monkeypatch.setattr(montecarlo, "_WORKERS", 2)
         with pytest.raises(RuntimeError, match="scenario 2 failed"):
             verify_scenarios(configs)
+        assert len(forks) == 1
         assert_engine_left_nothing()
 
 
@@ -746,19 +790,20 @@ class TestUnbiasednessCheck:
         for est in unbiasedness_check(cfg).values():
             assert abs(est.mean) <= 4.0 * est.std_error
 
-    def test_same_estimates_for_any_worker_count_and_block_size(self, monkeypatch):
-        # 400 rows of N = 100: blocks of at most 163 rows, or 400 one-row blocks,
-        # whose (#M, replicates) result each process writes by columns.
+    def test_same_estimates_for_any_worker_count_and_block_size(self, monkeypatch, forks):
+        # 400 rows of N = 100: 400 one-row blocks, or three blocks of at most
+        # 150 rows, whose (#M, replicates) result each process writes by
+        # columns.  Both sizes fork for two and three workers.
         cfg = make_config(mu_spec="poly:beta=1,scale=1,N=100", models=[1, 7, 50, 100],
                           replicates=400, base_seed=5)
         outputs = []
         for workers in (1, 2, 3):
-            for block_values in (1, montecarlo._BLOCK_VALUES):
+            for block_values in (1, 150 * 100):
                 monkeypatch.setattr(montecarlo, "_WORKERS", workers)
                 monkeypatch.setattr(montecarlo, "_BLOCK_VALUES", block_values)
                 outputs.append(unbiasedness_check(cfg))
-                monkeypatch.undo()
         assert all(out == outputs[0] for out in outputs)
+        assert len(forks) == 2 * (1 + 2)
         assert_engine_left_nothing()
 
     @pytest.mark.parametrize("count", [2, 5], ids=["no_memory", "beyond_ssize_t"])

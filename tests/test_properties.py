@@ -32,12 +32,12 @@ from ewagg.estimators import (
     m_epsilon,
     projection_estimate,
     risk_profile,
-    unbiased_risk,
     ure_weights,
 )
 from ewagg.montecarlo import LEMMA2_VARIANTS
 from ewagg.sequence_model import (
     _seed_entropy,
+    check_models,
     draw_observations,
     mean_vector_from_spec,
     squared_loss,
@@ -199,7 +199,8 @@ def test_block_rows_get_the_bits_of_the_row_alone(case):
     for b, row in enumerate(block):
         one = risk_profile(row, sigma, models)
         assert np.array_equal(profile[b], one)
-        assert unbiased_risk(block, sigma, m)[b] == unbiased_risk(row, sigma, m)
+        one_model = check_models([m])
+        assert risk_profile(block, sigma, one_model)[b, 0] == risk_profile(row, sigma, one_model)[0]
         assert by_block[b] == m_epsilon(one, models, sigma, epsilon)
         single = (ure_weights(one), exponential_weights(one, sigma))
         for w, w_one, estimate, loss in zip(weights, single, estimates, losses):
