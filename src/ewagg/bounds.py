@@ -354,7 +354,7 @@ def theorem_bounds(oracle_risk: float, sigma: float, model_count: int) -> Regret
 def m_epsilon_budget(oracle_value: float, sigma: float, epsilon: float) -> float:
     """Analytic budget r/sigma^2 + 7 eps r / ((1-6 eps) sigma^2) + 15 / ((1-6 eps) eps)."""
     (r, variance), epsilon = _checked_risk(oracle_value, sigma), float(epsilon)
-    if not 0.0 < epsilon <= 1.0 / 7.0:
+    if not 0.0 < epsilon <= PSI_EPSILON_HI:
         raise ValueError("epsilon must lie in (0, 1/7]")
     ratio = float(r) / float(variance)
     shrink = 1.0 - 6.0 * epsilon

@@ -496,8 +496,9 @@ def lemma2_empirical(
     linear statistic is exact: the finite support of mu makes suffixes beyond
     it empty, contributing the value 0 to the maximum.  mu is required by the
     linear variant and rejected by the others.  alpha must be finite and
-    positive, with 1/alpha finite, so that the budget is a number, and k_max
-    a whole number >= 1.
+    positive, with 1/alpha finite, so that the budget is a number, k_max
+    a whole number >= 1, and seed an integer, by the seed rule of
+    ScenarioConfig's base_seed; each is checked before any worker starts.
     """
     alpha = float(alpha)
     if which not in LEMMA2_VARIANTS:
@@ -510,6 +511,7 @@ def lemma2_empirical(
         raise ValueError(f"k_max must be a whole number >= 1, got {k_max}")
     k_max = int(k_max)
     replicates = check_replicates(replicates)
+    _seed_entropy((seed,))
 
     # The drift line, sized by k_max or by the support of mu, is built here
     # before any worker starts, so an oversized input fails in the caller.

@@ -146,8 +146,9 @@ class TestSimulate:
 
     def test_results_do_not_depend_on_workers_or_blocks(self, monkeypatch, tmp_path):
         # 400 rows of N = 100, once with a gapped model set: one-row blocks,
-        # blocks of 40 rows, and blocks of 150 rows with a short last one in
-        # one or two processes.  N = 10,000 runs in one-row blocks at each size.
+        # blocks of 40 rows, blocks of 150 rows with a short last one, and the
+        # production size, in one or more processes.  N = 10,000 runs in
+        # one-row blocks at each size.
         config = write_config(tmp_path, GOOD_CONFIG + (
             "[poly_wide]\nmu = poly:beta=1,scale=1,N=100\nsigma = 0.3\nmodels = 1..100\n"
             "replicates = 400\n\n"
@@ -155,9 +156,9 @@ class TestSimulate:
             "replicates = 400\n\n"
             "[one_row]\nmu = poly:beta=1,scale=1\nsigma = 0.05\nmodels = 1..10000\nreplicates = 5\n"
         ))
-        outputs = set()
+        outputs, sizes = set(), (1, 40 * 100, 150 * 100, montecarlo._BLOCK_VALUES)
         for workers in (1, 2, 3):
-            for block_values in (1, 40 * 100, 150 * 100):
+            for block_values in sizes:
                 monkeypatch.setattr(montecarlo, "_WORKERS", workers)
                 monkeypatch.setattr(montecarlo, "_BLOCK_VALUES", block_values)
                 out = tmp_path / f"out_{workers}_{block_values}"
@@ -213,23 +214,6 @@ class TestSimulate:
                     assert float(row[key]) == value  # 17 digits round-trip exactly
                 else:
                     assert row[key] == str(value)
-
-    def test_byte_identical_reruns(self, tmp_path):
-        cfg = write_config(tmp_path)
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        assert cli.main(["simulate", "--config", cfg, "--out", str(out1)]) == 0
-        assert cli.main(["simulate", "--config", cfg, "--out", str(out2)]) == 0
-        assert (out1 / "results.csv").read_bytes() == (out2 / "results.csv").read_bytes()
-        assert (out1 / "results.json").read_bytes() == (out2 / "results.json").read_bytes()
-
-    def test_output_does_not_depend_on_the_block_size(self, tmp_path, monkeypatch):
-        cfg = write_config(tmp_path)
-        out1, out2 = tmp_path / "a", tmp_path / "b"
-        assert cli.main(["simulate", "--config", cfg, "--out", str(out1)]) == 0
-        monkeypatch.setattr(montecarlo, "_BLOCK_VALUES", 1)
-        assert cli.main(["simulate", "--config", cfg, "--out", str(out2)]) == 0
-        assert (out1 / "results.csv").read_bytes() == (out2 / "results.csv").read_bytes()
-        assert (out1 / "results.json").read_bytes() == (out2 / "results.json").read_bytes()
 
     @pytest.mark.parametrize(
         "old, new",
@@ -449,6 +433,19 @@ class TestPsi:
         assert captured.err == (
             "error: psi needs r in [0, 1], got 1.5\nerror: psi needs r in [0, 1], got -0.1\n"
         )
+
+
+def test_psi_and_bounds_never_import_numpy_random():
+    # numpy defers numpy.random, and only the Monte Carlo commands need it.
+    script = (
+        "import sys\n"
+        "import ewagg.cli as cli\n"
+        "codes = cli.main(['psi', '0.5', '1e-6']), cli.main(['bounds', '--r', '100', '--m', '10'])\n"
+        "print(codes, 'numpy.random' in sys.modules, file=sys.stderr)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], env=_child_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert done.stderr == "(0, 0) False\n"
 
 
 class TestLemmaCheck:
