@@ -24,21 +24,6 @@ from ewagg.bounds import (
 from psi_reference import bisection_psi, seam_r
 
 
-def tail_decay_weights(rng, K, rho):
-    """Random weight vector with a K-1 head and a geometrically decaying tail.
-
-    The tail starts at 1 and each later term sits below exp(-rho (k-2) - 1),
-    truncated once the envelope is negligible.
-    """
-    head = rng.uniform(0.0, 10.0, size=K - 1)
-    n_tail = int(math.ceil(660.0 / rho)) + 2
-    ks = np.arange(2, n_tail + 2)
-    envelope = np.exp(-rho * (ks - 2.0) - 1.0)
-    tail = np.concatenate([[1.0], envelope * rng.uniform(0.0, 1.0, size=n_tail)])
-    raw = np.concatenate([head, tail])
-    return raw / raw.sum()
-
-
 class TestUAlpha:
     def test_vanishes_at_zero(self):
         assert 0.0 < u_alpha(1e-6) < 1e-5
@@ -155,9 +140,6 @@ class TestDriftPrecision:
 
 
 class TestInverses:
-    def test_round_trip_through_alpha(self):
-        assert u_inverse(u_alpha(0.3)) == pytest.approx(0.3, abs=1e-10)
-
     def test_tiny_targets_match_mpmath(self):
         # Down to y = 1e-300, far below where a bracket fixed at [1e-300, 1/4]
         # runs out of bisection steps.
@@ -266,16 +248,6 @@ class TestLemma4Bound:
         with pytest.raises(ValueError):
             lemma4_bound(K, rho)
 
-    def test_entropy_bound_holds_in_slow_decay_regime(self):
-        # Below the seam (e * rho <= 1), the regime the aggregation analysis
-        # uses, randomized envelope-tight constructions stay under the bound.
-        rng = np.random.default_rng(31)
-        for _ in range(200):
-            K = int(rng.choice([2, 10, 100]))
-            rho = float(rng.choice([0.05, 0.2, 1.0 / math.e]))
-            w = tail_decay_weights(rng, K, rho)
-            assert entropy(w) <= lemma4_bound(K, rho) + 1e-12
-
     def test_entropy_bound_boundary_of_validity(self):
         # Beyond the seam the stated bound is not an entropy bound any more:
         # with the tail exactly at its decay envelope and head mass 0.5587,
@@ -311,28 +283,9 @@ class TestPsi:
         assert ev.psi == pytest.approx(float(scan), rel=1e-6)
         assert ev.epsilon_star == pytest.approx(1.0 / 7.0, rel=1e-9)
 
-    def test_interior_minimum_beats_its_neighbours(self):
-        # Independent objective, its exponential term in the log domain so that
-        # it stays finite at the smallest subnormal r.
-        def objective(eps, r):
-            return 49.0 * eps + 105.0 * r / eps + math.exp(math.log(r) + 2.0 / (math.e * eps))
-
-        for r in (1e-3, 1e-6, 1e-30, 1e-300, 5e-324):
-            ev = psi(r)
-            assert PSI_EPSILON_LO < ev.epsilon_star < PSI_EPSILON_HI
-            assert ev.psi == pytest.approx(objective(ev.epsilon_star, r), rel=1e-14)
-            for step in (1e-9, 1e-6, 1e-3):
-                for eps in (ev.epsilon_star * (1.0 - step), ev.epsilon_star * (1.0 + step)):
-                    assert ev.psi <= objective(eps, r) * (1.0 + 1e-15)
-
     def test_nondecreasing_in_r(self):
         values = [psi(r).psi for r in (0.0, 1e-6, 1e-4, 1e-2, 0.1, 0.5, 1.0)]
         assert all(b >= a for a, b in zip(values, values[1:]))
-
-    def test_epsilon_star_in_domain(self):
-        for r in (1e-6, 1e-3, 0.1, 1.0):
-            ev = psi(r)
-            assert PSI_EPSILON_LO <= ev.epsilon_star <= PSI_EPSILON_HI
 
 
 def seam_arguments():
@@ -507,3 +460,26 @@ class TestTheoremBounds:
     def test_sigma_rule_applies(self, budget, sigma):
         with pytest.raises(ValueError, match=r"^sigma\^2 must be a normal positive float"):
             budget(sigma)
+
+
+class TestMEpsilonBudget:
+    """The analytic budget for the expected envelope index."""
+
+    def test_budget_formula(self):
+        # r/s^2 + 7 eps r / ((1-6 eps) s^2) + 15 / ((1-6 eps) eps) at r=2, eps=0.1
+        expected = 2.0 + 7.0 * 0.1 * 2.0 / 0.4 + 15.0 / (0.4 * 0.1)
+        assert m_epsilon_budget(2.0, 1.0, 0.1) == pytest.approx(expected, rel=1e-15)
+
+    def test_epsilon_domain(self):
+        with pytest.raises(ValueError):
+            m_epsilon_budget(1.0, 1.0, 0.0)
+        with pytest.raises(ValueError):
+            m_epsilon_budget(1.0, 1.0, 0.2)
+
+    def test_epsilon_domain_closes_at_psi_epsilon_hi(self):
+        # (0, 1/7] is psi's own epsilon domain, so its upper edge is in it:
+        # at eps = 1/7, 1 - 6 eps = eps, and the budget at r = 2 is 2 + 14 + 15 * 49.
+        expected = 2.0 + 14.0 + 15.0 * 49.0
+        assert m_epsilon_budget(2.0, 1.0, PSI_EPSILON_HI) == pytest.approx(expected, rel=1e-14)
+        with pytest.raises(ValueError, match=r"epsilon must lie in \(0, 1/7\]"):
+            m_epsilon_budget(2.0, 1.0, math.nextafter(PSI_EPSILON_HI, 1.0))

@@ -252,12 +252,13 @@ class TestSimulate:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
-    def test_malformed_mu_is_config_error(self, tmp_path):
+    def test_malformed_mu_is_config_error(self, tmp_path, capsys):
         bad = GOOD_CONFIG.replace("mu = zero", "mu = wavelet:q=3")
         code = cli.main(
             ["simulate", "--config", write_config(tmp_path, bad), "--out", str(tmp_path / "o")]
         )
         assert code == 2
+        assert_one_line_error(capsys)
 
     def test_missing_required_key_is_config_error(self, tmp_path, capsys):
         bad = "[only]\nmu = zero\nsigma = 1.0\n"  # no models/replicates
@@ -276,11 +277,12 @@ class TestSimulate:
         assert_one_line_error(capsys)
         assert blocker.read_text() == "a file, not a directory\n"
 
-    def test_missing_file_is_config_error(self, tmp_path):
+    def test_missing_file_is_config_error(self, tmp_path, capsys):
         code = cli.main(
             ["simulate", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path / "o")]
         )
         assert code == 2
+        assert_one_line_error(capsys)
 
     def test_env_seed_supplies_missing_base_seed(self, tmp_path, monkeypatch, capsys):
         no_seed = GOOD_CONFIG.replace("base_seed = 90210\n", "")
@@ -393,8 +395,9 @@ class TestBounds:
             "error: oracle risk must be finite and >= sigma^2 = 1.0, got 0.9999999999999999\n"
         )
 
-    def test_nonpositive_count_is_domain_error(self):
+    def test_nonpositive_count_is_domain_error(self, capsys):
         assert cli.main(["bounds", "--r", "2", "--m", "0"]) == 2
+        assert_one_line_error(capsys)
 
     def test_huge_model_count_needs_no_memory(self, tmp_path):
         # Run capped: a budget that allocated per model would ask for terabytes.
@@ -460,9 +463,10 @@ class TestLemmaCheck:
         assert payload["budget"] == 4.0
         assert payload["mean"] <= payload["budget"] + payload["tolerance"]
 
-    def test_linear_needs_mu(self):
+    def test_linear_needs_mu(self, capsys):
         code = cli.main(["lemma-check", "--which", "linear", "--alpha", "0.5"])
         assert code == 2
+        assert_one_line_error(capsys)
 
     def test_repeated_mu_parameter_is_domain_error(self, capsys):
         code = cli.main(["lemma-check", "--which", "linear", "--alpha", "0.5",
@@ -480,11 +484,12 @@ class TestLemmaCheck:
         payload = json.loads(capsys.readouterr().out)
         assert payload["passed"] is True
 
-    def test_alpha_domain_error(self):
+    def test_alpha_domain_error(self, capsys):
         code = cli.main(
             ["lemma-check", "--which", "chi2_upper", "--alpha", "0.75", "--reps", "10"]
         )
         assert code == 2
+        assert_one_line_error(capsys)
 
     @pytest.mark.parametrize("which", ["chi2_upper", "chi2_lower"])
     def test_mu_rejected_for_chi_square_variants(self, capsys, which):

@@ -95,17 +95,6 @@ class TestRiskProfile:
             risk_profile([1.0, 2.0], SIGMA1, np.arange(1, 4))
 
 
-class TestUreWeights:
-    def test_point_mass_on_argmin(self):
-        np.testing.assert_allclose(ure_weights([3.0, 5.0]), [1.0, 0.0])
-
-    def test_argmin_in_last_position(self):
-        np.testing.assert_allclose(ure_weights([3.0, 2.0, 1.0]), [0.0, 0.0, 1.0])
-
-    def test_all_ties_pick_smallest(self):
-        np.testing.assert_allclose(ure_weights([2.0, 2.0, 2.0]), [1.0, 0.0, 0.0])
-
-
 class TestExponentialWeights:
     def test_equal_values_give_uniform(self):
         np.testing.assert_allclose(exponential_weights([5.0, 5.0], SIGMA1), [0.5, 0.5])
@@ -212,55 +201,6 @@ class TestAggregate:
             agg = aggregate(y, M, raw / raw.sum())
             assert np.all(np.abs(agg) <= np.abs(y) + 1e-15)
 
-    @pytest.mark.parametrize(
-        "indices, length",
-        [
-            ([1, 4, 5, 9, 12], 12),  # gaps
-            ([3, 4, 5, 6, 7], 9),  # no model 1
-            ([2, 6, 15], 10),  # largest index beyond the observation
-        ],
-    )
-    def test_suffix_sums_equal_naive_reversed_sums(self, indices, length):
-        rng = np.random.default_rng(12)
-        M = np.array(indices)
-        raw = rng.uniform(0.0, 1.0, size=(4, len(indices)))
-        w = raw / raw.sum(axis=-1, keepdims=True)
-        y = rng.normal(size=(4, length))
-
-        def naive(w):
-            sums = np.zeros((len(w), length))
-            for b in range(len(w)):
-                for i in range(1, length + 1):
-                    total = 0.0
-                    for m, weight in zip(reversed(indices), w[b][::-1]):
-                        if m >= i:
-                            total += weight
-                    sums[b, i - 1] = total
-            return sums
-
-        assert np.array_equal(aggregate(y, M, w), y * naive(w))
-
-        # Exact zeros: runs at the head, in the middle and at the tail, one-hot
-        # rows, an all-zero row, and -0.0 entries.  A row's bits do not depend
-        # on the other rows of its block.
-        k, half = len(indices), len(indices) // 2
-        sparse = np.tile(w[0], (9, 1))
-        sparse[0, : half + 1] = 0.0
-        sparse[1, half] = 0.0
-        sparse[2, half:] = 0.0
-        sparse[3] = np.arange(k) == half
-        sparse[4] = np.arange(k) == k - 1
-        sparse[5] = 0.0
-        sparse[6, ::2] = -0.0
-        sparse[7] = -0.0
-        sparse[8, -1] = -0.0
-        y = rng.normal(size=(9, length))
-        block = aggregate(y, M, sparse)
-        assert np.array_equal(block, y * naive(sparse))
-        for b in range(9):
-            assert block[b].tobytes() == aggregate(y[b], M, sparse[b]).tobytes()
-        assert block[5].tobytes() == (y[5] * 0.0).tobytes()
-
     def test_dominant_model_drives_aggregate(self):
         # When one risk value sits far below the rest, the exponential-weight
         # aggregate collapses onto that projection coordinatewise.
@@ -323,37 +263,3 @@ class TestMEpsilon:
             prof = rng.normal(0, 15, size=40)
             results = [m_epsilon(prof, M, SIGMA1, e) for e in (0.05, 0.2, 0.5, 0.9)]
             assert all(b >= a for a, b in zip(results, results[1:]))
-
-
-class TestBlocks:
-    """A (B, N) observation block runs the whole pipeline row by row with the same bits."""
-
-    # The second model set is large enough that numpy sums a contiguous row
-    # pairwise, while a strided (F-ordered) row would be summed sequentially.
-    MODEL_SETS = [([1, 2, 5, 9, 12], 12), (list(range(1, 30)) + [33, 37, 40], 40)]
-
-    def test_block_rows_match_single_rows(self):
-        rng = np.random.default_rng(11)
-        sigma = 0.7
-        for indices, length in self.MODEL_SETS:
-            M = np.array(indices)
-            values = rng.normal(0.0, 2.0, size=(6, length))
-            profile = risk_profile(values, sigma, M)
-            weights = {"URE": ure_weights(profile), "EW": exponential_weights(profile, sigma)}
-            f_ordered = exponential_weights(np.asfortranarray(profile), sigma)
-            for b, row in enumerate(values):
-                one = risk_profile(row, sigma, M)
-                assert np.array_equal(profile[b], one)
-                nine = check_models([9])
-                assert np.array_equal(risk_profile(values, sigma, nine)[b], risk_profile(row, sigma, nine))
-                assert np.array_equal(projection_estimate(values, 5)[b], projection_estimate(row, 5))
-                assert m_epsilon(profile, M, sigma, 0.1)[b] == m_epsilon(one, M, sigma, 0.1)
-                assert np.array_equal(f_ordered[b], exponential_weights(one, sigma))
-                for name, w_one in (
-                    ("URE", ure_weights(one)),
-                    ("EW", exponential_weights(one, sigma)),
-                ):
-                    assert np.array_equal(weights[name][b], w_one)
-                    assert np.array_equal(
-                        aggregate(values, M, weights[name])[b], aggregate(row, M, w_one)
-                    )

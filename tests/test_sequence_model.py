@@ -196,13 +196,6 @@ class TestSubstreamWords:
         monkeypatch.setattr(substreams, "_ROWS_PER_PASS", 4)
         assert np.array_equal(substream_words((9, 8), self.REPS), whole)
 
-    def test_prefix_of_any_length(self):
-        reps = np.arange(5, dtype=np.uint64)
-        for prefix in [(3,), (2**100, 7, 2**64), (1, 2, 3, 4, 5)]:
-            for row, rep in zip(substream_words(prefix, reps), reps):
-                oracle = seed_sequence((*prefix, int(rep))).generate_state(4, np.uint64)
-                assert np.array_equal(row, oracle)
-
     def test_no_reps_gives_no_rows(self):
         assert substream_words((1, 2), np.array([], dtype=np.uint64)).shape == (0, 4)
 
